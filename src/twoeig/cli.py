@@ -1,7 +1,9 @@
 """Command-line front end for construction, certification, lifting, and tables.
 
 Every run produces a RunReport; the process exits 0 exactly when the report
-status is "pass", 1 on a failed verdict, and 2 on bad input. File formats:
+status is "pass", 1 on a failed verdict, 2 on bad input, and 3 on a defect:
+an internal invariant that failed (AssertionError) or memory that ran out,
+reported on stderr with status "defect". File formats:
 `verify` and `spectrum` read matrix files, `lift`, `ramanujan` and
 `switch-classes` read signed-graph files, `twograph` reads triple files.
 Passing "-" reads the input from stdin.
@@ -120,13 +122,6 @@ def _write_output(text: str, path: str | None) -> None:
         Path(path).write_text(text)
 
 
-def _tol(args) -> float:
-    tol = args.tol if args.tol is not None else spectra.DEFAULT_GROUP_TOL
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    return tol
-
-
 GEN_KINDS = ("hadamard", "conference", "williamson", "double", "kron", "conference-block")
 
 
@@ -205,7 +200,7 @@ def cmd_verify(args) -> RunReport:
     report.add("two-eigenvalue certificate", cert)
     if cert is not None:
         report.add("ground degree", spectra.degree_from_certificate(cert))
-    report.add("spectrum", spectra.eigenvalues_symmetric(sg, _tol(args)))
+    report.add("spectrum", spectra.eigenvalues_symmetric(sg, args.tol))
     report.status = "pass" if cert is not None else "fail"
     return report
 
@@ -213,7 +208,7 @@ def cmd_verify(args) -> RunReport:
 def cmd_spectrum(args) -> RunReport:
     report = RunReport("spectrum", {"file": args.file})
     m = io.parse_matrix(_read_text(args.file))
-    s = spectra.eigenvalues_symmetric(m, _tol(args))
+    s = spectra.eigenvalues_symmetric(m, args.tol)
     report.add("order", m.rows)
     report.add("spectrum", s)
     report.add("distinct values", len(s.pairs))
@@ -239,7 +234,7 @@ def cmd_lift(args) -> RunReport:
             Path(args.output).write_text(text)
     else:
         _write_output(text, args.output)
-    verdict = lifts_ramanujan.lift_spectrum_check(sg, _tol(args))
+    verdict = lifts_ramanujan.lift_spectrum_check(sg, args.tol)
     report.add("base vertices", sg.n)
     report.add("lift vertices", lift.graph.n)
     report.add("lift edges", lift.graph.m)
@@ -270,7 +265,7 @@ def cmd_ramanujan(args) -> RunReport:
 
 def cmd_table(args) -> RunReport:
     report = RunReport("table", {"family": args.family, "n": args.n})
-    row = lifts_ramanujan.table_row(args.family, args.n, _tol(args))
+    row = lifts_ramanujan.table_row(args.family, args.n, args.tol)
     report.add("signature good", row.signature_good)
     report.add("expected", row.expected)
     report.add("computed", row.computed)
@@ -328,14 +323,13 @@ def cmd_twograph(args) -> RunReport:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="grouping/comparison tolerance (default 1e-6)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed recorded in the report for reproducible runs")
-    common.add_argument("--certify", action="store_true",
-                        help="append the exact certificate line to generated matrices")
     common.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the run report as JSON")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=spectra.DEFAULT_GROUP_TOL,
+                     help="grouping/comparison tolerance (default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="twoeig",
@@ -352,18 +346,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", action="append", default=None, metavar="FILE",
                    help="input matrix file (twice for kron)")
     p.add_argument("-o", "--output", default=None, help="write the matrix here instead of stdout")
+    p.add_argument("--certify", action="store_true",
+                   help="append the exact certificate line to generated matrices")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, tol],
                        help="orthogonality and two-eigenvalue certificates for a matrix file")
     p.add_argument("file")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("spectrum", parents=[common], help="eigenvalues of a symmetric matrix file")
+    p = sub.add_parser("spectrum", parents=[common, tol], help="eigenvalues of a symmetric matrix file")
     p.add_argument("file")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("lift", parents=[common], help="2-lift of a signed graph file")
+    p = sub.add_parser("lift", parents=[common, tol], help="2-lift of a signed graph file")
     p.add_argument("file")
     p.add_argument("-o", "--output", default=None, help="write the lifted edge list here")
     p.set_defaults(func=cmd_lift)
@@ -375,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="paper-literal")
     p.set_defaults(func=cmd_ramanujan)
 
-    p = sub.add_parser("table", parents=[common], help="check one certified-family table row")
+    p = sub.add_parser("table", parents=[common, tol], help="check one certified-family table row")
     p.add_argument("--family", choices=lifts_ramanujan.TABLE_FAMILIES, required=True)
     p.add_argument("-n", type=int, required=True, help="base matrix order")
     p.set_defaults(func=cmd_table)
@@ -397,11 +393,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
-        err = RunReport(args.command, {}, status="error")
-        err.add("error", str(exc))
+    except (ValueError, OSError, RuntimeError, AssertionError, MemoryError) as exc:
+        defect = isinstance(exc, (AssertionError, MemoryError))
+        err = RunReport(args.command, {}, status="defect" if defect else "error")
+        err.add("error", str(exc) or type(exc).__name__)
         _emit(err, args.as_json, stream=sys.stderr)
-        return 2
+        return 3 if defect else 2
     report.inputs.setdefault("seed", args.seed)
     if args.as_json or not report.quiet_text:
         _emit(report, args.as_json)

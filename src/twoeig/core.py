@@ -1,14 +1,14 @@
-"""Signed matrices, signed graphs, and switching equivalence.
+"""Signed matrices, signed graphs, graphs, and switching equivalence.
 
 Everything in this module is exact: entries live in {-1, 0, +1} (stored as
 int8) and all products are taken in 64-bit integers, so orthogonality is an
-integer identity, never a numerical judgement.
+integer identity, never a numerical judgement. A Graph is the 0/1 case of a
+signed adjacency, and its views are array operations on that matrix.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,79 +112,98 @@ class OrthogonalityCertificate:
             raise ValueError("alpha must be a positive integer")
 
 
-class Graph:
-    """Simple labeled graph: no loops, no multi-edges, vertices 0..n-1."""
+def _check_adjacency(a: np.ndarray) -> None:
+    """Raise unless a is square, symmetric and zero on the diagonal."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("adjacency matrix must be square")
+    if not np.array_equal(a, a.T):
+        raise ValueError("adjacency matrix must be symmetric")
+    if np.diagonal(a).any():
+        raise ValueError("diagonal entries must all be 0")
 
-    __slots__ = ("n", "edges")
+
+def _edge_array(n: int, signed_edges) -> np.ndarray:
+    """Symmetric n x n int8 array with a[u, v] = a[v, u] = sign for each (u, v, sign)."""
+    signs: dict[tuple[int, int], int] = {}
+    for u, v, s in signed_edges:
+        if s not in (1, -1):
+            raise ValueError(f"edge ({u}, {v}) has sign {s}, expected +1 or -1")
+        if u == v:
+            raise ValueError(f"loop at vertex {u} not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range [0, {n})")
+        key = (u, v) if u < v else (v, u)
+        if key in signs:
+            raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
+        signs[key] = s
+    a = np.zeros((n, n), dtype=np.int8)
+    if signs:
+        (iu, iv), values = zip(*signs), list(signs.values())
+        a[iu, iv] = a[iv, iu] = values
+    return a
+
+
+class Graph:
+    """Simple labeled graph on vertices 0..n-1: the 0/1 case of a signed adjacency.
+
+    It is one read-only, symmetric, zero-diagonal int8 adjacency array; edge
+    lists, degrees, components and bipartitions are views computed from it.
+    """
+
+    __slots__ = ("_adj",)
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        seen = set()
-        for e in edges:
-            u, v = e
-            if u == v:
-                raise ValueError(f"loop at vertex {u} not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range [0, {n})")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
-        self.n = n
-        self.edges = frozenset(seen)
+        self._adj = _edge_array(n, ((u, v, 1) for u, v in edges))
+        self._adj.setflags(write=False)
+
+    @classmethod
+    def from_adjacency(cls, a) -> "Graph":
+        """The graph whose adjacency is a: square, symmetric, 0/1, zero diagonal."""
+        arr = np.asarray(a)
+        if not ((arr == 0) | (arr == 1)).all():
+            raise ValueError("graph adjacency entries must be 0 or 1")
+        g = cls.__new__(cls)
+        g._adj = arr.astype(np.int8)
+        _check_adjacency(g._adj)
+        g._adj.setflags(write=False)
+        return g
+
+    @property
+    def n(self) -> int:
+        return self._adj.shape[0]
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return int(np.count_nonzero(self._adj)) // 2
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_edges())
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        iu, iv = np.nonzero(np.triu(self._adj, 1))
+        return list(zip(iu.tolist(), iv.tolist()))
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return self._adj.sum(axis=1).tolist()
 
     def neighbors(self) -> list[list[int]]:
         """Adjacency lists, each sorted ascending."""
-        nbr: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        for lst in nbr:
-            lst.sort()
-        return nbr
+        return [np.flatnonzero(row).tolist() for row in self._adj]
 
     def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int8)
-        for u, v in self.edges:
-            a[u, v] = 1
-            a[v, u] = 1
-        return a
+        """The read-only int8 adjacency array."""
+        return self._adj
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._adj, dtype=dtype, copy=copy)
 
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest vertex."""
-        nbr = self.neighbors()
-        seen = [False] * self.n
-        comps = []
-        for root in range(self.n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            comp = [root]
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for v in nbr[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        comp.append(v)
-                        queue.append(v)
-            comps.append(sorted(comp))
-        return comps
+        return [np.sort(np.concatenate([layer for layer, _ in layers])).tolist()
+                for layers in _bfs_components(self._adj)]
 
     def bipartition(self) -> tuple[list[int], list[int]] | None:
         """A 2-coloring (X, Y) of the vertices, or None if an odd cycle exists.
@@ -193,36 +212,26 @@ class Graph:
         class goes to whichever side is currently smaller, so equal-size
         bipartitions are found whenever the component structure allows it.
         """
-        nbr = self.neighbors()
-        color = [-1] * self.n
-        sides: tuple[list[int], list[int]] = ([], [])
-        for root in range(self.n):
-            if color[root] != -1:
-                continue
-            color[root] = 0
-            part: tuple[list[int], list[int]] = ([root], [])
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for v in nbr[u]:
-                    if color[v] == -1:
-                        color[v] = 1 - color[u]
-                        part[color[v]].append(v)
-                        queue.append(v)
-                    elif color[v] == color[u]:
-                        return None
-            big, small = (part[0], part[1]) if len(part[0]) >= len(part[1]) else (part[1], part[0])
-            if len(sides[0]) <= len(sides[1]):
-                sides[0].extend(big)
-                sides[1].extend(small)
-            else:
-                sides[0].extend(small)
-                sides[1].extend(big)
-        return sorted(sides[0]), sorted(sides[1])
+        a = self._adj
+        in_y = np.zeros(self.n, dtype=bool)
+        sizes = [0, 0]
+        for layers in _bfs_components(a):
+            # layers are 2-colored by parity, and every edge joins the same
+            # or adjacent layers, so an odd cycle shows as an edge inside one
+            if any(a[np.ix_(layer, layer)].any() for layer, _ in layers):
+                return None
+            count = [sum(layer.size for layer, _ in layers[c::2]) for c in (0, 1)]
+            big = 0 if count[0] >= count[1] else 1
+            big_to_y = sizes[0] > sizes[1]
+            for k, (layer, _) in enumerate(layers):
+                in_y[layer] = (k % 2 == big) == big_to_y
+            sizes[big_to_y] += count[big]
+            sizes[not big_to_y] += count[1 - big]
+        return np.flatnonzero(~in_y).tolist(), np.flatnonzero(in_y).tolist()
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        return cls(n, itertools.combinations(range(n), 2))
+        return cls.from_adjacency(1 - np.eye(n, dtype=np.int8))
 
     @classmethod
     def complete_bipartite(cls, a: int, b: int) -> "Graph":
@@ -241,10 +250,10 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return np.array_equal(self._adj, other._adj)
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self._adj.tobytes()))
 
     def __repr__(self):
         return f"Graph({self.n}, {self.sorted_edges()!r})"
@@ -252,12 +261,43 @@ class Graph:
 
 def disjoint_union(*graphs: Graph) -> Graph:
     """Disjoint union, relabeling each graph's vertices after the previous one."""
-    n = 0
-    edges = []
+    n = sum(g.n for g in graphs)
+    a = np.zeros((n, n), dtype=np.int8)
+    start = 0
     for g in graphs:
-        edges.extend((u + n, v + n) for u, v in g.edges)
-        n += g.n
-    return Graph(n, edges)
+        a[start : start + g.n, start : start + g.n] = g.adjacency()
+        start += g.n
+    return Graph.from_adjacency(a)
+
+
+def _bfs_layers(a: np.ndarray, root: int, seen: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Breadth-first layers of root's component in a 0/1 adjacency; marks them seen.
+
+    Each layer is (vertices, parents), the vertices in the order a FIFO search
+    visiting neighbors by increasing index finds them, each parent the first
+    vertex of the previous layer adjacent to it. The root is its own parent.
+    """
+    layer = np.array([root])
+    seen[root] = True
+    layers = [(layer, layer)]
+    while True:
+        rows = a[layer] != 0
+        fresh = np.flatnonzero(rows.any(axis=0) & ~seen)
+        if not fresh.size:
+            return layers
+        first = rows[:, fresh].argmax(axis=0)
+        order = np.lexsort((fresh, first))
+        parents, layer = layer[first[order]], fresh[order]
+        seen[layer] = True
+        layers.append((layer, parents))
+
+
+def _bfs_components(a: np.ndarray):
+    """The BFS layers of each component, in order of the component's smallest vertex."""
+    seen = np.zeros(a.shape[0], dtype=bool)
+    for root in range(a.shape[0]):
+        if not seen[root]:
+            yield _bfs_layers(a, root, seen)
 
 
 class SignedGraph:
@@ -267,12 +307,7 @@ class SignedGraph:
 
     def __init__(self, matrix):
         sm = matrix if isinstance(matrix, SignedMatrix) else SignedMatrix(matrix)
-        if not sm.is_square:
-            raise ValueError("adjacency matrix must be square")
-        if not np.array_equal(sm.data, sm.data.T):
-            raise ValueError("adjacency matrix must be symmetric")
-        if np.any(np.diagonal(sm.data) != 0):
-            raise ValueError("diagonal entries must all be 0")
+        _check_adjacency(sm.data)
         self.matrix = sm
 
     @property
@@ -288,19 +323,7 @@ class SignedGraph:
     @classmethod
     def from_edges(cls, n: int, signed_edges) -> "SignedGraph":
         """Build from (u, v, sign) triples; sign must be +1 or -1."""
-        a = np.zeros((n, n), dtype=np.int8)
-        for u, v, s in signed_edges:
-            if s not in (1, -1):
-                raise ValueError(f"edge ({u}, {v}) has sign {s}, expected +1 or -1")
-            if u == v:
-                raise ValueError(f"loop at vertex {u} not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range [0, {n})")
-            if a[u, v] != 0:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            a[u, v] = s
-            a[v, u] = s
-        return cls(a)
+        return cls(_edge_array(n, signed_edges))
 
     @classmethod
     def all_positive(cls, g: Graph) -> "SignedGraph":
@@ -320,9 +343,7 @@ class SignedGraph:
 
 def ground(sg: SignedGraph) -> Graph:
     """The underlying unsigned graph (entrywise absolute value)."""
-    a = sg.matrix.data
-    iu, iv = np.nonzero(np.triu(a, 1))
-    return Graph(sg.n, zip(iu.tolist(), iv.tolist()))
+    return Graph.from_adjacency(np.abs(sg.matrix.data))
 
 
 def star(c: SignedMatrix) -> SignedGraph:
@@ -372,21 +393,10 @@ def _bfs_forest(g: Graph) -> list[tuple[int, int]]:
     Each component is rooted at its lowest-index vertex and neighbors are
     visited in increasing index order, so the forest is canonical.
     """
-    nbr = g.neighbors()
-    seen = [False] * g.n
     order: list[tuple[int, int]] = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in nbr[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    order.append((u, v))
-                    queue.append(v)
+    for layers in _bfs_components(g.adjacency()):
+        for layer, parents in layers[1:]:
+            order += zip(parents.tolist(), layer.tolist())
     return order
 
 
@@ -443,8 +453,7 @@ def enumerate_switching_classes(g: Graph) -> list[SignedGraph]:
 
 def is_regular(g: Graph) -> int | None:
     """The common vertex degree, or None if degrees differ."""
-    degrees = g.degrees()
-    if not degrees:
+    degrees = g.adjacency().sum(axis=1)
+    if not degrees.size:
         return None
-    first = degrees[0]
-    return first if all(d == first for d in degrees) else None
+    return int(degrees[0]) if (degrees == degrees[0]).all() else None

@@ -1,13 +1,15 @@
 """Plain-text formats for signed matrices, signed graphs, and triple systems.
 
 Matrix format: a header line "rows cols", then exactly `rows` lines of
-whitespace-separated entries from {-1, 0, 1}. Anything after the data lines
-is ignored, so annotated files round-trip.
+whitespace-separated entries from {-1, 0, 1}. After the data lines only
+"key = value" annotations may follow (such as the "alpha = 5" line that
+`twoeig gen --certify` writes); they are skipped, any other line is an error.
 
-Graph format: a header line "n m", then m lines "u v" or "u v sign" with
-1-based vertex labels; a missing sign means +1.
+Graph format: a header line "n m", then exactly m lines "u v" or "u v sign"
+with 1-based vertex labels; a missing sign means +1.
 
-Triple format: a header line "n t", then t lines "a b c" with 1-based labels.
+Triple format: a header line "n t", then exactly t lines "a b c" with
+1-based labels. Blank lines are skipped; missing or extra lines raise ValueError.
 """
 
 from __future__ import annotations
@@ -48,6 +50,11 @@ def parse_matrix(text: str) -> SignedMatrix:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if len(lines) < 1 + rows:
         raise ValueError(f"expected {rows} data rows, found {len(lines) - 1}")
+    for line in lines[1 + rows :]:
+        key, eq, value = line.partition("=")
+        if not (eq and key.strip().isidentifier() and value.strip()):
+            raise ValueError(f"expected {rows} data rows, then only 'key = value' "
+                             f"annotations, got {line!r}")
     data = []
     for i in range(rows):
         parts = lines[1 + i].split()
@@ -77,7 +84,7 @@ def parse_signed_graph(text: str) -> SignedGraph:
         raise ValueError(f"vertex count must be positive, got {n}")
     if m < 0:
         raise ValueError(f"edge count must be non-negative, got {m}")
-    if len(lines) < 1 + m:
+    if len(lines) != 1 + m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     triples = []
     for i in range(m):
@@ -113,7 +120,7 @@ def parse_triples(text: str) -> tuple[int, list[tuple[int, int, int]]]:
         raise ValueError(f"vertex count must be positive, got {n}")
     if t < 0:
         raise ValueError(f"triple count must be non-negative, got {t}")
-    if len(lines) < 1 + t:
+    if len(lines) != 1 + t:
         raise ValueError(f"expected {t} triple lines, found {len(lines) - 1}")
     triples = set()
     for i in range(t):

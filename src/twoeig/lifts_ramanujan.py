@@ -5,6 +5,11 @@ as parallel pairs and negative edges crossed. Its spectrum is the multiset
 union of the spectra of the ground graph and the signed adjacency, which is
 what makes signatures with small largest eigenvalue (good signatures) the
 engine for building regular Ramanujan graphs of twice the order.
+
+Graphs are dense 0/1 adjacency arrays (core.Graph), so every operation here
+is an array expression: the lift is [[P, N], [N, P]] for the positive and
+negative parts P, N of A, the complement is J - I - A, and the bipartite
+complement is K_{X,Y} - A.
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ class LiftedGraph:
     def __post_init__(self):
         if self.graph.n != 2 * self.base_n:
             raise ValueError(f"lift of {self.base_n} vertices must have {2 * self.base_n}")
-        deg = self.graph.degrees()
-        if deg[: self.base_n] != deg[self.base_n :]:
+        deg = self.graph.adjacency().sum(axis=1)
+        if not np.array_equal(deg[: self.base_n], deg[self.base_n :]):
             raise ValueError("lift layers have mismatched degrees")
 
 
@@ -85,17 +90,10 @@ class RamanujanReport:
 
 
 def two_lift(sg: SignedGraph) -> LiftedGraph:
-    """Double cover: positive edges lift parallel, negative edges crossed."""
-    n = sg.n
-    edges = []
-    for (u, v), s in sg.edge_signs().items():
-        if s == 1:
-            edges.append((u, v))
-            edges.append((u + n, v + n))
-        else:
-            edges.append((u, v + n))
-            edges.append((v, u + n))
-    return LiftedGraph(n, Graph(2 * n, edges))
+    """Double cover [[P, N], [N, P]]: positive edges (P) lift parallel, negative (N) crossed."""
+    a = sg.matrix.data
+    pos, neg = (a > 0).astype(np.int8), (a < 0).astype(np.int8)
+    return LiftedGraph(sg.n, Graph.from_adjacency(np.block([[pos, neg], [neg, pos]])))
 
 
 def lift_spectrum_check(sg: SignedGraph, tol: float = DEFAULT_GROUP_TOL) -> bool:
@@ -156,17 +154,8 @@ def is_good_signature(sg: SignedGraph) -> bool:
 
 
 def complement(g: Graph) -> Graph:
-    """Off-diagonal edge flip."""
-    present = g.edges
-    return Graph(
-        g.n,
-        (
-            (u, v)
-            for u in range(g.n)
-            for v in range(u + 1, g.n)
-            if (u, v) not in present
-        ),
-    )
+    """Off-diagonal edge flip: J - I - A."""
+    return Graph.from_adjacency(1 - np.eye(g.n, dtype=np.int8) - g.adjacency())
 
 
 def bipartite_complement(g: Graph, parts: tuple[list[int], list[int]]) -> Graph:
@@ -176,14 +165,14 @@ def bipartite_complement(g: Graph, parts: tuple[list[int], list[int]]) -> Graph:
         raise ValueError("parts do not partition the vertex set")
     if len(x) != len(y):
         raise ValueError(f"parts must have equal size, got {len(x)} and {len(y)}")
-    x_set = set(x)
-    for u, v in g.edges:
-        if (u in x_set) == (v in x_set):
-            raise ValueError(f"edge ({u}, {v}) lies inside one part")
-    return Graph(
-        g.n,
-        ((u, v) for u in x for v in y if (u, v) not in g.edges and (v, u) not in g.edges),
-    )
+    in_y = np.zeros(g.n, dtype=bool)
+    in_y[list(y)] = True
+    cross = (in_y[:, None] != in_y[None, :]).astype(np.int8)
+    inside = np.argwhere(np.triu(g.adjacency() > cross))
+    if inside.size:
+        u, v = inside[0].tolist()
+        raise ValueError(f"edge ({u}, {v}) lies inside one part")
+    return Graph.from_adjacency(cross - g.adjacency())
 
 
 @dataclass(frozen=True)

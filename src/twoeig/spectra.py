@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Graph,
     OrthogonalityCertificate,
     SignedGraph,
     SignedMatrix,
@@ -141,8 +140,6 @@ def _to_symmetric_float(m) -> np.ndarray:
         a = m.matrix.data
     elif isinstance(m, SignedMatrix):
         a = m.data
-    elif isinstance(m, Graph):
-        a = m.adjacency()
     else:
         a = np.asarray(m)
     out = np.array(a, dtype=np.float64)

@@ -4,7 +4,8 @@ A two-graph is a set of vertex triples such that every 4-subset of the
 vertex set contains an even number of them. Each one matches a switching
 class of signed complete graphs: a triple is a member exactly when the
 product of its three edge signs is -1, and a graph G on the vertex set
-induces the signing that is -1 on edges of G and +1 elsewhere.
+induces the signing that is -1 on edges of G and +1 elsewhere, J - I - 2A in
+terms of G's 0/1 adjacency A. Descendants are built as such arrays too.
 """
 
 from __future__ import annotations
@@ -89,22 +90,17 @@ def descendant(t: TwoGraph, x: int) -> Graph:
     """Graph on the same vertex set joining y, z whenever {x, y, z} is a triple."""
     if not (0 <= x < t.n):
         raise ValueError(f"vertex {x} out of range [0, {t.n})")
-    edges = []
-    for triple in t.triples:
-        if x in triple:
-            y, z = (v for v in triple if v != x)
-            edges.append((y, z))
-    return Graph(t.n, edges)
+    triples = np.array(list(t.triples), dtype=np.intp).reshape(-1, 3)
+    through_x = triples[(triples == x).any(axis=1)]
+    y, z = through_x[through_x != x].reshape(-1, 2).T
+    a = np.zeros((t.n, t.n), dtype=np.int8)
+    a[y, z] = a[z, y] = 1
+    return Graph.from_adjacency(a)
 
 
 def signed_complete_from_graph(g: Graph) -> SignedGraph:
-    """Complete signed graph that is -1 on edges of g and +1 elsewhere."""
-    a = np.ones((g.n, g.n), dtype=np.int8)
-    np.fill_diagonal(a, 0)
-    for u, v in g.edges:
-        a[u, v] = -1
-        a[v, u] = -1
-    return SignedGraph(a)
+    """Complete signed graph that is -1 on edges of g and +1 elsewhere: J - I - 2A."""
+    return SignedGraph(1 - np.eye(g.n, dtype=np.int8) - 2 * g.adjacency())
 
 
 def twograph_from_signed_complete(sg: SignedGraph) -> TwoGraph:

@@ -261,3 +261,38 @@ def test_signed_graph_round_trip_through_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "lift", str(f))
     assert code == 0
     assert "base vertices: 3" in out
+
+
+def test_cli_rejects_extra_data_lines(tmp_path, capsys):
+    f = tmp_path / "c4.txt"
+    f.write_text("4 3\n1 2\n2 3\n3 4\n1 4 -1\n")
+    code, out, err = run(capsys, "lift", str(f))
+    assert code == 2 and out == ""
+    assert "expected 3 edge lines, found 4" in err and "status: error" in err
+
+
+def test_defect_exits_3_with_report(monkeypatch, capsys):
+    from twoeig import lifts_ramanujan
+
+    def broken(*args, **kwargs):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(lifts_ramanujan, "table_row", broken)
+    code, out, err = run(capsys, "table", "--family", "knn", "-n", "4")
+    assert code == 3 and out == ""
+    assert "error: invariant broken" in err and "status: defect" in err
+    code, out, err = run(capsys, "table", "--family", "knn", "-n", "4", "--json")
+    assert code == 3 and json.loads(err)["status"] == "defect"
+
+
+def test_flags_only_where_read(tmp_path, capsys):
+    f = tmp_path / "c4.txt"
+    f.write_text(ONE_NEGATIVE_C4)
+    for argv in (["switch-classes", "--certify", str(f)],
+                 ["switch-classes", "--tol", "5", str(f)],
+                 ["ramanujan", "--tol", "5", str(f)],
+                 ["verify", "--certify", str(f)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -86,3 +86,16 @@ def test_formats_are_one_based():
     sg = SignedGraph.from_edges(2, [(0, 1, -1)])
     assert format_signed_graph(sg) == "2 1\n1 2 -1\n"
     assert format_triples(3, [(0, 1, 2)]) == "3 1\n1 2 3\n"
+
+
+def test_parsers_reject_extra_data_lines():
+    with pytest.raises(ValueError, match="expected 3 edge lines, found 4"):
+        parse_signed_graph("4 3\n1 2\n2 3\n3 4\n1 4 -1\n")
+    with pytest.raises(ValueError, match="expected 1 triple lines, found 2"):
+        parse_triples("4 1\n1 2 3\n2 3 4\n")
+    with pytest.raises(ValueError, match="'key = value' annotations, got '1 1'"):
+        parse_matrix("2 2\n1 1\n1 -1\n1 1\n")
+    with pytest.raises(ValueError, match="annotations, got 'alpha ='"):
+        parse_matrix("2 2\n1 1\n1 -1\nalpha =\n")
+    text = "2 2\n1 1\n1 -1\n\nalpha = 2\nnote = order 2\n"
+    assert parse_matrix(text) == SignedMatrix([[1, 1], [1, -1]])
