@@ -1,9 +1,12 @@
 """Signed matrices, signed graphs, graphs, and switching equivalence.
 
 Everything in this module is exact: entries live in {-1, 0, +1} (stored as
-int8) and all products are taken in 64-bit integers, so orthogonality is an
-integer identity, never a numerical judgement. A Graph is the 0/1 case of a
-signed adjacency, and its views are array operations on that matrix.
+int8), and a product identity such as C C^t = alpha I is checked one row
+panel at a time on float32 operands whose every sum is a small integer, so
+orthogonality is an integer identity, never a numerical judgement. No
+certificate holds more than one float32 copy of its right factor and one
+panel. A Graph is the 0/1 case of a signed adjacency, and its views are
+array operations on that matrix.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ __all__ = [
 ]
 
 MAX_ENUM_EDGES = 20
+PANEL_ROWS = 256
+FLOAT32_EXACT_BOUND = 2**24
 
 
 def _as_trit_array(data) -> np.ndarray:
@@ -39,23 +44,37 @@ def _as_trit_array(data) -> np.ndarray:
         raise ValueError(f"matrix must be 2-dimensional, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"matrix must be at least 1x1, got shape {arr.shape}")
-    if not np.isin(arr, (-1, 0, 1)).all():
+    if arr.dtype.kind in "biu":
+        trits = arr.min() >= -1 and arr.max() <= 1
+    else:
+        trits = ((arr == -1) | (arr == 0) | (arr == 1)).all()
+    if not trits:
         raise ValueError("entries must be -1, 0 or +1")
     out = arr.astype(np.int8)
     out.setflags(write=False)
     return out
 
 
-def _trit_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact a @ b for matrices with entries in {-1, 0, 1}.
+def _product_is(left: np.ndarray, right: np.ndarray, target) -> bool:
+    """True iff left @ right == target(r0, r1) on every row panel [r0, r1).
 
-    Every partial sum is an integer no larger than the inner dimension,
-    far inside the range where float64 arithmetic is exact, so the BLAS
-    product equals the integer product while avoiding the much slower
-    int64 matmul path at large orders.
+    left and right hold entries in {-1, 0, 1}, so every entry of the product,
+    and every partial sum on the way to it, is an integer of magnitude at
+    most the inner dimension k. float32 represents every integer below 2^24
+    exactly, so for k < 2^24 each float32 BLAS addition is exact whatever
+    its order, and the comparison is the integer identity. target(r0, r1)
+    returns the expected rows r0..r1-1, integers of magnitude below 2^24.
+    Only one float32 copy of right and one panel are alive at a time, and
+    the check stops at the first panel that differs.
     """
-    prod = a.astype(np.float64) @ b.astype(np.float64)
-    return np.rint(prod).astype(np.int64)
+    k = right.shape[0]
+    assert k < FLOAT32_EXACT_BOUND, f"inner dimension {k} is too large for exact float32 sums"
+    right32 = right.astype(np.float32)
+    for r0 in range(0, left.shape[0], PANEL_ROWS):
+        r1 = min(r0 + PANEL_ROWS, left.shape[0])
+        if not (left[r0:r1].astype(np.float32) @ right32 == target(r0, r1)).all():
+            return False
+    return True
 
 
 class SignedMatrix:
@@ -358,20 +377,21 @@ def star(c: SignedMatrix) -> SignedGraph:
 
 
 def is_orthogonal(c: SignedMatrix) -> OrthogonalityCertificate | None:
-    """Certificate with CC^t = C^tC = alpha I, checked in exact integer arithmetic."""
+    """Certificate with CC^t = C^tC = alpha I, checked in exact integer arithmetic.
+
+    alpha can only be (CC^t)_00, the support size of row 0. Only CC^t = alpha I
+    is checked (by _product_is): for square C with alpha >= 1 it makes C
+    invertible with C^-1 = C^t / alpha, and a one-sided inverse of a square
+    matrix is two-sided, so C^tC = alpha I follows.
+    """
     if not c.is_square:
         raise ValueError(f"orthogonality is defined for square matrices, got {c.rows}x{c.cols}")
     n = c.rows
-    gram = _trit_product(c.data, c.data.T)
-    alpha = int(gram[0, 0])
+    alpha = int(np.count_nonzero(c.data[0]))
     if alpha < 1:
         return None
-    target = alpha * np.eye(n, dtype=np.int64)
-    if not np.array_equal(gram, target):
-        return None
-    # a symmetric matrix has C^tC = CC^t, so the second product is redundant
-    if not np.array_equal(c.data, c.data.T) and not np.array_equal(
-        _trit_product(c.data.T, c.data), target
+    if not _product_is(
+        c.data, c.data.T, lambda r0, r1: np.eye(r1 - r0, n, r0, dtype=np.float32) * alpha
     ):
         return None
     return OrthogonalityCertificate(alpha)

@@ -4,7 +4,7 @@ Two independent routes to a spectrum live here. The floating-point route is
 a cyclic Jacobi eigensolver for arbitrary symmetric matrices. The exact
 route applies only to signed graphs whose adjacency satisfies a quadratic
 A^2 + aA + bI = 0 with integer a, b: such a certificate is verified entry by
-entry in integer arithmetic, so it is a proof that the spectrum is exactly
+entry with exact integer sums, so it is a proof that the spectrum is exactly
 {lambda, mu} with the stated multiplicities, not a numerical estimate.
 """
 
@@ -19,7 +19,7 @@ from .core import (
     OrthogonalityCertificate,
     SignedGraph,
     SignedMatrix,
-    _trit_product,
+    _product_is,
     ground,
     is_orthogonal,
 )
@@ -211,21 +211,45 @@ def eigenvalues_symmetric(m, tol: float = DEFAULT_GROUP_TOL) -> Spectrum:
 def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
     """Exact certificate that sg has exactly two distinct eigenvalues.
 
-    Squares the adjacency in 64-bit integers, reads off the only possible
-    integer pair (a, b) for A^2 + aA + bI = 0, and verifies the identity at
-    every entry. Returns None when no such quadratic annihilates A.
+    A^2 + aA + bI = 0 pins (a, b) down: its (0, 0) entry gives b = -deg(v0),
+    and at a nonzero entry A_0j it gives a = -(A^2)_0j A_0j. The identity is
+    then verified at every entry, A^2 one float32 row panel at a time, which
+    is exact because every entry is an integer of magnitude at most n (see
+    core._product_is). Returns None when no such quadratic annihilates A.
+
+    When n is even and both diagonal n/2 x n/2 blocks are zero, A is
+    star(C) = [[O, C], [C^t, O]] and A^2 + aA + bI = [[CC^t + bI, aC],
+    [aC^t, C^tC + bI]]. C is nonzero, so the identity holds iff a = 0 and
+    CC^t = C^tC = -bI, which is is_orthogonal(C) with alpha = -b: the same
+    verdict from a product of half the order, 1/8 of the flops.
     """
-    a_mat = sg.matrix.wide()
+    data = sg.matrix.data
     n = sg.n
-    rows, cols = np.nonzero(a_mat)
-    if rows.size == 0:
-        raise ValueError("signed graph has no edges")
-    sq = _trit_product(sg.matrix.data, sg.matrix.data)
-    i, j = int(rows[0]), int(cols[0])
-    a = int(-sq[i, j] * a_mat[i, j])
-    b = int(-sq[0, 0])
-    if np.any(sq + a * a_mat + b * np.eye(n, dtype=np.int64)):
+    row = data[0]
+    degree = int(np.count_nonzero(row))
+    if not degree:
+        if not data.any():
+            raise ValueError("signed graph has no edges")
+        # every degree equals -b = deg(v0) = 0 under the identity
         return None
+    h = n // 2
+    if n % 2 == 0 and not data[:h, :h].any() and not data[h:, h:].any():
+        cert = is_orthogonal(SignedMatrix(data[:h, h:]))
+        if cert is None:
+            return None
+        a, b = 0, -cert.alpha
+    else:
+        j = int(row.nonzero()[0][0])
+        a = -int(data[j].astype(np.float32) @ row) * int(row[j])
+        b = -degree
+
+        def target(r0: int, r1: int) -> np.ndarray:
+            t = data[r0:r1] * np.float32(-a)
+            np.fill_diagonal(t[:, r0:r1], -b)
+            return t
+
+        if not _product_is(data, data, target):
+            return None
     disc = a * a - 4 * b
     if disc <= 0:
         return None

@@ -1,0 +1,230 @@
+"""Float32 row-panel certificates against independent integer and numeric oracles."""
+
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from twoeig import (
+    SignedGraph,
+    SignedMatrix,
+    certify_two_eigenvalues,
+    conference_block,
+    is_orthogonal,
+    paley_conference,
+    star,
+    sylvester_hadamard,
+    williamson_preset,
+)
+from twoeig.core import FLOAT32_EXACT_BOUND, PANEL_ROWS, _product_is
+
+from conftest import random_signed_graph
+
+EIG_TOL = 1e-6
+
+
+def distinct_eigenvalue_counts(mats: np.ndarray) -> np.ndarray:
+    eigs = np.linalg.eigvalsh(mats.astype(np.float64))
+    return 1 + (np.diff(eigs, axis=-1) > EIG_TOL).sum(axis=-1)
+
+
+def quadratic_oracle(a: np.ndarray) -> tuple[int, int] | None:
+    """(a, b) with A^2 + aA + bI = 0, from a plain int64 square, or None."""
+    a = a.astype(np.int64)
+    sq = a @ a
+    diag = np.diagonal(sq)
+    off = sq - np.diag(diag)
+    i, j = np.argwhere(a)[0]
+    c = int(sq[i, j] * a[i, j])
+    if not (diag == diag[0]).all() or not np.array_equal(off, c * a):
+        return None
+    return -c, -int(diag[0])
+
+
+def signed_equivalent(rng, c: np.ndarray) -> np.ndarray:
+    """D1 P1 C P2 D2 for random signed permutations: orthogonality is kept."""
+    n = c.shape[0]
+    d1, d2 = rng.choice((-1, 1), size=(2, n))
+    p1, p2 = rng.permutation(n), rng.permutation(n)
+    return (d1[:, None] * c[p1][:, p2] * d2[None, :]).astype(np.int8)
+
+
+def test_exhaustive_five_vertex_certificates_match_eigvalsh():
+    n = 5
+    iu = np.triu_indices(n, 1)
+    codes = np.array(list(itertools.product((0, 1, -1), repeat=len(iu[0]))), dtype=np.int8)[1:]
+    mats = np.zeros((len(codes), n, n), dtype=np.int8)
+    mats[:, iu[0], iu[1]] = codes
+    mats += mats.transpose(0, 2, 1)
+    two = distinct_eigenvalue_counts(mats) == 2
+    certified = np.array([certify_two_eigenvalues(SignedGraph(a)) is not None for a in mats])
+    assert len(mats) == 59048
+    assert two.sum() == 32
+    assert np.array_equal(certified, two)
+
+
+def test_random_graphs_orders_6_to_12_match_eigvalsh():
+    rng = np.random.default_rng(6_12)
+    for n in range(6, 13):
+        for p in (0.3, 0.6, 1.0):
+            for _ in range(20):
+                sg = random_signed_graph(rng, n, p)
+                cert = certify_two_eigenvalues(sg)
+                two = distinct_eigenvalue_counts(sg.matrix.data) == 2
+                want = quadratic_oracle(sg.matrix.data)
+                assert (cert is not None) == two == (want is not None)
+                if cert is not None:
+                    assert (cert.a, cert.b) == want
+
+
+def test_random_stars_match_int64_oracle_on_both_routes():
+    rng = np.random.default_rng(20240601)
+    orthogonal = [sylvester_hadamard(k).data for k in (1, 2, 3)]
+    orthogonal += [paley_conference(q).data for q in (5, 13)]
+    orthogonal += [np.eye(n, dtype=np.int8) for n in (1, 3, 7)]
+    inputs = [signed_equivalent(rng, c) for c in orthogonal for _ in range(3)]
+    for n in range(1, 9):
+        for _ in range(6):
+            c = rng.integers(-1, 2, size=(n, n)).astype(np.int8)
+            if c.any():
+                inputs.append(c)
+    accepted = 0
+    for c in inputs:
+        sg = star(SignedMatrix(c))
+        want = quadratic_oracle(sg.matrix.data)
+        perm = rng.permutation(sg.n)
+        mixed = SignedGraph(sg.matrix.data[np.ix_(perm, perm)])
+        for g in (sg, mixed):
+            cert = certify_two_eigenvalues(g)
+            assert (cert is not None) == (want is not None)
+            assert (cert is not None) == (distinct_eigenvalue_counts(g.matrix.data) == 2)
+            if cert is not None:
+                assert (cert.a, cert.b) == want
+                assert cert.mult_lam + cert.mult_mu == g.n
+        accepted += want is not None
+        assert (is_orthogonal(SignedMatrix(c)) is not None) == (want is not None)
+    assert accepted >= len(orthogonal) * 3
+
+
+# just below, at and just above one and two panel heights, in steps of 4 so
+# that every H2 and K4 block below lies inside one panel
+PANEL_ORDERS = [k * PANEL_ROWS + d for k in (1, 2) for d in (-4, 0, 4)]
+
+
+def h2_blocks(rng, n: int) -> np.ndarray:
+    """Block-diagonal 2x2 Hadamard blocks with random row and column signs: alpha = 2."""
+    c = np.kron(np.eye(n // 2, dtype=np.int8), np.array([[1, 1], [1, -1]], dtype=np.int8))
+    d1, d2 = rng.choice((-1, 1), size=(2, n)).astype(np.int8)
+    return d1[:, None] * c * d2[None, :]
+
+
+def k4_blocks(rng, n: int) -> np.ndarray:
+    """Disjoint K4s under a random switching: A^2 - 2A - 3I = 0."""
+    a = np.kron(np.eye(n // 4, dtype=np.int8), np.ones((4, 4), dtype=np.int8) - np.eye(4, dtype=np.int8))
+    d = rng.choice((-1, 1), size=n).astype(np.int8)
+    return d[:, None] * a * d[None, :]
+
+
+@pytest.mark.parametrize("n", PANEL_ORDERS)
+def test_orthogonality_detects_a_flip_in_first_and_last_panel(n):
+    rng = np.random.default_rng(n)
+    c = h2_blocks(rng, n)
+    assert is_orthogonal(SignedMatrix(c)).alpha == 2
+    cert = certify_two_eigenvalues(star(SignedMatrix(c)))
+    assert (cert.a, cert.b) == (0, -2)
+    # each row shares its support only with its block partner, so a flip in
+    # row r changes C C^t only inside the rows of r's own panel
+    for r in (0, n - 1):
+        bad = c.copy()
+        bad[r, r] *= -1
+        assert is_orthogonal(SignedMatrix(bad)) is None
+        assert certify_two_eigenvalues(star(SignedMatrix(bad))) is None
+
+
+@pytest.mark.parametrize("n", PANEL_ORDERS)
+def test_general_route_detects_a_flip_in_first_and_last_panel(n):
+    rng = np.random.default_rng(n + 1)
+    a = k4_blocks(rng, n)
+    cert = certify_two_eigenvalues(SignedGraph(a))
+    assert (cert.a, cert.b, cert.mult_lam) == (-2, -3, n // 4)
+    # A is block diagonal, so a flipped edge inside one K4 changes A^2 only
+    # in the four rows of that K4, all inside one panel
+    for u, v in ((0, 1), (n - 2, n - 1)):
+        bad = a.copy()
+        bad[u, v] *= -1
+        bad[v, u] *= -1
+        assert distinct_eigenvalue_counts(bad) > 2
+        assert certify_two_eigenvalues(SignedGraph(bad)) is None
+
+
+def test_nonsymmetric_orthogonal_matrices_keep_their_alpha():
+    block = conference_block(paley_conference(37))
+    spun = williamson_preset(block, "nonsymmetric-all-c")
+    assert spun.rows > PANEL_ROWS
+    for m, alpha in ((block, 2 * 37), (spun, 4 * 2 * 37)):
+        assert not np.array_equal(m.data, m.data.T)
+        assert is_orthogonal(m).alpha == alpha
+        # the unchecked product C^tC = alpha I, by an int64 oracle
+        w = m.data.astype(np.int64)
+        assert np.array_equal(w.T @ w, alpha * np.eye(m.rows, dtype=np.int64))
+
+
+def test_product_bound_is_asserted_without_allocating():
+    k = FLOAT32_EXACT_BOUND
+    left = np.broadcast_to(np.int8(1), (1, k))
+    right = np.broadcast_to(np.int8(1), (k, 1))
+    assert left.strides == (0, 0) and right.strides == (0, 0)
+    with pytest.raises(AssertionError, match="inner dimension"):
+        _product_is(left, right, lambda r0, r1: np.full((r1 - r0, 1), k, dtype=np.float32))
+
+
+def traced_peak(f, *args) -> int:
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_certificate_memory_stays_within_a_few_bytes_per_entry():
+    sg = star(sylvester_hadamard(10))
+    assert sg.n == 2048
+    assert traced_peak(certify_two_eigenvalues, sg) <= 3 * sg.n**2
+    sg = SignedGraph(paley_conference(1021))
+    assert traced_peak(certify_two_eigenvalues, sg) <= 8 * sg.n**2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        np.array([[0, -2]], dtype=np.int8),
+        np.array([[1, 2]], dtype=np.uint8),
+        np.array([[1, 2**40]], dtype=np.int64),
+        [[0.5, 1.0]],
+        [[float("nan"), 1.0]],
+        [["1", "0"]],
+    ],
+)
+def test_trit_validation_rejects_every_dtype(data):
+    with pytest.raises(ValueError, match="entries must be"):
+        SignedMatrix(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        np.array([[-1, 0, 1]], dtype=np.int8),
+        np.array([[0, 1, 1]], dtype=np.uint64),
+        np.array([[True, False, True]]),
+        [[-1.0, 0.0, 1.0]],
+        np.array([[-1, 0, 1]], dtype=object),
+    ],
+)
+def test_trit_validation_accepts_every_dtype(data):
+    m = SignedMatrix(data)
+    assert m.data.dtype == np.int8
+    assert np.array_equal(m.data, np.asarray(data).astype(np.int64))
