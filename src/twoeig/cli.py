@@ -67,7 +67,7 @@ def _jsonable(value):
     if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, float):
-        return round(value, 12)
+        return round(value, 12) + 0.0
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, spectra.Spectrum):
@@ -78,8 +78,8 @@ def _jsonable(value):
         return {
             "a": value.a,
             "b": value.b,
-            "lambda": round(value.lam, 12),
-            "mu": round(value.mu, 12),
+            "lambda": _jsonable(value.lam),
+            "mu": _jsonable(value.mu),
             "mult_lambda": value.mult_lam,
             "mult_mu": value.mult_mu,
         }
@@ -323,8 +323,6 @@ def cmd_twograph(args) -> RunReport:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in the report for reproducible runs")
     common.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the run report as JSON")
     tol = argparse.ArgumentParser(add_help=False)
@@ -399,7 +397,6 @@ def main(argv=None) -> int:
         err.add("error", str(exc) or type(exc).__name__)
         _emit(err, args.as_json, stream=sys.stderr)
         return 3 if defect else 2
-    report.inputs.setdefault("seed", args.seed)
     if args.as_json or not report.quiet_text:
         _emit(report, args.as_json)
     return 0 if report.status == "pass" else 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrthogonalityCertificate, SignedMatrix, is_orthogonal
+from .core import OrthogonalityCertificate, SignedMatrix, _product_is, is_orthogonal
 
 __all__ = [
     "WilliamsonQuadruple",
@@ -126,9 +126,9 @@ def double(c: SignedMatrix) -> tuple[SignedMatrix, OrthogonalityCertificate]:
     if np.any(np.diagonal(c.data) != 0):
         raise ValueError("input must have a zero diagonal")
     alpha = _require_orthogonal(c, "input")
-    w = c.wide()
-    eye = np.eye(c.rows, dtype=np.int64)
-    b = np.block([[w + eye, w - eye], [w - eye, -w - eye]])
+    d = c.data
+    eye = np.eye(c.rows, dtype=np.int8)
+    b = np.block([[d + eye, d - eye], [d - eye, -d - eye]])
     return _verified(SignedMatrix(b), 2 * alpha + 2, "doubled matrix")
 
 
@@ -137,7 +137,7 @@ def shift_antisymmetric(c: SignedMatrix) -> tuple[SignedMatrix, OrthogonalityCer
     if not c.is_square or not np.array_equal(c.data, -c.data.T):
         raise ValueError("input must be an antisymmetric square matrix")
     alpha = _require_orthogonal(c, "input")
-    shifted = c.wide() + np.eye(c.rows, dtype=np.int64)
+    shifted = c.data + np.eye(c.rows, dtype=np.int8)
     return _verified(SignedMatrix(shifted), alpha + 1, "shifted matrix")
 
 
@@ -154,7 +154,12 @@ class WilliamsonQuadruple:
     """Four same-order blocks with row-constant supports, pairwise commuting.
 
     k1..k4 hold the per-row support size of each block; they are computed
-    and the commuting invariant is verified exactly at construction.
+    and the commuting invariant is verified exactly at construction: both
+    A_i A_j and A_j A_i are products of {-1, 0, 1} matrices with inner
+    dimension n, so their entries and every partial sum are integers of
+    magnitude at most n, which float32 holds exactly for n < 2^24 (asserted
+    by core._product_is). Comparing the float32 panels of A_i A_j with
+    those of A_j A_i is therefore the integer identity.
     """
 
     a1: SignedMatrix
@@ -174,10 +179,12 @@ class WilliamsonQuadruple:
                 raise ValueError(f"block {idx} is {m.rows}x{m.cols}, expected {n}x{n}")
         for name, m in zip(("k1", "k2", "k3", "k4"), mats):
             object.__setattr__(self, name, _row_count(m, f"block {name[1]}"))
-        wides = [m.wide() for m in mats]
+        data32 = [m.data.astype(np.float32) for m in mats]
         for i in range(4):
             for j in range(i + 1, 4):
-                if not np.array_equal(wides[i] @ wides[j], wides[j] @ wides[i]):
+                if not _product_is(
+                    mats[i].data, mats[j].data, lambda r0, r1: data32[j][r0:r1] @ data32[i]
+                ):
                     raise ValueError(f"blocks {i + 1} and {j + 1} do not commute")
 
     def blocks(self) -> tuple[SignedMatrix, SignedMatrix, SignedMatrix, SignedMatrix]:
@@ -210,14 +217,23 @@ def williamson(quad: WilliamsonQuadruple) -> SignedMatrix | None:
     Returns the assembled matrix exactly when sum(A_i^2) equals the sum of
     the per-row support sizes times the identity; otherwise None. A returned
     matrix is re-verified orthogonal with alpha = k1 + k2 + k3 + k4.
+
+    The square sum is one product [A1 A2 A3 A4] @ [A1; A2; A3; A4] of
+    {-1, 0, 1} matrices with inner dimension 4n, so each entry and every
+    partial sum is an integer of magnitude at most 4n; core._product_is
+    asserts 4n < 2^24, below which float32 sums are exact.
     """
     ks = quad.row_counts()
-    wides = [m.wide() for m in quad.blocks()]
-    total = sum(w @ w for w in wides)
-    if not np.array_equal(total, sum(ks) * np.eye(quad.order, dtype=np.int64)):
+    s = sum(ks)
+    n = quad.order
+    blocks = [m.data for m in quad.blocks()]
+    if not _product_is(
+        np.hstack(blocks), np.vstack(blocks),
+        lambda r0, r1: np.eye(r1 - r0, n, r0, dtype=np.float32) * s,
+    ):
         return None
-    h = _williamson_assemble(*wides)
-    m, _ = _verified(h, sum(ks), "Williamson block matrix")
+    h = _williamson_assemble(*blocks)
+    m, _ = _verified(h, s, "Williamson block matrix")
     return m
 
 
@@ -227,17 +243,16 @@ def williamson_preset(c: SignedMatrix, preset: str) -> SignedMatrix:
     Presets: "all-c" uses four copies of a symmetric orthogonal C;
     "two-shifted" uses (C, C, C-I, C+I) and "four-shifted" uses
     (C+I, C+I, C-I, C-I), both needing a zero diagonal on top of symmetry;
-    "nonsymmetric-all-c" accepts any orthogonal C, checking only that the
-    cross products A_i A_j^t are symmetric before assembling directly.
+    "nonsymmetric-all-c" accepts any orthogonal C and assembles directly:
+    its cross products C C^t are symmetric by construction, and the result
+    is re-verified orthogonal.
     """
     if preset not in WILLIAMSON_PRESETS:
         raise ValueError(f"unknown preset {preset!r}, expected one of {WILLIAMSON_PRESETS}")
     alpha = _require_orthogonal(c, "input")
-    w = c.wide()
+    d = c.data
     if preset == "nonsymmetric-all-c":
-        if not np.array_equal(w @ w.T, (w @ w.T).T):
-            raise AssertionError("cross product C C^t is not symmetric")
-        m, _ = _verified(_williamson_assemble(w, w, w, w), 4 * alpha, "Williamson block matrix")
+        m, _ = _verified(_williamson_assemble(d, d, d, d), 4 * alpha, "Williamson block matrix")
         return m
     if not np.array_equal(c.data, c.data.T):
         raise ValueError(f"preset {preset!r} requires a symmetric matrix")
@@ -246,9 +261,9 @@ def williamson_preset(c: SignedMatrix, preset: str) -> SignedMatrix:
     else:
         if np.any(np.diagonal(c.data) != 0):
             raise ValueError(f"preset {preset!r} requires a zero diagonal")
-        eye = np.eye(c.rows, dtype=np.int64)
-        minus = SignedMatrix(w - eye)
-        plus = SignedMatrix(w + eye)
+        eye = np.eye(c.rows, dtype=np.int8)
+        minus = SignedMatrix(d - eye)
+        plus = SignedMatrix(d + eye)
         if preset == "two-shifted":
             quad = WilliamsonQuadruple(c, c, minus, plus)
         else:
@@ -269,7 +284,7 @@ def conference_block(c: SignedMatrix) -> SignedMatrix:
     if np.any(off == 0):
         raise ValueError("input has a zero off the diagonal, so it is not a conference matrix")
     alpha = _require_orthogonal(c, "input")
-    w = c.wide()
-    m = np.block([[w, w], [-w, w]])
+    d = c.data
+    m = np.block([[d, d], [-d, d]])
     out, _ = _verified(SignedMatrix(m), 2 * alpha, "conference block matrix")
     return out

@@ -9,12 +9,14 @@ import pytest
 from twoeig import (
     SignedGraph,
     SignedMatrix,
+    WilliamsonQuadruple,
     certify_two_eigenvalues,
     conference_block,
     is_orthogonal,
     paley_conference,
     star,
     sylvester_hadamard,
+    williamson,
     williamson_preset,
 )
 from twoeig.core import FLOAT32_EXACT_BOUND, PANEL_ROWS, _product_is
@@ -156,6 +158,25 @@ def test_general_route_detects_a_flip_in_first_and_last_panel(n):
         bad[v, u] *= -1
         assert distinct_eigenvalue_counts(bad) > 2
         assert certify_two_eigenvalues(SignedGraph(bad)) is None
+
+
+@pytest.mark.parametrize("n", PANEL_ORDERS)
+def test_williamson_checks_see_the_last_panel(n):
+    """Blocks I (+) X differ from I only in their last two rows and columns,
+    so A_i A_j - A_j A_i and sum A_i^2 - 4I are nonzero only in the last panel."""
+
+    def tail(x) -> SignedMatrix:
+        a = np.eye(n, dtype=np.int8)
+        a[-2:, -2:] = x
+        return SignedMatrix(a)
+
+    swap, flip, rot = tail([[0, 1], [1, 0]]), tail([[1, 0], [0, -1]]), tail([[0, 1], [-1, 0]])
+    with pytest.raises(ValueError, match="do not commute"):
+        WilliamsonQuadruple(swap, swap, swap, flip)
+    # rot^2 = -I on the tail, so sum A_i^2 = 4 (I (+) -I)
+    assert williamson(WilliamsonQuadruple(*(rot,) * 4)) is None
+    # swap^2 = I, so the square sum holds and the array is re-verified with alpha 4
+    assert williamson(WilliamsonQuadruple(*(swap,) * 4)) is not None
 
 
 def test_nonsymmetric_orthogonal_matrices_keep_their_alpha():

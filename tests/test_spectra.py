@@ -98,6 +98,8 @@ def test_eigenvalues_rejects_asymmetric():
         eigenvalues_symmetric([[0, 1], [-1, 0]])
     with pytest.raises(ValueError, match="square"):
         eigenvalues_symmetric([[0, 1, 0], [1, 0, 1]])
+    with pytest.raises(ValueError, match="finite"):
+        eigenvalues_symmetric([[0, np.inf], [np.inf, 0]])
 
 
 def test_certify_k6_signing(k6_signing):
