@@ -1,22 +1,24 @@
-"""Two-graphs and their correspondence with signed complete graphs.
+"""Two-graphs as Seidel matrices.
 
-A two-graph is a set of vertex triples such that every 4-subset of the
-vertex set contains an even number of them. Each one matches a switching
-class of signed complete graphs: a triple is a member exactly when the
-product of its three edge signs is -1, and a graph G on the vertex set
-induces the signing that is -1 on edges of G and +1 elsewhere, J - I - 2A in
-terms of G's 0/1 adjacency A. Descendants are built as such arrays too.
+A two-graph is a set of vertex triples in which every 4-subset holds an even
+number of members. Two-graphs are the switching classes of signings S of K_n:
+the triples are the {x, y, z} with S_xy S_xz S_yz = -1, which resigning keeps.
+A TwoGraph stores the S with row 0 all +1, so S_yz = -1 iff {0, y, z} is a
+triple: the triples through 0 fix S, and a triple set is a two-graph iff it
+is the odd-product set of that S. A pair {y, z} lies in ((n - 2) - S_yz
+(S^2)_yz) / 2 triples, so the two-graph is regular, with (n - 2 + a) / 2 per
+pair, iff S^2 + aS - (n - 1)I = 0, iff S has two eigenvalues (Seidel, "A
+survey of two-graphs", 1976; Taylor, "Regular 2-graphs", 1977).
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Graph, SignedGraph
+from .spectra import certify_two_eigenvalues
 
 __all__ = [
     "TwoGraph",
@@ -28,74 +30,81 @@ __all__ = [
 ]
 
 
-def _clean_triples(n: int, triples) -> frozenset[tuple[int, int, int]]:
-    out = set()
-    for t in triples:
-        vals = tuple(sorted(t))
-        if len(vals) != 3 or len(set(vals)) != 3:
-            raise ValueError(f"triple {tuple(t)} must have three distinct vertices")
-        if not (0 <= vals[0] and vals[2] < n):
-            raise ValueError(f"triple {tuple(t)} out of range [0, {n})")
-        out.add(vals)
-    return frozenset(out)
+def _odd_slabs(s: np.ndarray):
+    """Per vertex x, the (k, 3) lexicographic array of x < y < z with S_xy S_xz S_yz = -1."""
+    for x in range(s.shape[0] - 2):
+        row = s[x, x + 1 :]
+        y, z = np.nonzero(row[:, None] * s[x + 1 :, x + 1 :] * row[None, :] < 0)
+        yield np.array([np.full(y.size, x), y + x + 1, z + x + 1]).T[y < z]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TwoGraph:
-    """Vertex count plus a set of sorted triples.
+    """A two-graph on vertices 0..n-1, held as its read-only Seidel matrix with row 0 all +1."""
 
-    Construct through validate_twograph, which guarantees the even-parity
-    property on 4-subsets; this container only checks well-formedness.
-    """
+    seidel: SignedGraph
 
-    n: int
-    triples: frozenset[tuple[int, int, int]]
+    def __init__(self, n: int, triples=()):
+        t = validate_twograph(n, triples)
+        if t is None:
+            raise ValueError("triples do not form a two-graph: some 4-subset holds an odd count")
+        object.__setattr__(self, "seidel", t.seidel)
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
-        object.__setattr__(self, "triples", _clean_triples(self.n, self.triples))
+    @property
+    def n(self) -> int:
+        return self.seidel.n
+
+    @property
+    def triples(self) -> frozenset[tuple[int, int, int]]:
+        return frozenset(self.sorted_triples())
 
     def sorted_triples(self) -> list[tuple[int, int, int]]:
-        return sorted(self.triples)
+        slabs = _odd_slabs(self.seidel.matrix.data)
+        x, y, z = np.concatenate([np.empty((0, 3), dtype=np.intp), *slabs]).T
+        return list(zip(x.tolist(), y.tolist(), z.tolist()))
 
 
 def validate_twograph(n: int, triples) -> TwoGraph | None:
-    """The TwoGraph on these triples, or None if some 4-subset holds an odd count."""
-    cleaned = _clean_triples(n, triples)
-    for four in itertools.combinations(range(n), 4):
-        count = sum(1 for t in itertools.combinations(four, 3) if t in cleaned)
-        if count % 2:
-            return None
-    return TwoGraph(n, cleaned)
+    """The TwoGraph on these triples (duplicates dropped), or None if they are not one.
+
+    Each member must have product -1 in S, and S's odd set, counted by slab, the same size.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    t = np.array([*triples] or np.empty((0, 3), dtype=np.intp))
+    if t.ndim != 2 or t.shape[1] != 3 or t.dtype.kind not in "iu":
+        raise ValueError("each triple must be three integer vertices")
+    t = np.sort(t.astype(np.intp), axis=1)
+    bad = (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] < 0) | (t[:, 2] >= n)
+    if bad.any():
+        raise ValueError(f"triple {tuple(t[bad.argmax()].tolist())} must have three distinct "
+                         f"vertices, none out of range [0, {n})")
+    keys = np.sort((t[:, 0] * n + t[:, 1]) * n + t[:, 2])
+    keys = keys[np.diff(np.concatenate(([-1], keys))) != 0]
+    x, yz = np.divmod(keys, n * n)
+    y, z = np.divmod(yz, n)
+    s = 1 - np.eye(n, dtype=np.int8)
+    s[y[x == 0], z[x == 0]] = s[z[x == 0], y[x == 0]] = -1
+    if (s[x, y] * s[x, z] * s[y, z] != -1).any() or keys.size != sum(map(len, _odd_slabs(s))):
+        return None
+    return twograph_from_signed_complete(SignedGraph(s))
 
 
 def is_regular_twograph(t: TwoGraph) -> int | None:
-    """The common number of triples through each vertex pair, or None."""
-    counts = Counter()
-    for a, b, c in t.triples:
-        counts[(a, b)] += 1
-        counts[(a, c)] += 1
-        counts[(b, c)] += 1
-    if t.n < 2:
+    """The common number of triples through each vertex pair, (n - 2 + a) / 2, or None."""
+    if t.n < 3:
         return 0
-    first = counts[(0, 1)]
-    for pair in itertools.combinations(range(t.n), 2):
-        if counts[pair] != first:
-            return None
-    return first
+    cert = certify_two_eigenvalues(t.seidel)
+    return None if cert is None else (t.n - 2 + cert.a) // 2
 
 
 def descendant(t: TwoGraph, x: int) -> Graph:
-    """Graph on the same vertex set joining y, z whenever {x, y, z} is a triple."""
+    """Graph joining y, z whenever {x, y, z} is a triple: the -1 entries of S switched at x."""
     if not (0 <= x < t.n):
         raise ValueError(f"vertex {x} out of range [0, {t.n})")
-    triples = np.array(list(t.triples), dtype=np.intp).reshape(-1, 3)
-    through_x = triples[(triples == x).any(axis=1)]
-    y, z = through_x[through_x != x].reshape(-1, 2).T
-    a = np.zeros((t.n, t.n), dtype=np.int8)
-    a[y, z] = a[z, y] = 1
-    return Graph.from_adjacency(a)
+    s = t.seidel.matrix.data
+    d = s[x] + (np.arange(t.n) == x)  # row x of S + I: D S D has row x all +1
+    return Graph.from_adjacency(d[:, None] * s * d[None, :] < 0)
 
 
 def signed_complete_from_graph(g: Graph) -> SignedGraph:
@@ -104,21 +113,11 @@ def signed_complete_from_graph(g: Graph) -> SignedGraph:
 
 
 def twograph_from_signed_complete(sg: SignedGraph) -> TwoGraph:
-    """Triples of a complete signed graph whose edge-sign product is -1.
-
-    This is the unique switching-invariant inverse of
-    signed_complete_from_graph: resigning at a vertex flips exactly two of
-    the three signs in each affected triple, leaving the product fixed.
-    """
+    """The two-graph of a signing A of K_n: its triples whose sign product is -1."""
     a = sg.matrix.data
-    if np.any((a == 0) & ~np.eye(sg.n, dtype=bool)):
+    if np.count_nonzero(a) != sg.n * (sg.n - 1):
         raise ValueError("ground graph is not complete")
-    triples = [
-        (x, y, z)
-        for x, y, z in itertools.combinations(range(sg.n), 3)
-        if int(a[x, y]) * int(a[y, z]) * int(a[x, z]) == -1
-    ]
-    out = validate_twograph(sg.n, triples)
-    if out is None:
-        raise AssertionError("odd-product triples of a complete signing must form a two-graph")
-    return out
+    d = a[0] + (np.arange(sg.n) == 0)  # row 0 of A + I: D A D has row 0 all +1
+    t = object.__new__(TwoGraph)
+    object.__setattr__(t, "seidel", SignedGraph(d[:, None] * a * d[None, :]))
+    return t

@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,33 @@ def random_signed_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> Sig
         a = a + a.T
         if np.any(a):
             return SignedGraph(a)
+
+
+def twograph_parity_oracle(n: int, triples) -> bool:
+    """Brute force over 4-subsets: each must hold an even number of the triples."""
+    present = {tuple(sorted(t)) for t in triples}
+    return all(sum(t in present for t in itertools.combinations(four, 3)) % 2 == 0
+               for four in itertools.combinations(range(n), 4))
+
+
+def pair_count_oracle(n: int, triples) -> int | None:
+    """The common number of triples through each vertex pair, counted pair by pair, or None."""
+    counts = Counter()
+    for a, b, c in {tuple(sorted(t)) for t in triples}:
+        counts[(a, b)] += 1
+        counts[(a, c)] += 1
+        counts[(b, c)] += 1
+    values = {counts[pair] for pair in itertools.combinations(range(n), 2)}
+    if len(values) > 1:
+        return None
+    return values.pop() if values else 0
+
+
+def odd_product_triples(a) -> list[tuple[int, int, int]]:
+    """Triples of a signing of K_n whose three edge signs multiply to -1, one at a time."""
+    a = np.asarray(a)
+    return [(x, y, z) for x, y, z in itertools.combinations(range(a.shape[0]), 3)
+            if int(a[x, y]) * int(a[x, z]) * int(a[y, z]) == -1]
 
 
 @pytest.fixture

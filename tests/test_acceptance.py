@@ -51,7 +51,15 @@ from twoeig import (
 )
 from twoeig.io import format_triples, parse_triples
 
-from conftest import K6_DESCENDANT_EDGES, K6_MATRIX, K6_TRIPLES, petersen, random_signed_graph
+from conftest import (
+    K6_DESCENDANT_EDGES,
+    K6_MATRIX,
+    K6_TRIPLES,
+    odd_product_triples,
+    pair_count_oracle,
+    petersen,
+    random_signed_graph,
+)
 
 PRINTED_VALUE_TOL = 1e-4
 SPECTRAL_TOL = 1e-6
@@ -275,8 +283,12 @@ def test_criterion_09_regular_twograph_iff_two_eigenvalues():
     for signs in itertools.product((1, -1), repeat=len(edges)):
         sg = SignedGraph.from_edges(5, [(u, v, s) for (u, v), s in zip(edges, signs)])
         has_cert = certify_two_eigenvalues(sg) is not None
-        is_reg = is_regular_twograph(twograph_from_signed_complete(sg)) is not None
+        count = is_regular_twograph(twograph_from_signed_complete(sg))
+        is_reg = count is not None
         assert has_cert == is_reg
+        # is_regular_twograph is itself a certificate, so also compare it with
+        # the triples through each pair, counted one at a time
+        assert count == pair_count_oracle(5, odd_product_triples(sg.matrix.data))
         certified += has_cert
         regular += is_reg
     assert certified == regular

@@ -242,7 +242,7 @@ def test_twograph_command(tmp_path, capsys):
     assert code == 0
     assert "valid: true" in out
     assert "pair count: 2" in out
-    assert "regular iff two eigenvalues: true" in out
+    assert "two-eigenvalue certificate: a = 0, b = -5," in out
 
     bad = tmp_path / "bad.txt"
     bad.write_text("4 1\n1 2 3\n")

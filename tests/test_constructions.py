@@ -91,6 +91,8 @@ def test_double_conference():
     assert np.array_equal(b.data, b.data.T)
     assert np.all(np.abs(b.data) == 1)
     assert np.array_equal(b.wide() @ b.wide(), 12 * np.eye(12, dtype=np.int64))
+    c, eye = paley_conference(5).wide(), np.eye(6, dtype=np.int64)
+    assert np.array_equal(b.wide(), np.block([[c + eye, c - eye], [c - eye, -c - eye]]))
 
 
 def test_double_rejects_bad_inputs():

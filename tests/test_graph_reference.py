@@ -165,9 +165,11 @@ def test_disjoint_union_matches_reference(rng, graphs):
 def test_descendant_matches_reference(rng):
     for _ in range(60):
         n = int(rng.integers(3, 13))
-        allt = list(itertools.combinations(range(n), 3))
-        pick = rng.random(len(allt)) < rng.choice([0.05, 0.3, 0.7])
-        triples = [t for t, keep in zip(allt, pick) if keep]
+        # a random two-graph: the odd-product triples of a random signing of K_n
+        p = rng.choice([0.05, 0.3, 0.7])
+        sign = {e: -1 if rng.random() < p else 1 for e in itertools.combinations(range(n), 2)}
+        triples = [(a, b, c) for a, b, c in itertools.combinations(range(n), 3)
+                   if sign[(a, b)] * sign[(a, c)] * sign[(b, c)] == -1]
         x = int(rng.integers(n))
         want = set()
         for t in triples:

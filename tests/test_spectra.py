@@ -73,7 +73,7 @@ def test_eigenvalues_zero_and_complete():
 
 
 def test_eigenvalues_match_reference_solver(rng):
-    """Jacobi agrees with numpy's eigvalsh on random symmetric integer matrices."""
+    """Grouped eigenvalues expand to numpy's eigvalsh on random symmetric integer matrices."""
     for _ in range(40):
         n = int(rng.integers(1, 13))
         a = rng.integers(-3, 4, size=(n, n))

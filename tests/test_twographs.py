@@ -1,5 +1,7 @@
 import itertools
+from functools import reduce
 
+import numpy as np
 import pytest
 
 from twoeig import (
@@ -9,14 +11,23 @@ from twoeig import (
     certify_two_eigenvalues,
     descendant,
     is_regular_twograph,
+    paley_conference,
     resign,
     signed_complete_from_graph,
+    star,
     switching_equivalent,
+    sylvester_hadamard,
     twograph_from_signed_complete,
     validate_twograph,
 )
 
-from conftest import K6_TRIPLES
+from conftest import (
+    K6_TRIPLES,
+    odd_product_triples,
+    pair_count_oracle,
+    random_signed_graph,
+    twograph_parity_oracle,
+)
 
 
 def complete_twograph(n):
@@ -114,3 +125,88 @@ def test_regular_twograph_matches_two_eigenvalue_signing(k6_signing):
     skewed = signed_complete_from_graph(Graph(5, [(0, 1), (2, 3)]))
     assert is_regular_twograph(twograph_from_signed_complete(skewed)) is None
     assert certify_two_eigenvalues(skewed) is None
+
+
+def random_complete_signing(rng, n):
+    signs = np.triu(rng.choice((-1, 1), size=(n, n)), 1).astype(np.int8)
+    return SignedGraph(signs + signs.T)
+
+
+def check_against_oracles(n, triples):
+    tg = validate_twograph(n, triples)
+    valid = twograph_parity_oracle(n, triples)
+    assert (tg is not None) == valid
+    if valid:
+        assert tg.triples == {tuple(sorted(t)) for t in triples}
+        assert np.all(tg.seidel.matrix.data[0, 1:] == 1)
+        assert is_regular_twograph(tg) == pair_count_oracle(n, triples)
+    return valid
+
+
+def test_validate_matches_brute_force_on_every_five_vertex_set():
+    allt = list(itertools.combinations(range(5), 3))
+    valid = regular = 0
+    for bits in range(2 ** len(allt)):
+        triples = [t for k, t in enumerate(allt) if bits >> k & 1]
+        if check_against_oracles(5, triples):
+            valid += 1
+            regular += pair_count_oracle(5, triples) is not None
+    # the two-graphs on 5 vertices are the 2^(m - n + 1) switching classes of K_5
+    assert valid == 2 ** (10 - 5 + 1)
+    assert 0 < regular < valid
+
+
+def test_validate_matches_brute_force_on_random_sets(rng):
+    verdicts = set()
+    for n in range(6, 10):
+        allt = list(itertools.combinations(range(n), 3))
+        for _ in range(12):
+            good = odd_product_triples(random_complete_signing(rng, n).matrix.data)
+            flipped = sorted(set(good) ^ {allt[int(rng.integers(len(allt)))]})
+            pick = rng.random(len(allt)) < rng.choice([0.1, 0.5, 0.9])
+            chosen = [t for t, keep in zip(allt, pick) if keep]
+            for triples in (good, flipped, chosen):
+                verdicts.add(check_against_oracles(n, triples))
+    assert verdicts == {True, False}
+
+
+def test_twograph_rejects_a_set_that_is_not_a_twograph():
+    with pytest.raises(ValueError, match="two-graph"):
+        TwoGraph(4, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="two-graph"):
+        TwoGraph(6, K6_TRIPLES[1:])
+    with pytest.raises(ValueError, match="integer"):
+        TwoGraph(4, [(0.0, 1.0, 2.0)])
+
+
+def test_paley_61_twograph_is_regular_with_its_certificate():
+    c = paley_conference(61).data
+    triples = odd_product_triples(c)
+    assert len(triples) == 18910
+    tg = validate_twograph(62, triples)
+    assert tg is not None
+    assert tg.triples == set(triples)
+    assert is_regular_twograph(tg) == 30 == pair_count_oracle(62, triples)
+    cert = certify_two_eigenvalues(tg.seidel)
+    assert (cert.a, cert.b) == (0, -61)
+
+
+def test_switching_invariance_of_twograph_and_certificate(rng):
+    """Resigning at a random vertex set keeps the two-graph and the certificate."""
+    def signature(cert):
+        return None if cert is None else (cert.a, cert.b, cert.mult_lam, cert.mult_mu)
+
+    cases = [(random_complete_signing(rng, n), True) for n in range(3, 13) for _ in range(6)]
+    cases += [(SignedGraph(paley_conference(q)), True) for q in (5, 13, 17)]
+    cases.append((star(sylvester_hadamard(3)), False))
+    cases += [(random_signed_graph(rng, int(rng.integers(2, 13))), False) for _ in range(60)]
+    certified = 0
+    for sg, is_complete in cases:
+        flips = np.flatnonzero(rng.random(sg.n) < 0.5).tolist()
+        switched = reduce(resign, flips, sg)
+        if is_complete:
+            assert twograph_from_signed_complete(switched) == twograph_from_signed_complete(sg)
+        want = signature(certify_two_eigenvalues(sg))
+        assert signature(certify_two_eigenvalues(switched)) == want
+        certified += want is not None
+    assert certified >= 4
