@@ -40,17 +40,11 @@ def _fnum(v: float) -> str:
     return f"{round(float(v), REPORT_FLOAT_DECIMALS) + 0.0:.{REPORT_FLOAT_DECIMALS}f}"
 
 
-def _fmt_spectrum(s: spectra.Spectrum) -> str:
-    return "{" + ", ".join(f"{_fnum(v)}: {m}" for v, m in s.pairs) + "}"
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return _fnum(value)
-    if isinstance(value, spectra.Spectrum):
-        return _fmt_spectrum(value)
     if isinstance(value, core.OrthogonalityCertificate):
         return f"alpha = {value.alpha}"
     if isinstance(value, spectra.TwoEigCertificate):
@@ -123,10 +117,16 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 GEN_KINDS = ("hadamard", "conference", "williamson", "double", "kron", "conference-block")
+# the kinds that read each gen flag; the argparse dest is the flag without its dashes
+GEN_FLAG_READERS = {"-k": ("hadamard",), "-q": ("conference",), "--preset": ("williamson",),
+                    "--input": ("williamson", "double", "kron", "conference-block")}
 
 
 def _gen_matrix(args) -> core.SignedMatrix:
     kind = args.kind
+    for flag, readers in GEN_FLAG_READERS.items():
+        if getattr(args, flag.lstrip("-")) is not None and kind not in readers:
+            raise ValueError(f"kind {kind!r} does not read {flag}")
     inputs = [io.parse_matrix(_read_text(f)) for f in (args.input or [])]
 
     def one_input() -> core.SignedMatrix:
@@ -182,25 +182,27 @@ def cmd_gen(args) -> RunReport:
 
 
 def cmd_verify(args) -> RunReport:
+    """One certificate decides every line: symmetric zero-diagonal M has M^2 = alpha I iff
+    it certifies with a = 0, b = -alpha (zero trace rules out odd orders); star(M) certifies
+    iff M is orthogonal, with a = 0, alpha = -b. Only uncertified input reaches eigvalsh."""
     report = RunReport("verify", {"file": args.file})
     m = io.parse_matrix(_read_text(args.file))
     if not m.is_square:
         raise ValueError(f"matrix must be square to verify, got {m.rows}x{m.cols}")
-    report.add("orthogonal", core.is_orthogonal(m))
-    symmetric_adjacency = bool(
-        np.array_equal(m.data, m.data.T) and not np.any(np.diagonal(m.data))
-    )
-    if symmetric_adjacency:
-        sg = core.SignedGraph(m)
-        report.add("certified object", "matrix")
-    else:
-        sg = core.star(m)
-        report.add("certified object", "star")
+    try:
+        sg, obj = core.SignedGraph(m), "matrix"
+    except ValueError:
+        sg, obj = core.star(m), "star"
     cert = spectra.certify_two_eigenvalues(sg)
+    orthogonal = cert is not None and cert.a == 0
+    report.add("orthogonal", core.OrthogonalityCertificate(-cert.b) if orthogonal else None)
+    report.add("certified object", obj)
     report.add("two-eigenvalue certificate", cert)
     if cert is not None:
         report.add("ground degree", spectra.degree_from_certificate(cert))
-    report.add("spectrum", spectra.eigenvalues_symmetric(sg, args.tol))
+        report.add("spectrum", cert.spectrum(args.tol))
+    else:
+        report.add("spectrum", spectra.eigenvalues_symmetric(sg, args.tol))
     report.status = "pass" if cert is not None else "fail"
     return report
 
@@ -234,7 +236,7 @@ def cmd_lift(args) -> RunReport:
             Path(args.output).write_text(text)
     else:
         _write_output(text, args.output)
-    verdict = lifts_ramanujan.lift_spectrum_check(sg, args.tol)
+    verdict = lifts_ramanujan.lift_spectrum_check(sg)
     report.add("base vertices", sg.n)
     report.add("lift vertices", lift.graph.n)
     report.add("lift edges", lift.graph.m)
@@ -351,7 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("lift", parents=[common, tol], help="2-lift of a signed graph file")
+    p = sub.add_parser("lift", parents=[common],
+                       help="2-lift of a signed graph file, with its exact spectrum-union verdict")
     p.add_argument("file")
     p.add_argument("-o", "--output", default=None, help="write the lifted edge list here")
     p.set_defaults(func=cmd_lift)

@@ -8,7 +8,8 @@ engine for building regular Ramanujan graphs of twice the order.
 
 Graphs are dense 0/1 adjacency arrays (core.Graph), so every operation here
 is an array expression: the lift is [[P, N], [N, P]] for the positive and
-negative parts P, N of A, the complement is J - I - A, and the bipartite
+negative parts P, N of A (its union verdict is the exact block identity
+Q L Q = 2 diag(|A|, A)), the complement is J - I - A, and the bipartite
 complement is K_{X,Y} - A.
 """
 
@@ -96,21 +97,15 @@ def two_lift(sg: SignedGraph) -> LiftedGraph:
     return LiftedGraph(sg.n, Graph.from_adjacency(np.block([[pos, neg], [neg, pos]])))
 
 
-def lift_spectrum_check(sg: SignedGraph, tol: float = DEFAULT_GROUP_TOL) -> bool:
-    """True iff the lift spectrum equals spec(ground) union spec(signed) within tol."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    lift = eigenvalues_symmetric(two_lift(sg).graph, tol)
-    union = spectrum_union(
-        eigenvalues_symmetric(ground(sg), tol),
-        eigenvalues_symmetric(sg, tol),
-        tol,
-    )
-    left = sorted(lift.expand())
-    right = sorted(union.expand())
-    return len(left) == len(right) and all(
-        abs(x - y) <= tol for x, y in zip(left, right)
-    )
+def lift_spectrum_check(sg: SignedGraph) -> bool:
+    """True iff the lift L = [[P, N], [N, P]] has P - N = A and P + N = |A|, compared
+    entrywise. Then Q L Q = 2 diag(|A|, A) with Q = [[I, I], [I, -I]] = Q^t, Q^2 = 2I:
+    spec(L) is exactly spec(|A|) union spec(A) (Bilu-Linial 2006, Lemma 3.1)."""
+    a, n = sg.matrix.data, sg.n
+    lift = two_lift(sg).graph.adjacency()
+    pos, neg = lift[:n, :n], lift[:n, n:]
+    return bool(np.array_equal(lift, np.block([[pos, neg], [neg, pos]]))
+                and np.array_equal(pos - neg, a) and np.array_equal(pos + neg, np.abs(a)))
 
 
 def _regular_degree(g: Graph, what: str) -> int:

@@ -106,7 +106,7 @@ class Spectrum:
         return [{"value": round(v, 12) + 0.0, "multiplicity": m} for v, m in self.pairs]
 
     def __str__(self):
-        return "{" + ", ".join(f"{v:.6f}: {m}" for v, m in self.pairs) + "}"
+        return "{" + ", ".join(f"{round(v, 6) + 0.0:.6f}: {m}" for v, m in self.pairs) + "}"
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,10 @@ class TwoEigCertificate:
         if self.mult_lam < 1 or self.mult_mu < 1:
             raise ValueError("multiplicities must be positive")
 
-    def spectrum(self) -> Spectrum:
-        return Spectrum(((self.lam, self.mult_lam), (self.mu, self.mult_mu)))
+    def spectrum(self, tol: float = DEFAULT_GROUP_TOL) -> Spectrum:
+        """{lam: mult_lam, mu: mult_mu}, exact unless lam - mu <= tol merges them."""
+        pairs = ((self.lam, self.mult_lam), (self.mu, self.mult_mu))
+        return Spectrum(pairs) if self.lam - self.mu > tol > 0 else Spectrum.from_pairs(pairs, tol)
 
 
 def _to_symmetric_float(m) -> np.ndarray:

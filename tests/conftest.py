@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from twoeig import Graph, SignedGraph
+from twoeig import Graph, SignedGraph, two_lift
 
 # The 6-vertex regular two-graph worked through in the docs: ten triples,
 # pair count 2, descendant at vertex 0 has edges 12, 13, 24, 35, 45 and the
@@ -42,6 +42,16 @@ def random_signed_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> Sig
         a = a + a.T
         if np.any(a):
             return SignedGraph(a)
+
+
+def lift_union_oracle(sg: SignedGraph, lift=None) -> bool:
+    """The numeric union rule: eigvalsh of a lift (two_lift(sg) by default) against
+    eigvalsh(|A|) and eigvalsh(A)."""
+    a = sg.matrix.data.astype(np.float64)
+    union = np.sort(np.concatenate([np.linalg.eigvalsh(np.abs(a)), np.linalg.eigvalsh(a)]))
+    graph = (lift or two_lift(sg)).graph
+    values = np.linalg.eigvalsh(np.asarray(graph, dtype=np.float64))
+    return bool(np.allclose(values, union, rtol=0, atol=1e-9))
 
 
 def twograph_parity_oracle(n: int, triples) -> bool:

@@ -55,6 +55,7 @@ from conftest import (
     K6_DESCENDANT_EDGES,
     K6_MATRIX,
     K6_TRIPLES,
+    lift_union_oracle,
     odd_product_triples,
     pair_count_oracle,
     petersen,
@@ -196,7 +197,7 @@ def test_criterion_05_lift_spectrum_union():
     rng = np.random.default_rng(20260815)
     for _ in range(50):
         sg = random_signed_graph(rng, int(rng.integers(2, 9)))
-        assert lift_spectrum_check(sg, tol=SPECTRAL_TOL)
+        assert lift_spectrum_check(sg) and lift_union_oracle(sg)
 
     smallest = [
         star(sylvester_hadamard(1)),
@@ -204,7 +205,7 @@ def test_criterion_05_lift_spectrum_union():
         star(conference_block(paley_conference(5))),
     ]
     for sg in smallest:
-        assert lift_spectrum_check(sg, tol=SPECTRAL_TOL)
+        assert lift_spectrum_check(sg) and lift_union_oracle(sg)
     _passed(5, started, budget=10.0)
 
 

@@ -1,8 +1,16 @@
+import itertools
 import json
 
+import numpy as np
 import pytest
 
-from twoeig import SignedMatrix, paley_conference, sylvester_hadamard
+from twoeig import (
+    SignedMatrix,
+    eigenvalues_symmetric,
+    is_orthogonal,
+    paley_conference,
+    sylvester_hadamard,
+)
 from twoeig.cli import main
 from twoeig.io import format_matrix, format_signed_graph, format_triples, parse_matrix
 
@@ -57,6 +65,21 @@ def test_gen_kron_and_williamson(tmp_path, capsys):
     )
     assert code == 0 and "alpha = 22" in out
     assert parse_matrix(out).rows == 24
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["hadamard", "-k", "1", "--input", "never-read.graph"], "--input"),
+    (["conference", "-q", "5", "-k", "2"], "-k"),
+    (["williamson", "--input", "never-read.txt", "--preset", "all-c", "-q", "5"], "-q"),
+    (["double", "--input", "never-read.txt", "-k", "3"], "-k"),
+    (["kron", "--input", "never-read.txt", "--input", "never-read.txt", "--preset", "all-c"],
+     "--preset"),
+    (["conference-block", "--input", "never-read.txt", "-q", "7"], "-q"),
+])
+def test_gen_rejects_flags_its_kind_does_not_read(capsys, argv, flag):
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 2 and out == ""
+    assert f"error: kind {argv[0]!r} does not read {flag}" in err
 
 
 def test_gen_rejects_missing_parameters(capsys):
@@ -115,6 +138,92 @@ def test_verify_rejects_nonsquare(tmp_path, capsys):
     f.write_text("1 2\n1 1\n")
     code, _, err = run(capsys, "verify", str(f))
     assert code == 2 and "square" in err
+
+
+def _verify_corpus():
+    """Every symmetric zero-diagonal matrix of order 1 to 4, seeded random square
+    matrices of order 1 to 8, and Hadamard and Paley matrices with and without
+    one flipped entry."""
+    for n in range(1, 5):
+        iu = np.triu_indices(n, 1)
+        for signs in itertools.product((-1, 0, 1), repeat=len(iu[0])):
+            a = np.zeros((n, n), dtype=np.int8)
+            a[iu] = signs
+            yield a + a.T
+    rng = np.random.default_rng(20261018)
+    for n in range(1, 9):
+        for _ in range(6):
+            yield rng.integers(-1, 2, size=(n, n)).astype(np.int8)
+            b = np.triu(rng.integers(-1, 2, size=(n, n)), 1).astype(np.int8)
+            yield b + b.T
+    for c in (sylvester_hadamard(2), sylvester_hadamard(3), paley_conference(5),
+              paley_conference(13)):
+        yield c.data
+        flipped = c.data.copy()
+        flipped[1, 2] *= -1
+        yield flipped
+
+
+def test_verify_matches_orthogonality_and_eigvalsh(tmp_path, capsys):
+    """The orthogonal line is is_orthogonal(M), the spectrum line is eigvalsh of the
+    certified object grouped at 6 decimals, and the exit code says whether that
+    object has two distinct eigenvalues."""
+    f = tmp_path / "m.txt"
+    for a in _verify_corpus():
+        f.write_text(format_matrix(SignedMatrix(a)))
+        code, out, err = run(capsys, "verify", str(f))
+        if not a.any():
+            assert code == 2 and "no edges" in err
+            continue
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        cert = is_orthogonal(SignedMatrix(a))
+        assert lines["orthogonal"] == (f"alpha = {cert.alpha}" if cert else "absent")
+        if np.array_equal(a, a.T) and not np.diagonal(a).any():
+            obj, kind = a, "matrix"
+        else:
+            n = a.shape[0]
+            obj, kind = np.block([[np.zeros((n, n)), a], [a.T, np.zeros((n, n))]]), "star"
+        assert lines["certified object"] == kind
+        spectrum = eigenvalues_symmetric(obj)
+        assert lines["spectrum"] == str(spectrum)
+        assert code == (0 if len(spectrum.pairs) == 2 else 1)
+
+
+def test_verify_eigensolves_only_uncertified_inputs(tmp_path, capsys, monkeypatch):
+    from twoeig import spectra
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigenvalues_symmetric(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "eigenvalues_symmetric", counted)
+    f = tmp_path / "h.txt"
+    f.write_text(format_matrix(sylvester_hadamard(3)))
+    code, out, _ = run(capsys, "verify", str(f))
+    assert code == 0 and "spectrum: {2.828427: 8, -2.828427: 8}" in out
+    assert calls == []
+
+    f.write_text("2 2\n1 1\n1 1\n")
+    code, out, _ = run(capsys, "verify", str(f))
+    assert code == 1 and len(calls) == 1
+
+
+def test_verify_certified_input_rejects_bad_tolerance(tmp_path, capsys):
+    f = tmp_path / "h.txt"
+    f.write_text(format_matrix(sylvester_hadamard(2)))
+    code, out, err = run(capsys, "verify", str(f), "--tol", "-1")
+    assert code == 2 and out == ""
+    assert "error: grouping tolerance must be positive, got -1.0" in err
+
+
+def test_verify_certified_spectrum_groups_at_tol(tmp_path, capsys):
+    """A tolerance wider than lam - mu merges the certified values, as eigvalsh grouping does."""
+    f = tmp_path / "h.txt"
+    f.write_text(format_matrix(sylvester_hadamard(1)))
+    code, out, _ = run(capsys, "verify", str(f), "--tol", "5")
+    assert code == 0 and "spectrum: {0.000000: 4}" in out
 
 
 def test_spectrum_command(tmp_path, capsys):
@@ -300,6 +409,7 @@ def test_flags_only_where_read(tmp_path, capsys):
                  ["switch-classes", "--tol", "5", str(f)],
                  ["ramanujan", "--tol", "5", str(f)],
                  ["ramanujan", "--seed", "7", str(f)],
+                 ["lift", "--tol", "5", str(f)],
                  ["verify", "--certify", str(f)]):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from twoeig import (
@@ -27,7 +28,7 @@ from twoeig import (
     two_lift,
 )
 
-from conftest import petersen, random_signed_graph
+from conftest import lift_union_oracle, petersen, random_signed_graph
 
 
 def one_negative_cycle(n):
@@ -62,13 +63,30 @@ def test_lifted_graph_validation():
 
 
 def test_lift_spectrum_union_rule(k6_signing, rng):
-    assert lift_spectrum_check(k6_signing)
-    assert lift_spectrum_check(one_negative_cycle(5))
+    assert lift_spectrum_check(k6_signing) and lift_union_oracle(k6_signing)
+    assert lift_spectrum_check(one_negative_cycle(5)) and lift_union_oracle(one_negative_cycle(5))
     for _ in range(15):
         sg = random_signed_graph(rng, int(rng.integers(2, 8)))
-        assert lift_spectrum_check(sg, tol=1e-8)
-    with pytest.raises(ValueError, match="positive"):
-        lift_spectrum_check(k6_signing, tol=0.0)
+        assert lift_spectrum_check(sg) and lift_union_oracle(sg)
+
+
+def test_lift_spectrum_check_rejects_a_crossed_positive_edge(monkeypatch):
+    """A lift that crosses one positive edge of an all-positive triangle lifts the
+    unbalanced triangle instead: the block identity fails, and so does the union."""
+    from twoeig import lifts_ramanujan
+
+    sg = SignedGraph.all_positive(Graph.complete(3))
+
+    def crossed(base):
+        a = np.array(two_lift(base).graph.adjacency())
+        a[[0, 1, 3, 4], [1, 0, 4, 3]] = 0
+        a[[0, 1, 3, 4], [4, 3, 1, 0]] = 1
+        return LiftedGraph(base.n, Graph.from_adjacency(a))
+
+    assert lift_spectrum_check(sg) is True
+    monkeypatch.setattr(lifts_ramanujan, "two_lift", crossed)
+    assert lift_spectrum_check(sg) is False
+    assert not lift_union_oracle(sg, crossed(sg))
 
 
 def test_is_ramanujan_examples():

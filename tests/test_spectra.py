@@ -102,6 +102,22 @@ def test_eigenvalues_rejects_asymmetric():
         eigenvalues_symmetric([[0, np.inf], [np.inf, 0]])
 
 
+def test_spectrum_text_has_no_signed_zero():
+    from twoeig.cli import _fmt
+
+    s = Spectrum.from_values([-1e-17, 1, -1])
+    assert str(s) == "{1.000000: 1, 0.000000: 1, -1.000000: 1}"
+    assert _fmt(s) == str(s)
+
+
+def test_certificate_spectrum_groups_at_tol(k6_signing):
+    cert = certify_two_eigenvalues(k6_signing)
+    assert cert.spectrum().pairs == ((cert.lam, 3), (cert.mu, 3))
+    assert cert.spectrum(tol=5.0).pairs == ((0.0, 6),)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        cert.spectrum(tol=-1.0)
+
+
 def test_certify_k6_signing(k6_signing):
     cert = certify_two_eigenvalues(k6_signing)
     assert (cert.a, cert.b) == (0, -5)
