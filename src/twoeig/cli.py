@@ -3,7 +3,10 @@
 Every run produces a RunReport; the process exits 0 exactly when the report
 status is "pass", 1 on a failed verdict, 2 on bad input, and 3 on a defect:
 an internal invariant that failed (AssertionError) or memory that ran out,
-reported on stderr with status "defect". File formats:
+reported on stderr with status "defect". Every report value, in text and in
+--json, is serialized by `_render`, which gives both forms in one place, and
+an artifact (gen's matrix, lift's edge list) goes to -o FILE, into the --json
+report, or to stdout through `_deliver`. File formats:
 `verify` and `spectrum` read matrix files, `lift`, `ramanujan` and
 `switch-classes` read signed-graph files, `twograph` reads triple files.
 Passing "-" reads the input from stdin.
@@ -21,8 +24,6 @@ import numpy as np
 
 from . import constructions, core, io, lifts_ramanujan, spectra, twographs
 
-REPORT_FLOAT_DECIMALS = 6
-
 
 @dataclass
 class RunReport:
@@ -30,77 +31,55 @@ class RunReport:
     inputs: dict
     results: list[tuple[str, object]] = field(default_factory=list)
     status: str = "pass"
-    quiet_text: bool = False
+    quiet_text: bool = False  # gen's matrix went to stdout, which must stay a parseable file
 
     def add(self, label: str, value) -> None:
         self.results.append((label, value))
 
 
-def _fnum(v: float) -> str:
-    return f"{round(float(v), REPORT_FLOAT_DECIMALS) + 0.0:.{REPORT_FLOAT_DECIMALS}f}"
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fnum(value)
-    if isinstance(value, core.OrthogonalityCertificate):
-        return f"alpha = {value.alpha}"
-    if isinstance(value, spectra.TwoEigCertificate):
-        return (
-            f"a = {value.a}, b = {value.b}, lambda = {_fnum(value.lam)} (x{value.mult_lam}), "
-            f"mu = {_fnum(value.mu)} (x{value.mult_mu})"
-        )
+def _render(value) -> tuple[str, object]:
+    """The text and JSON forms of one report value."""
     if value is None:
-        return "absent"
-    return str(value)
-
-
-def _jsonable(value):
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
+        return "absent", None
+    if isinstance(value, bool):
+        return ("true" if value else "false"), value
+    if isinstance(value, (int, np.integer)):
+        return str(value), int(value)
     if isinstance(value, float):
-        return round(value, 12) + 0.0
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, spectra.Spectrum):
-        return value.records()
+        return spectra.text_float(value), spectra.json_float(value)
     if isinstance(value, core.OrthogonalityCertificate):
-        return {"alpha": value.alpha}
+        return f"alpha = {value.alpha}", {"alpha": value.alpha}
     if isinstance(value, spectra.TwoEigCertificate):
-        return {
-            "a": value.a,
-            "b": value.b,
-            "lambda": _jsonable(value.lam),
-            "mu": _jsonable(value.mu),
-            "mult_lambda": value.mult_lam,
-            "mult_mu": value.mult_mu,
-        }
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return str(value)
+        lam, mu = value.lam, value.mu
+        return (f"a = {value.a}, b = {value.b}, lambda = {spectra.text_float(lam)} "
+                f"(x{value.mult_lam}), mu = {spectra.text_float(mu)} (x{value.mult_mu})",
+                {"a": value.a, "b": value.b, "lambda": spectra.json_float(lam),
+                 "mu": spectra.json_float(mu), "mult_lambda": value.mult_lam,
+                 "mult_mu": value.mult_mu})
+    if isinstance(value, spectra.Spectrum):
+        return str(value), [{"value": spectra.json_float(v), "multiplicity": m}
+                            for v, m in value.pairs]
+    return str(value), str(value)
 
 
 def _emit(report: RunReport, as_json: bool, stream=None) -> None:
     out = stream or sys.stdout
+    inputs = [(key, *_render(value)) for key, value in report.inputs.items()]
+    results = [(label, *_render(value)) for label, value in report.results]
     if as_json:
         payload = {
             "command": report.command,
-            "inputs": _jsonable(report.inputs),
-            "results": [{"label": k, "value": _jsonable(v)} for k, v in report.results],
+            "inputs": {key: js for key, _, js in inputs},
+            "results": [{"label": label, "value": js} for label, _, js in results],
             "status": report.status,
         }
         print(json.dumps(payload, indent=2), file=out)
     else:
-        print(f"command: {report.command}", file=out)
-        for key, value in report.inputs.items():
-            print(f"input {key}: {_fmt(value)}", file=out)
-        for label, value in report.results:
-            print(f"{label}: {_fmt(value)}", file=out)
-        print(f"status: {report.status}", file=out)
+        lines = [f"command: {report.command}"]
+        lines += [f"input {key}: {text}" for key, text, _ in inputs]
+        lines += [f"{label}: {text}" for label, text, _ in results]
+        lines.append(f"status: {report.status}")
+        print("\n".join(lines), file=out)
 
 
 def _read_text(path: str) -> str:
@@ -109,11 +88,19 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None or path == "-":
+def _deliver(report: RunReport, args, label: str, text: str) -> bool:
+    """Send an artifact to -o FILE (reporting `written: FILE`), into the --json report
+    under label, or else to stdout; True when it went to stdout."""
+    to_file = args.output not in (None, "-")
+    if args.as_json:
+        report.add(label, text)
+    elif not to_file:
         sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+        return True
+    if to_file:
+        Path(args.output).write_text(text)
+        report.add("written", args.output)
+    return False
 
 
 GEN_KINDS = ("hadamard", "conference", "williamson", "double", "kron", "conference-block")
@@ -152,9 +139,7 @@ def _gen_matrix(args) -> core.SignedMatrix:
         return constructions.conference_block(one_input())
     if len(inputs) != 2:
         raise ValueError("kind 'kron' needs exactly two --input matrix files")
-    if args.certify:
-        return constructions.kronecker_orthogonal(*inputs)[0]
-    return constructions.kronecker(*inputs)
+    return constructions.kronecker_orthogonal(*inputs)[0]
 
 
 def cmd_gen(args) -> RunReport:
@@ -168,16 +153,7 @@ def cmd_gen(args) -> RunReport:
         text += f"alpha = {cert.alpha}\n"
         report.add("alpha", cert.alpha)
     report.add("order", f"{m.rows}x{m.cols}")
-    to_file = args.output is not None and args.output != "-"
-    if args.as_json:
-        report.add("matrix", text)
-        if to_file:
-            Path(args.output).write_text(text)
-    else:
-        _write_output(text, args.output)
-        report.quiet_text = not to_file
-    if to_file:
-        report.add("written", args.output)
+    report.quiet_text = _deliver(report, args, "matrix", text)
     return report
 
 
@@ -228,15 +204,8 @@ def cmd_lift(args) -> RunReport:
     report = RunReport("lift", {"file": args.file})
     sg = io.parse_signed_graph(_read_text(args.file))
     lift = lifts_ramanujan.two_lift(sg)
-    text = _format_lift(lift)
-    to_file = args.output is not None and args.output != "-"
-    if args.as_json:
-        report.add("lift", text)
-        if to_file:
-            Path(args.output).write_text(text)
-    else:
-        _write_output(text, args.output)
-    verdict = lifts_ramanujan.lift_spectrum_check(sg)
+    _deliver(report, args, "lift", _format_lift(lift))
+    verdict = lift.is_lift_of(sg)
     report.add("base vertices", sg.n)
     report.add("lift vertices", lift.graph.n)
     report.add("lift edges", lift.graph.m)
@@ -308,12 +277,13 @@ def cmd_twograph(args) -> RunReport:
     if tg is None:
         report.status = "fail"
         return report
-    pair_count = twographs.is_regular_twograph(tg)
+    cert = spectra.certify_two_eigenvalues(tg.seidel) if n >= 2 else None
+    pair_count = twographs.pair_count(n, cert)
     report.add("regular", pair_count is not None)
     if pair_count is not None:
         report.add("pair count", pair_count)
     if n >= 2:
-        report.add("two-eigenvalue certificate", spectra.certify_two_eigenvalues(tg.seidel))
+        report.add("two-eigenvalue certificate", cert)
     return report
 
 

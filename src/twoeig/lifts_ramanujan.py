@@ -71,6 +71,16 @@ class LiftedGraph:
         if not np.array_equal(deg[: self.base_n], deg[self.base_n :]):
             raise ValueError("lift layers have mismatched degrees")
 
+    def is_lift_of(self, sg: SignedGraph) -> bool:
+        """True iff this lift L = [[P, N], [N, P]] has P - N = A and P + N = |A|, compared
+        entrywise. Then Q L Q = 2 diag(|A|, A) with Q = [[I, I], [I, -I]] = Q^t, Q^2 = 2I:
+        spec(L) is exactly spec(|A|) union spec(A) (Bilu-Linial 2006, Lemma 3.1)."""
+        a, n = sg.matrix.data, sg.n
+        lift = self.graph.adjacency()
+        pos, neg = lift[:n, :n], lift[:n, n:]
+        return bool(np.array_equal(lift, np.block([[pos, neg], [neg, pos]]))
+                    and np.array_equal(pos - neg, a) and np.array_equal(pos + neg, np.abs(a)))
+
 
 @dataclass(frozen=True)
 class RamanujanReport:
@@ -98,14 +108,9 @@ def two_lift(sg: SignedGraph) -> LiftedGraph:
 
 
 def lift_spectrum_check(sg: SignedGraph) -> bool:
-    """True iff the lift L = [[P, N], [N, P]] has P - N = A and P + N = |A|, compared
-    entrywise. Then Q L Q = 2 diag(|A|, A) with Q = [[I, I], [I, -I]] = Q^t, Q^2 = 2I:
-    spec(L) is exactly spec(|A|) union spec(A) (Bilu-Linial 2006, Lemma 3.1)."""
-    a, n = sg.matrix.data, sg.n
-    lift = two_lift(sg).graph.adjacency()
-    pos, neg = lift[:n, :n], lift[:n, n:]
-    return bool(np.array_equal(lift, np.block([[pos, neg], [neg, pos]]))
-                and np.array_equal(pos - neg, a) and np.array_equal(pos + neg, np.abs(a)))
+    """True iff two_lift(sg) is exactly a lift of sg (LiftedGraph.is_lift_of), so that its
+    spectrum is spec(|A|) union spec(A)."""
+    return two_lift(sg).is_lift_of(sg)
 
 
 def _regular_degree(g: Graph, what: str) -> int:

@@ -40,6 +40,16 @@ TRACE_CHECK_TOL = 1e-9
 DEFAULT_GROUP_TOL = 1e-6
 
 
+def text_float(v: float) -> str:
+    """A report float as text: 6 decimals, and never a signed zero (-1e-17 prints 0.000000)."""
+    return f"{round(float(v), 6) + 0.0:.6f}"
+
+
+def json_float(v: float) -> float:
+    """A report float for JSON: rounded to 12 decimals, and never a signed zero."""
+    return round(float(v), 12) + 0.0
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues as (value, multiplicity) pairs, descending by value."""
@@ -102,11 +112,8 @@ class Spectrum:
             abs(v - w) <= tol and m == k for (v, m), (w, k) in zip(got, want)
         )
 
-    def records(self) -> list[dict]:
-        return [{"value": round(v, 12) + 0.0, "multiplicity": m} for v, m in self.pairs]
-
     def __str__(self):
-        return "{" + ", ".join(f"{round(v, 6) + 0.0:.6f}: {m}" for v, m in self.pairs) + "}"
+        return "{" + ", ".join(f"{text_float(v)}: {m}" for v, m in self.pairs) + "}"
 
 
 @dataclass(frozen=True)
@@ -252,13 +259,17 @@ def bipartite_two_eig_check(sg: SignedGraph) -> OrthogonalityCertificate | None:
     The block C over a balanced bipartition satisfies CC^t = C^tC = alpha I
     exactly when sg has two distinct eigenvalues, so this is an exact
     integer-arithmetic route to the same verdict as certify_two_eigenvalues.
+    The bipartition balances its components, so it comes out unbalanced only
+    when some component is, and then the verdict is None: that component has
+    eigenvalue 0, and any edge adds a pair +-lambda (a signed bipartite
+    spectrum is symmetric), so sg never has exactly two distinct eigenvalues.
     """
     parts = ground(sg).bipartition()
     if parts is None:
         raise ValueError("ground graph is not bipartite")
     x, y = parts
     if len(x) != len(y):
-        raise ValueError(f"bipartition is unbalanced: parts of size {len(x)} and {len(y)}")
+        return None
     block = SignedMatrix(sg.matrix.data[np.ix_(x, y)])
     return is_orthogonal(block)
 

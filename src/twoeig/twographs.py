@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Graph, SignedGraph
-from .spectra import certify_two_eigenvalues
+from .spectra import TwoEigCertificate, certify_two_eigenvalues
 
 __all__ = [
     "TwoGraph",
     "validate_twograph",
     "is_regular_twograph",
+    "pair_count",
     "descendant",
     "signed_complete_from_graph",
     "twograph_from_signed_complete",
@@ -92,10 +93,15 @@ def validate_twograph(n: int, triples) -> TwoGraph | None:
 
 def is_regular_twograph(t: TwoGraph) -> int | None:
     """The common number of triples through each vertex pair, (n - 2 + a) / 2, or None."""
-    if t.n < 3:
+    return pair_count(t.n, certify_two_eigenvalues(t.seidel) if t.n >= 3 else None)
+
+
+def pair_count(n: int, cert: TwoEigCertificate | None) -> int | None:
+    """The pair count (n - 2 + a) / 2 of a two-graph on n vertices whose Seidel matrix has
+    certificate cert (0 for n < 3, where no pair lies in a triple), or None if uncertified."""
+    if n < 3:
         return 0
-    cert = certify_two_eigenvalues(t.seidel)
-    return None if cert is None else (t.n - 2 + cert.a) // 2
+    return None if cert is None else (n - 2 + cert.a) // 2
 
 
 def descendant(t: TwoGraph, x: int) -> Graph:

@@ -1,9 +1,14 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twoeig
 from twoeig import (
     SignedMatrix,
     eigenvalues_symmetric,
@@ -415,3 +420,120 @@ def test_flags_only_where_read(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_gen_kron_rejects_non_orthogonal_factors(tmp_path, capsys):
+    ones = tmp_path / "ones.txt"
+    ones.write_text("2 2\n1 1\n1 1\n")
+    target = tmp_path / "k.txt"
+    code, out, err = run(capsys, "gen", "kron", "--input", str(ones), "--input", str(ones),
+                         "-o", str(target))
+    assert code == 2 and out == "" and not target.exists()
+    assert "error: left factor is not an orthogonal signed matrix" in err
+
+
+def _one_path_commands(tmp_path):
+    """One invocation of each subcommand; gen and lift write to a file, so that their
+    text report is printed."""
+    conf = tmp_path / "c6.txt"
+    conf.write_text(format_matrix(paley_conference(5)))
+    c4 = tmp_path / "c4.txt"
+    c4.write_text(ONE_NEGATIVE_C4)
+    tri = tmp_path / "t.txt"
+    tri.write_text(format_triples(6, K6_TRIPLES))
+    return [
+        (["gen", "conference", "-q", "5", "--certify", "-o", str(tmp_path / "g.txt")], "matrix"),
+        (["verify", str(conf)], None),
+        (["spectrum", str(conf)], None),
+        (["lift", str(c4), "-o", str(tmp_path / "l.txt")], "lift"),
+        (["ramanujan", str(c4)], None),
+        (["table", "--family", "nc4-complement", "-n", "6"], None),
+        (["switch-classes", str(c4)], None),
+        (["twograph", str(tri)], None),
+    ]
+
+
+def test_text_and_json_reports_render_each_value_once(tmp_path, capsys, monkeypatch):
+    """Text and --json reports list the same result labels in the same order (JSON also
+    holds the artifact that text sends to the file), and each text line and JSON value are
+    the two forms _render gives the same report value."""
+    from twoeig import cli
+
+    emitted, emit = [], cli._emit
+
+    def recording_emit(report, *args, **kwargs):
+        emitted.append(report)
+        emit(report, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    for argv, artifact in _one_path_commands(tmp_path):
+        code, text, _ = run(capsys, *argv)
+        report = emitted[-1]
+        json_code, json_text, _ = run(capsys, *argv, "--json")
+        assert code == json_code == 0, argv
+        lines = text.splitlines()
+        assert lines[0] == f"command: {argv[0]}" and lines[-1] == "status: pass"
+        text_results = [line.split(": ", 1) for line in lines[1 + len(report.inputs):-1]]
+        json_results = [(r["label"], r["value"]) for r in json.loads(json_text)["results"]
+                        if r["label"] != artifact]
+        assert [label for label, _ in text_results] == [label for label, _ in json_results]
+        assert [label for label, _ in report.results] == [label for label, _ in text_results]
+        assert [cli._render(value) for _, value in report.results] == \
+            [(text_value, json_value)
+             for (_, text_value), (_, json_value) in zip(text_results, json_results)]
+
+
+def test_twograph_certifies_once(tmp_path, capsys, monkeypatch):
+    from twoeig import spectra, twographs
+
+    calls = []
+
+    def counted(sg):
+        calls.append(sg)
+        return spectra_certify(sg)
+
+    spectra_certify = spectra.certify_two_eigenvalues
+    monkeypatch.setattr(spectra, "certify_two_eigenvalues", counted)
+    monkeypatch.setattr(twographs, "certify_two_eigenvalues", counted)
+    f = tmp_path / "t.txt"
+    f.write_text(format_triples(6, K6_TRIPLES))
+    code, out, _ = run(capsys, "twograph", str(f))
+    assert code == 0 and "pair count: 2" in out
+    assert len(calls) == 1
+
+
+def test_lift_builds_the_lift_once(tmp_path, capsys, monkeypatch):
+    from twoeig import lifts_ramanujan
+
+    calls = []
+
+    def counted(sg):
+        calls.append(sg)
+        return build(sg)
+
+    build = lifts_ramanujan.two_lift
+    monkeypatch.setattr(lifts_ramanujan, "two_lift", counted)
+    f = tmp_path / "c4.txt"
+    f.write_text(ONE_NEGATIVE_C4)
+    code, out, _ = run(capsys, "lift", str(f))
+    assert code == 0 and "spectrum union verdict: true" in out
+    assert len(calls) == 1
+
+
+def test_cli_as_a_process(tmp_path):
+    """`python -m twoeig.cli` in its own process: gen's stdout is a matrix file, and
+    lift -o reports the file it wrote."""
+    env = {**os.environ, "PYTHONPATH": str(Path(twoeig.__file__).parents[1])}
+
+    def twoeig_process(*argv):
+        return subprocess.run([sys.executable, "-m", "twoeig.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    gen = twoeig_process("gen", "conference", "-q", "5", "--certify")
+    assert gen.returncode == 0 and gen.stderr == ""
+    assert parse_matrix(gen.stdout) == paley_conference(5)
+    f, target = tmp_path / "c4.txt", tmp_path / "lift.txt"
+    f.write_text(ONE_NEGATIVE_C4)
+    lift = twoeig_process("lift", str(f), "-o", str(target))
+    assert lift.returncode == 0 and f"written: {target}\n" in lift.stdout
+    assert target.read_text().startswith("8 8\n")

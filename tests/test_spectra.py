@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -103,11 +104,11 @@ def test_eigenvalues_rejects_asymmetric():
 
 
 def test_spectrum_text_has_no_signed_zero():
-    from twoeig.cli import _fmt
+    from twoeig.cli import _render
 
     s = Spectrum.from_values([-1e-17, 1, -1])
     assert str(s) == "{1.000000: 1, 0.000000: 1, -1.000000: 1}"
-    assert _fmt(s) == str(s)
+    assert _render(s)[0] == str(s)
 
 
 def test_certificate_spectrum_groups_at_tol(k6_signing):
@@ -175,8 +176,8 @@ def test_bipartite_check_examples():
     assert bipartite_two_eig_check(SignedGraph.all_positive(Graph.cycle(6))) is None
     with pytest.raises(ValueError, match="not bipartite"):
         bipartite_two_eig_check(SignedGraph.all_positive(Graph.cycle(5)))
-    with pytest.raises(ValueError, match="unbalanced"):
-        bipartite_two_eig_check(SignedGraph.all_positive(Graph.complete_bipartite(1, 3)))
+    star3 = SignedGraph.all_positive(Graph.complete_bipartite(1, 3))
+    assert bipartite_two_eig_check(star3) is None
 
 
 def test_bipartite_check_agrees_with_certify(rng):
@@ -194,6 +195,33 @@ def test_bipartite_check_agrees_with_certify(rng):
         assert (cert_block is None) == (cert_quad is None)
         if cert_block is not None:
             assert cert_block.alpha == -cert_quad.b
+
+
+def test_bipartite_check_matches_eigvalsh_on_every_small_graph():
+    """Every signed graph on 2 to 5 vertices with a bipartite ground graph: the block
+    certificate exists iff eigvalsh finds exactly two distinct eigenvalues, and an
+    unbalanced bipartition (K_{1,3}, a path, an isolated vertex) gives None."""
+    unbalanced = 0
+    for n in range(2, 6):
+        iu = np.triu_indices(n, 1)
+        for support in itertools.product((0, 1), repeat=len(iu[0])):
+            ground_adj = np.zeros((n, n), dtype=np.int8)
+            ground_adj[iu] = support
+            parts = Graph.from_adjacency(ground_adj + ground_adj.T).bipartition()
+            if parts is None:
+                continue
+            unbalanced += len(parts[0]) != len(parts[1])
+            where = np.flatnonzero(support)
+            signings = np.zeros((2 ** where.size, n, n), dtype=np.int8)
+            for k, signs in enumerate(itertools.product((1, -1), repeat=where.size)):
+                signings[k][iu[0][where], iu[1][where]] = signs
+            signings += signings.transpose(0, 2, 1)
+            eigs = np.linalg.eigvalsh(signings.astype(np.float64))
+            distinct = (np.diff(eigs, axis=1) > 1e-6).sum(axis=1) + 1
+            for a, count in zip(signings, distinct):
+                cert = bipartite_two_eig_check(SignedGraph(a))
+                assert (cert is not None) == (count == 2), a
+    assert unbalanced > 0
 
 
 def test_numeric_spectrum_invariant_under_resigning(rng):
