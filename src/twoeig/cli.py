@@ -15,6 +15,7 @@ Passing "-" reads the input from stdin.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -194,10 +195,10 @@ def cmd_spectrum(args) -> RunReport:
 
 
 def _format_lift(lift: lifts_ramanujan.LiftedGraph) -> str:
+    """The lift's edge list in the graph format, signs left out (+1)."""
     g = lift.graph
-    lines = [f"{g.n} {g.m}"]
-    lines += [f"{u + 1} {v + 1}" for u, v in g.sorted_edges()]
-    return "\n".join(lines) + "\n"
+    iu, iv = np.nonzero(np.triu(g.adjacency(), 1))
+    return io._write_rows(f"{g.n} {iu.size}", np.column_stack((iu + 1, iv + 1)))
 
 
 def cmd_lift(args) -> RunReport:
@@ -287,7 +288,9 @@ def cmd_twograph(args) -> RunReport:
     return report
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state in it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the run report as JSON")

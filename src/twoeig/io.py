@@ -10,9 +10,26 @@ with 1-based vertex labels; a missing sign means +1.
 
 Triple format: a header line "n t", then exactly t lines "a b c" with
 1-based labels. Blank lines are skipped; missing or extra lines raise ValueError.
+
+Every integer (header, entry, label, sign) is an ASCII token: an optional +
+or - sign, then one or more digits 0-9. Tokens are separated by whitespace and
+lines end at line breaks, both as str.split and str.splitlines see them. An
+entry out of range is rejected, never wrapped into range.
+
+No Python loop runs over entries, edges or triples. The reader (_Lines) finds
+the lines, counts their tokens and checks the token grammar on the text's
+bytes, then reads all data integers with one np.fromstring call into int64,
+which saturates instead of wrapping. Range, sign, distinctness and duplicate
+checks are array expressions. Python reads only the header, the annotations,
+and on bad input the one line that the error message names. The writer
+(_write_rows) lays each entry into a fixed-width byte buffer.
 """
 
 from __future__ import annotations
+
+import itertools
+
+import numpy as np
 
 from .core import SignedGraph, SignedMatrix
 
@@ -25,9 +42,113 @@ __all__ = [
     "format_triples",
 ]
 
+_SPACE, _BREAK, _DIGIT, _SIGN, _OTHER = range(5)
+_BYTE_KIND = bytes(_SPACE if c in b"\t\x1f " else _BREAK if c in b"\n\v\f\r\x1c\x1d\x1e"
+                   else _DIGIT if c in b"0123456789" else _SIGN if c in b"+-" else _OTHER
+                   for c in range(256))
+# the non-ASCII characters that str.splitlines breaks at and str.split separates at,
+# each mapped to one ASCII character, so that character offsets stay the same
+_ASCII_WHITESPACE = str.maketrans(
+    dict.fromkeys("\x85\u2028\u2029", "\n")
+    | dict.fromkeys("\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008"
+                    "\u2009\u200a\u202f\u205f\u3000", " "))
+# whitespace that str.split skips and np.fromstring does not
+_FROMSTRING_SPACE = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
 
-def _data_lines(text: str) -> list[str]:
-    return [line.strip() for line in text.splitlines() if line.strip()]
+
+def _window_tables() -> tuple[bytes, bytes]:
+    """Two byte-translation tables over the kinds (previous, byte, next), coded
+    25 p + 5 b + n: one gives 1 where a token begins, the other 1 where a token
+    byte breaks the grammar [+-]?[0-9]+."""
+    starts, bad = bytearray(256), bytearray(256)
+    for prev, kind, after in itertools.product(range(5), repeat=3):
+        if kind in (_SPACE, _BREAK):
+            continue
+        opens = prev in (_SPACE, _BREAK)
+        code = 25 * prev + 5 * kind + after
+        starts[code] = opens
+        bad[code] = kind == _OTHER or (kind == _SIGN and not (opens and after == _DIGIT))
+    return bytes(starts), bytes(bad)
+
+
+_TOKEN_STARTS, _BAD_BYTES = _window_tables()
+
+
+class _Lines:
+    """The non-blank lines of a text, located on its bytes.
+
+    Per non-blank line: the byte span [begin, end) and the token count; for the
+    whole text, the positions of bytes that break the token grammar. Non-ASCII
+    whitespace is first mapped to ASCII, so lines and tokens are those of
+    str.splitlines and str.split; other non-ASCII bytes break the grammar.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.ascii = text.isascii()
+        if not self.ascii:
+            text = text.translate(_ASCII_WHITESPACE)
+        self.raw = text.encode("utf-8", "surrogatepass")
+        self.bytes = np.frombuffer(self.raw, dtype=np.uint8)
+        size = self.bytes.size
+        # byte kinds, padded with a space at each end, and the window code of each byte
+        kind = np.frombuffer(b"".join((b"\0", self.raw.translate(_BYTE_KIND), b"\0")), np.uint8)
+        code = kind[:-2] * np.uint8(25)
+        code += kind[1:-1] * np.uint8(5)
+        code += kind[2:]
+        code = code.tobytes()
+        begin = np.concatenate(([0], np.flatnonzero(kind[1:-1] == _BREAK) + 1))
+        del kind
+        self.bad = np.flatnonzero(np.frombuffer(code.translate(_BAD_BYTES), np.uint8))
+        starts = np.frombuffer(code.translate(_TOKEN_STARTS), np.uint8)
+        del code
+        begin = begin[begin < size]
+        end = np.append(begin[1:] - 1, size)[: begin.size]
+        # uint32 holds any line's count; a wider sum would copy the text as wider integers
+        count = np.add.reduceat(starts, begin, dtype=np.uint32).astype(np.intp)
+        blank = count == 0
+        self.begin, self.end, self.count = begin[~blank], end[~blank], count[~blank]
+
+    def __len__(self) -> int:
+        return self.count.size
+
+    def line(self, k: int) -> str:
+        """Non-blank line k of the original text, stripped."""
+        lo, hi = int(self.begin[k]), int(self.end[k])
+        if not self.ascii:  # the translation kept character offsets, not byte offsets
+            lo, hi = (len(self.raw[:at].decode("utf-8", "surrogatepass")) for at in (lo, hi))
+        return self.text[lo:hi].strip()
+
+    def first_bad(self, k0: int, k1: int) -> int:
+        """The first line in [k0, k1) with a token outside the grammar, else k1."""
+        if k0 >= k1:
+            return k1
+        i = np.searchsorted(self.bad, self.begin[k0])
+        if i == self.bad.size or self.bad[i] >= self.end[k1 - 1]:
+            return k1
+        return int(np.searchsorted(self.begin, self.bad[i], side="right")) - 1
+
+    def integers(self, k0: int, k1: int) -> np.ndarray:
+        """The tokens of lines [k0, k1), all in the grammar, as one flat int64 array."""
+        if k0 >= k1:
+            return np.zeros(0, dtype=np.int64)
+        lo, hi = int(self.begin[k0]), int(self.end[k1 - 1])
+        body = self.bytes[lo:hi]
+        if any(c in self.raw for c in b"\x1c\x1d\x1e\x1f"):
+            body = np.frombuffer(self.raw[lo:hi].translate(_FROMSTRING_SPACE), dtype=np.uint8)
+        return np.fromstring(body, dtype=np.int64, sep=" ")
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in mask, or len(mask)."""
+    return int(mask.argmax()) if mask.any() else mask.size
+
+
+def _integer(token: str) -> int:
+    digits = token[1:] if token[0] in "+-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer token: {token!r}")
+    return int(token)
 
 
 def _header(line: str, what: str) -> tuple[int, int]:
@@ -35,117 +156,193 @@ def _header(line: str, what: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ValueError(f"{what} header must be two integers, got {line!r}")
     try:
-        a, b = int(parts[0]), int(parts[1])
+        a, b = _integer(parts[0]), _integer(parts[1])
     except ValueError:
         raise ValueError(f"{what} header must be two integers, got {line!r}") from None
     return a, b
 
 
+def _check_vertex_count(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"vertex count must be positive, got {n}")
+    # labels are read as int64, which saturates: only a count below the saturated
+    # value keeps every label past int64 out of range
+    if n >= np.iinfo(np.int64).max:
+        raise ValueError(f"vertex count must be below {np.iinfo(np.int64).max}, got {n}")
+
+
+def _lex_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable lexicographic order of the rows of a 2-D integer array, and per
+    row whether an earlier row is equal. Rows are ranked by one int64 key when
+    the key fits, else by np.lexsort."""
+    low, span = int(rows.min(initial=0)), int(rows.max(initial=0)) - int(rows.min(initial=0)) + 1
+    if span ** rows.shape[1] < 2**63:
+        key = np.zeros(len(rows), dtype=np.int64)
+        for column in rows.T:
+            key = key * span + (column - low)
+        order = np.argsort(key, kind="stable")
+    else:
+        order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    repeat = np.zeros(len(rows), dtype=bool)
+    repeat[order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]] = True
+    return order, repeat
+
+
+def _write_rows(header: str, rows: np.ndarray) -> str:
+    """The header line, then each row of a 2-D integer array as one line of
+    space-separated decimal integers.
+
+    Every entry fills width + 2 bytes of one uint8 buffer: a "-" or a pad byte,
+    its digits right-aligned behind pad bytes, then a space or a newline. The
+    pad bytes (0) are then deleted in one bytes.replace pass; deleting them by
+    a boolean mask would hold the buffer, the mask and the result at once.
+    """
+    head = f"{header}\n".encode()
+    if not rows.size:
+        return head.decode()
+    mag = np.abs(rows)
+    top = int(mag.max())
+    mag = mag.astype(np.min_scalar_type(top))
+    width = len(str(top))
+    buf = np.zeros(len(head) + rows.size * (width + 2), dtype=np.uint8)
+    buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    cells = buf[len(head) :].reshape(*rows.shape, width + 2)
+    cells[..., 0][rows < 0] = ord("-")
+    for k in range(width):
+        lead = mag // 10 ** (width - 1 - k)
+        digit = lead % 10
+        digit += ord("0")
+        if k < width - 1:
+            digit *= lead > 0
+        cells[..., 1 + k] = digit
+    del mag, lead, digit
+    cells[..., -1] = ord(" ")
+    cells[:, -1, -1] = ord("\n")
+    text = buf.tobytes()
+    del buf, cells
+    text = text.replace(b"\0", b"")
+    return text.decode("ascii")
+
+
 def parse_matrix(text: str) -> SignedMatrix:
-    lines = _data_lines(text)
-    if not lines:
+    lines = _Lines(text)
+    if not len(lines):
         raise ValueError("empty matrix text")
-    rows, cols = _header(lines[0], "matrix")
+    rows, cols = _header(lines.line(0), "matrix")
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if len(lines) < 1 + rows:
         raise ValueError(f"expected {rows} data rows, found {len(lines) - 1}")
-    for line in lines[1 + rows :]:
+    for k in range(1 + rows, len(lines)):
+        line = lines.line(k)
         key, eq, value = line.partition("=")
         if not (eq and key.strip().isidentifier() and value.strip()):
             raise ValueError(f"expected {rows} data rows, then only 'key = value' "
                              f"annotations, got {line!r}")
-    data = []
-    for i in range(rows):
-        parts = lines[1 + i].split()
-        if len(parts) != cols:
-            raise ValueError(f"row {i + 1} has {len(parts)} entries, expected {cols}")
-        try:
-            row = [int(p) for p in parts]
-        except ValueError:
-            raise ValueError(f"row {i + 1} has a non-integer entry") from None
-        data.append(row)
-    return SignedMatrix(data)
+    count = lines.count[1 : 1 + rows]
+    i = min(_first(count != cols), lines.first_bad(1, 1 + rows) - 1)
+    if i < rows:
+        if count[i] != cols:
+            raise ValueError(f"row {i + 1} has {count[i]} entries, expected {cols}")
+        raise ValueError(f"row {i + 1} has a non-integer entry")
+    return SignedMatrix(lines.integers(1, 1 + rows).reshape(rows, cols))
 
 
 def format_matrix(m: SignedMatrix) -> str:
-    lines = [f"{m.rows} {m.cols}"]
-    for row in m.data:
-        lines.append(" ".join(f"{int(x):d}" for x in row))
-    return "\n".join(lines) + "\n"
+    return _write_rows(f"{m.rows} {m.cols}", m.data)
+
+
+def _edge_of(line: str) -> tuple[int, int, int]:
+    """The 0-based (u, v, sign) of an edge line that passed the line checks."""
+    u, v, *s = map(int, line.split())
+    return u - 1, v - 1, s[0] if s else 1
 
 
 def parse_signed_graph(text: str) -> SignedGraph:
-    lines = _data_lines(text)
-    if not lines:
+    lines = _Lines(text)
+    if not len(lines):
         raise ValueError("empty graph text")
-    n, m = _header(lines[0], "graph")
-    if n < 1:
-        raise ValueError(f"vertex count must be positive, got {n}")
+    n, m = _header(lines.line(0), "graph")
+    _check_vertex_count(n)
     if m < 0:
         raise ValueError(f"edge count must be non-negative, got {m}")
     if len(lines) != 1 + m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
-    triples = []
-    for i in range(m):
-        parts = lines[1 + i].split()
-        if len(parts) not in (2, 3):
-            raise ValueError(f"edge line {i + 1} must be 'u v' or 'u v sign', got {lines[1 + i]!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            s = int(parts[2]) if len(parts) == 3 else 1
-        except ValueError:
-            raise ValueError(f"edge line {i + 1} has a non-integer field") from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"edge line {i + 1}: vertex out of range 1..{n}")
-        triples.append((u - 1, v - 1, s))
-    return SignedGraph.from_edges(n, triples)
+    count = lines.count[1:]
+    shape = (count < 2) | (count > 3)
+    readable = min(_first(shape), lines.first_bad(1, 1 + m) - 1)
+    values, count = lines.integers(1, 1 + readable), count[:readable]
+    first = np.cumsum(count) - count
+    u, v, s = values[first], values[first + 1], np.ones(readable, dtype=np.int64)
+    s[count == 3] = values[first[count == 3] + 2]
+    i = min(readable, _first((u < 1) | (u > n) | (v < 1) | (v > n)))
+    if i < m:
+        if shape[i]:
+            raise ValueError(f"edge line {i + 1} must be 'u v' or 'u v sign', "
+                             f"got {lines.line(1 + i)!r}")
+        if i == readable:
+            raise ValueError(f"edge line {i + 1} has a non-integer field")
+        raise ValueError(f"edge line {i + 1}: vertex out of range 1..{n}")
+    u, v = u - 1, v - 1
+    pairs = np.column_stack((np.minimum(u, v), np.maximum(u, v)))
+    repeat = _lex_order(pairs)[1]
+    j = _first(((s != 1) & (s != -1)) | (u == v) | repeat)
+    if j < m:
+        # the first bad edge, behind the first edge with its pair if it repeats one,
+        # read exactly from its text: from_edges raises the message for it
+        k = _first((pairs == pairs[j]).all(axis=1)) if repeat[j] else j
+        SignedGraph.from_edges(n, [_edge_of(lines.line(1 + e)) for e in sorted({k, j})])
+        raise AssertionError(f"edge line {j + 1} was flagged but passes the edge checks")
+    a = np.zeros((n, n), dtype=np.int8)
+    a[u, v] = a[v, u] = s
+    return SignedGraph(a)
 
 
 def format_signed_graph(sg: SignedGraph) -> str:
-    signs = sg.edge_signs()
-    lines = [f"{sg.n} {len(signs)}"]
-    for (u, v), s in sorted(signs.items()):
-        lines.append(f"{u + 1} {v + 1} {s:d}")
-    return "\n".join(lines) + "\n"
+    a = sg.matrix.data
+    iu, iv = np.nonzero(np.triu(a, 1))
+    return _write_rows(f"{sg.n} {iu.size}", np.column_stack((iu + 1, iv + 1, a[iu, iv])))
 
 
 def parse_triples(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     """Read a triple system; returns (n, sorted 0-based triples)."""
-    lines = _data_lines(text)
-    if not lines:
+    lines = _Lines(text)
+    if not len(lines):
         raise ValueError("empty triple text")
-    n, t = _header(lines[0], "triple")
-    if n < 1:
-        raise ValueError(f"vertex count must be positive, got {n}")
+    n, t = _header(lines.line(0), "triple")
+    _check_vertex_count(n)
     if t < 0:
         raise ValueError(f"triple count must be non-negative, got {t}")
     if len(lines) != 1 + t:
         raise ValueError(f"expected {t} triple lines, found {len(lines) - 1}")
-    triples = set()
-    for i in range(t):
-        parts = lines[1 + i].split()
-        if len(parts) != 3:
-            raise ValueError(f"triple line {i + 1} must have three labels, got {lines[1 + i]!r}")
-        try:
-            vals = sorted(int(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"triple line {i + 1} has a non-integer label") from None
-        a, b, c = vals
+    count = lines.count[1:]
+    readable = min(_first(count != 3), lines.first_bad(1, 1 + t) - 1)
+    labels = np.sort(lines.integers(1, 1 + readable).reshape(readable, 3), axis=1)
+    a, b, c = labels.T
+    order, repeat = _lex_order(labels)
+    i = min(readable, _first((a < 1) | (c > n) | (a == b) | (b == c) | repeat))
+    if i < t:
+        if count[i] != 3:
+            raise ValueError(f"triple line {i + 1} must have three labels, "
+                             f"got {lines.line(1 + i)!r}")
+        if i == readable:
+            raise ValueError(f"triple line {i + 1} has a non-integer label")
+        a, b, c = labels[i].tolist()
         if not (1 <= a and c <= n):
             raise ValueError(f"triple line {i + 1}: label out of range 1..{n}")
         if a == b or b == c:
             raise ValueError(f"triple line {i + 1}: labels must be distinct")
-        key = (a - 1, b - 1, c - 1)
-        if key in triples:
-            raise ValueError(f"duplicate triple {{{a}, {b}, {c}}}")
-        triples.add(key)
-    return n, sorted(triples)
+        raise ValueError(f"duplicate triple {{{a}, {b}, {c}}}")
+    a, b, c = (labels[order] - 1).T
+    return n, list(zip(a.tolist(), b.tolist(), c.tolist()))
 
 
 def format_triples(n: int, triples) -> str:
-    rows = sorted(tuple(sorted(t)) for t in triples)
-    lines = [f"{n} {len(rows)}"]
-    for a, b, c in rows:
-        lines.append(f"{a + 1} {b + 1} {c + 1}")
-    return "\n".join(lines) + "\n"
+    triples = [*triples]
+    if set(map(len, triples)) - {3}:
+        raise ValueError("each triple must be three integer vertices")
+    rows = np.fromiter(itertools.chain.from_iterable(triples), dtype=np.int64,
+                       count=3 * len(triples)).reshape(-1, 3)
+    rows.sort(axis=1)
+    return _write_rows(f"{n} {len(rows)}", rows[_lex_order(rows)[0]] + 1)

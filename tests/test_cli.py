@@ -16,7 +16,7 @@ from twoeig import (
     paley_conference,
     sylvester_hadamard,
 )
-from twoeig.cli import main
+from twoeig.cli import _build_parser, main
 from twoeig.io import format_matrix, format_signed_graph, format_triples, parse_matrix
 
 from conftest import K6_MATRIX, K6_TRIPLES
@@ -518,6 +518,32 @@ def test_lift_builds_the_lift_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "lift", str(f))
     assert code == 0 and "spectrum union verdict: true" in out
     assert len(calls) == 1
+
+
+def test_successive_main_calls_share_no_state(tmp_path, capsys):
+    """The parser is built once per process; each call still starts from the defaults:
+    --input lists, --tol and --json do not carry over from one call to the next."""
+    h, c = tmp_path / "h.txt", tmp_path / "c.txt"
+    h.write_text(format_matrix(sylvester_hadamard(1)))
+    c.write_text(format_matrix(paley_conference(5)))
+    commands = [
+        ["gen", "kron", "--input", str(h), "--input", str(c), "--json"],
+        ["gen", "double", "--input", str(c)],
+        ["verify", str(c), "--tol", "0.5", "--json"],
+        ["verify", str(c)],
+        ["spectrum", str(c), "--tol", "3"],
+        ["table", "--family", "knn", "-n", "8"],
+        ["gen", "kron", "--input", str(h)],
+        ["spectrum", str(c)],
+    ]
+    assert _build_parser() is _build_parser()
+    warm = [run(capsys, *argv) for argv in commands]
+    fresh = []
+    for argv in commands:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert warm == fresh
+    assert warm[6][0] == 2 and "exactly two --input" in warm[6][2]
 
 
 def test_cli_as_a_process(tmp_path):

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from twoeig import SignedGraph, SignedMatrix
+import twoeig
+from twoeig import SignedGraph, SignedMatrix, constructions, star, two_lift
+from twoeig.cli import _format_lift, main
 from twoeig.io import (
     format_matrix,
     format_signed_graph,
@@ -11,7 +19,19 @@ from twoeig.io import (
     parse_triples,
 )
 
-from conftest import K6_MATRIX, K6_TRIPLES
+from conftest import (
+    K6_MATRIX,
+    K6_TRIPLES,
+    format_lift_oracle,
+    format_matrix_oracle,
+    format_signed_graph_oracle,
+    format_triples_oracle,
+    odd_product_triples,
+    parse_matrix_oracle,
+    parse_signed_graph_oracle,
+    parse_triples_oracle,
+    random_signed_graph,
+)
 
 
 def test_matrix_round_trip():
@@ -99,3 +119,229 @@ def test_parsers_reject_extra_data_lines():
         parse_matrix("2 2\n1 1\n1 -1\nalpha =\n")
     text = "2 2\n1 1\n1 -1\n\nalpha = 2\nnote = order 2\n"
     assert parse_matrix(text) == SignedMatrix([[1, 1], [1, -1]])
+
+
+PARSERS = {
+    "matrix": (parse_matrix, parse_matrix_oracle),
+    "graph": (parse_signed_graph, parse_signed_graph_oracle),
+    "triples": (parse_triples, parse_triples_oracle),
+}
+# each token goes into an entry, label or sign position of every format
+TEMPLATES = {
+    "matrix": ["2 2{e}1{s}{tok}{e}0{s}-1{e}", "1 3{e}{tok}{s}1{s}0{e}alpha = 2{e}"],
+    "graph": ["3 2{e}1{s}2{s}{tok}{e}2{s}3{e}", "3 2{e}1{s}{tok}{e}2{s}3{s}-1{e}"],
+    "triples": ["4 2{e}1{s}2{s}{tok}{e}2{s}3{s}4{e}", "4 2{e}{tok}{s}3{s}4{e}1{s}2{s}4{e}"],
+}
+# separators and line ends: spaces, tabs, CRLF, trailing spaces
+LAYOUTS = [(" ", "\n"), ("\t", "\n"), (" ", "\r\n"), ("  ", "  \n"), ("\t", " \t\r\n")]
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    if isinstance(value, SignedGraph):
+        value = value.matrix
+    return "ok", value.data.tolist() if isinstance(value, SignedMatrix) else value
+
+
+@pytest.mark.parametrize("token", [
+    "300", "255", "18446744073709551617", "-18446744073709551617", "9223372036854775808",
+    "- 1", "1.5", "1e0", "abc", "+1", "-0", "01", "-1", "+-1", "1-", "0x1", "\x00"])
+def test_adversarial_tokens_keep_the_reference_verdicts(token):
+    """Same accept or reject verdict and the same message as the per-line reader. int64
+    saturates, so 300 or 2^64 + 1 can never wrap into a trit, a sign or a label."""
+    for fmt, templates in TEMPLATES.items():
+        parse, oracle = PARSERS[fmt]
+        for template in templates:
+            for sep, end in LAYOUTS:
+                text = template.format(tok=token, s=sep, e=end)
+                assert _outcome(parse, text) == _outcome(oracle, text), text
+
+
+def test_out_of_range_entries_are_rejected_not_wrapped():
+    for big in ("300", "18446744073709551617", "-18446744073709551617"):
+        with pytest.raises(ValueError, match="entries must be -1, 0 or \\+1"):
+            parse_matrix(f"1 2\n1 {big}\n")
+        with pytest.raises(ValueError, match="vertex out of range 1..3"):
+            parse_signed_graph(f"3 1\n1 {big}\n")
+        with pytest.raises(ValueError, match="label out of range 1..4"):
+            parse_triples(f"4 1\n1 2 {big}\n")
+    with pytest.raises(ValueError, match="^edge \\(0, 1\\) has sign 18446744073709551617, expected"):
+        parse_signed_graph("3 1\n1 2 18446744073709551617\n")
+
+
+def test_vertex_counts_stop_below_the_int64_limit():
+    """Labels are read as int64, which saturates; a larger count could take a label
+    past the limit for an in-range one."""
+    for parse, what in [(parse_signed_graph, "1 2"), (parse_triples, "1 2 3")]:
+        with pytest.raises(ValueError, match="vertex count must be below 9223372036854775807"):
+            parse(f"9223372036854775807 1\n{what}\n")
+    assert parse_triples("9223372036854775806 1\n1 2 9223372036854775806\n")[1] == [
+        (0, 1, 9223372036854775805)]
+
+
+def test_a_detached_sign_is_not_an_integer():
+    """'- 1' is two tokens to str.split; np.fromstring alone would read it as -1."""
+    with pytest.raises(ValueError, match="row 1 has a non-integer entry"):
+        parse_matrix("1 3\n- 1 1\n")
+    with pytest.raises(ValueError, match="row 1 has 3 entries, expected 2"):
+        parse_matrix("1 2\n- 1 1\n")
+    with pytest.raises(ValueError, match="edge line 1 has a non-integer field"):
+        parse_signed_graph("3 1\n1 2 -\n")
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11"])
+def test_underscores_and_non_ascii_digits_are_not_integers(token):
+    """The token grammar is ASCII: an optional sign, then digits 0-9. Python int, which
+    the per-line reader used, reads "1_0" as 10 and the Arabic-Indic and fullwidth
+    digit one as 1."""
+    reference = ("error", "entries must be -1, 0 or +1") if token == "1_0" else ("ok", [[1]])
+    assert _outcome(parse_matrix_oracle, f"1 1\n{token}\n") == reference
+    with pytest.raises(ValueError, match="row 1 has a non-integer entry"):
+        parse_matrix(f"1 2\n1 {token}\n")
+    with pytest.raises(ValueError, match="edge line 1 has a non-integer field"):
+        parse_signed_graph(f"3 1\n1 2 {token}\n")
+    with pytest.raises(ValueError, match="triple line 1 has a non-integer label"):
+        parse_triples(f"4 1\n1 2 {token}\n")
+    with pytest.raises(ValueError, match="header must be two integers"):
+        parse_matrix(f"{token} 2\n1 1\n")
+
+
+def test_every_whitespace_character_splits_as_str_split_does():
+    """Non-ASCII spaces and line breaks separate tokens and lines as str.split and
+    str.splitlines do, and an error message quotes the line as written."""
+    for ch in (chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()):
+        for fmt, text in [("matrix", f"2 2\n1{ch}1\n1 -1{ch}\n"),
+                          ("matrix", f"1 2{ch}1 1{ch}note = a{ch}b\n"),
+                          ("graph", f"3 1{ch}1{ch}2{ch}-1{ch}"),
+                          ("graph", f"3 1\n1{ch}2{ch}1{ch}1\n"),
+                          ("triples", f"4 1\n{ch}1 2{ch}3\n{ch}")]:
+            parse, oracle = PARSERS[fmt]
+            assert _outcome(parse, text) == _outcome(oracle, text), repr(text)
+
+
+def test_annotations_may_hold_any_text():
+    text = "2 2\n1 1\n1 -1\nnote = \u00fcn\u00efcode 1_0 \u0661 x\ud800\n"
+    assert parse_matrix(text) == SignedMatrix([[1, 1], [1, -1]])
+
+
+def _constructed_matrices() -> list[SignedMatrix]:
+    c = constructions.paley_conference(13)
+    h = constructions.sylvester_hadamard(2)
+    out = [constructions.sylvester_hadamard(k) for k in range(0, 7)]
+    out += [constructions.paley_conference(q) for q in (5, 13, 29, 61)]
+    out += [constructions.double(c)[0], constructions.conference_block(c),
+            constructions.kronecker(h, c), constructions.kronecker_orthogonal(h, c)[0],
+            constructions.shift_antisymmetric(SignedMatrix([[0, 1], [-1, 0]]))[0]]
+    out += [constructions.williamson_preset(c, p) for p in constructions.WILLIAMSON_PRESETS]
+    return out
+
+
+def _random_matrices(rng) -> list[SignedMatrix]:
+    shapes = [(1, 1), (1, 37), (37, 1), (5, 9), (9, 5), (40, 40)]
+    return [SignedMatrix(rng.integers(-1, 2, size=shape)) for shape in shapes]
+
+
+def test_matrix_writer_and_reader_match_the_per_entry_oracles(rng):
+    for m in _constructed_matrices() + _random_matrices(rng):
+        text = format_matrix(m)
+        assert text == format_matrix_oracle(m)
+        assert parse_matrix(text) == m == parse_matrix_oracle(text)
+        assert format_matrix(parse_matrix(text)) == text
+
+
+def _signed_graphs(rng) -> list[SignedGraph]:
+    graphs = [SignedGraph([[0]]), SignedGraph(np.zeros((5, 5), dtype=np.int8)),
+              SignedGraph.from_edges(7, [(0, 3, -1), (3, 5, 1), (2, 6, -1)]),
+              SignedGraph(K6_MATRIX), SignedGraph(constructions.paley_conference(29)),
+              star(constructions.sylvester_hadamard(5)), star(constructions.paley_conference(13))]
+    graphs += [random_signed_graph(rng, n, p) for n, p in [(2, 1.0), (9, 0.3), (31, 0.5), (120, 0.1)]]
+    return graphs
+
+
+def test_signed_graph_and_lift_writers_match_the_per_edge_oracles(rng):
+    for sg in _signed_graphs(rng):
+        text = format_signed_graph(sg)
+        assert text == format_signed_graph_oracle(sg)
+        assert parse_signed_graph(text) == sg == parse_signed_graph_oracle(text)
+        assert format_signed_graph(parse_signed_graph(text)) == text
+        lift = two_lift(sg)
+        lifted = _format_lift(lift)
+        assert lifted == format_lift_oracle(lift)
+        assert parse_signed_graph(lifted) == SignedGraph(lift.graph.adjacency())
+
+
+def test_lift_command_prints_the_oracle_edge_list(tmp_path, capsys):
+    sg = star(constructions.paley_conference(5))
+    f = tmp_path / "s.graph"
+    f.write_text(format_signed_graph(sg))
+    assert main(["lift", str(f)]) == 0
+    assert capsys.readouterr().out.startswith(format_lift_oracle(two_lift(sg)) + "command: lift\n")
+
+
+def test_triple_writer_and_reader_match_the_per_triple_oracles():
+    paley = odd_product_triples(constructions.paley_conference(61).data)
+    shuffled = [(c, a, b) for a, b, c in reversed(paley)]
+    for n, triples in [(62, paley), (62, shuffled), (62, frozenset(paley)), (6, K6_TRIPLES),
+                       (4, []), (5, [(3, 1, 2), (0, 4, 2), (1, 2, 3), (0, 1, 2)])]:
+        text = format_triples(n, triples)
+        assert text == format_triples_oracle(n, triples)
+    for n, triples in [(62, paley), (4, [])]:
+        text = format_triples(n, triples)
+        assert parse_triples(text) == (n, sorted(paley) if triples else []) == parse_triples_oracle(text)
+        assert format_triples(*parse_triples(text)) == text
+    assert format_triples(4, []) == "4 0\n"
+
+
+def test_triple_writer_rejects_triples_that_are_not_three_vertices():
+    with pytest.raises(ValueError, match="three integer vertices"):
+        format_triples(5, [(0, 1), (2, 3, 4, 1)])
+
+
+def test_text_io_peak_memory_stays_below_the_per_entry_code():
+    """tracemalloc peaks on an order-1024 Hadamard matrix, in bytes per entry: the
+    per-entry writer peaked at 7.6 and the per-entry reader at 20.2."""
+    m = constructions.sylvester_hadamard(10)
+    entries = m.rows * m.cols
+    text = format_matrix(m)
+    tracemalloc.start()
+    try:
+        format_matrix(m)
+        format_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        parse_matrix(text)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert format_peak <= 7.6 * entries
+    assert parse_peak <= 20.2 * entries
+
+
+def test_text_io_loads_no_module():
+    """Reading and writing every format, error paths included, imports nothing new
+    (np.unique, for one, would pull in numpy.ma)."""
+    script = """
+import sys
+from twoeig import cli, constructions, io, lifts_ramanujan, star
+m = constructions.sylvester_hadamard(3)
+before = set(sys.modules)
+io.parse_matrix(io.format_matrix(m))
+sg = star(m)
+io.parse_signed_graph(io.format_signed_graph(sg))
+cli._format_lift(lifts_ramanujan.two_lift(sg))
+io.parse_triples(io.format_triples(5, [(0, 1, 2), (1, 2, 3)]))
+for parse, text in [(io.parse_matrix, "1 2\\n1 x\\n"), (io.parse_signed_graph, "3 2\\n1 2\\n2 1\\n"),
+                    (io.parse_triples, "4 2\\n1 2 3\\n3 2 1\\n")]:
+    try:
+        parse(text)
+    except ValueError:
+        pass
+print(sorted(set(sys.modules) - before))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(twoeig.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
