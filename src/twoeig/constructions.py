@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrthogonalityCertificate, SignedMatrix, _product_is, is_orthogonal
+from .core import OrthogonalityCertificate, SignedMatrix, _is_symmetric, _product_is, is_orthogonal
 
 __all__ = [
     "WilliamsonQuadruple",
@@ -107,7 +107,7 @@ def paley_conference(q: int) -> SignedMatrix:
     diff = (np.arange(q)[:, None] - np.arange(q)[None, :]) % q
     c[1:, 1:] = chi[diff]
     out = SignedMatrix(c)
-    if not np.array_equal(out.data, out.data.T):
+    if not _is_symmetric(out.data):
         raise AssertionError(f"conference matrix for q = {q} failed the symmetry check")
     _verified(out, q, f"conference matrix of order {q + 1}")
     return out
@@ -121,7 +121,7 @@ def double(c: SignedMatrix) -> tuple[SignedMatrix, OrthogonalityCertificate]:
     is a conference matrix every entry of B is +-1, so the certificate of
     the order-2n output can only be 2n = 2*alpha + 2.
     """
-    if not c.is_square or not np.array_equal(c.data, c.data.T):
+    if not c.is_square or not _is_symmetric(c.data):
         raise ValueError("input must be a symmetric square matrix")
     if np.any(np.diagonal(c.data) != 0):
         raise ValueError("input must have a zero diagonal")
@@ -134,7 +134,7 @@ def double(c: SignedMatrix) -> tuple[SignedMatrix, OrthogonalityCertificate]:
 
 def shift_antisymmetric(c: SignedMatrix) -> tuple[SignedMatrix, OrthogonalityCertificate]:
     """C + I for antisymmetric orthogonal C; the certificate grows by one."""
-    if not c.is_square or not np.array_equal(c.data, -c.data.T):
+    if not c.is_square or not _is_symmetric(c.data, -1):
         raise ValueError("input must be an antisymmetric square matrix")
     alpha = _require_orthogonal(c, "input")
     shifted = c.data + np.eye(c.rows, dtype=np.int8)
@@ -254,7 +254,7 @@ def williamson_preset(c: SignedMatrix, preset: str) -> SignedMatrix:
     if preset == "nonsymmetric-all-c":
         m, _ = _verified(_williamson_assemble(d, d, d, d), 4 * alpha, "Williamson block matrix")
         return m
-    if not np.array_equal(c.data, c.data.T):
+    if not _is_symmetric(c.data):
         raise ValueError(f"preset {preset!r} requires a symmetric matrix")
     if preset == "all-c":
         quad = WilliamsonQuadruple(c, c, c, c)

@@ -4,13 +4,20 @@ Everything in this module is exact: entries live in {-1, 0, +1} (stored as
 int8), and a product identity such as C C^t = alpha I is checked one row
 panel at a time on float32 operands whose every sum is a small integer, so
 orthogonality is an integer identity, never a numerical judgement. No
-certificate holds more than one float32 copy of its right factor and one
-panel. A Graph is the 0/1 case of a signed adjacency, and its views are
-array operations on that matrix.
+certificate holds more than one float32 copy of its factor and one panel.
+A Gram product X X^t is symmetric, and so are its targets (alpha I, and
+-aA - bI for a symmetric A), so a mismatch below the diagonal is mirrored
+above it: each panel of rows [r0, r1) is compared only at columns j >= r0,
+which covers every entry on or above the diagonal and halves the
+multiplications with the verdict unchanged. Symmetry itself is checked one
+256 x 256 tile pair at a time, so no pass over an n x n array reads it
+transposed as a whole. A Graph is the 0/1 case of a signed adjacency, and
+its views are array operations on that matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -38,17 +45,23 @@ PANEL_ROWS = 256
 FLOAT32_EXACT_BOUND = 2**24
 
 
+def _entries_within(arr: np.ndarray, lo: int, hi: int) -> bool:
+    """True iff every entry of arr is one of the integers lo..hi.
+
+    Integer and bool dtypes need only min and max, with no n x n temporary.
+    """
+    if arr.dtype.kind in "biu":
+        return not arr.size or bool(arr.min() >= lo and arr.max() <= hi)
+    return bool(functools.reduce(np.logical_or, (arr == v for v in range(lo, hi + 1))).all())
+
+
 def _as_trit_array(data) -> np.ndarray:
     arr = np.asarray(data)
     if arr.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"matrix must be at least 1x1, got shape {arr.shape}")
-    if arr.dtype.kind in "biu":
-        trits = arr.min() >= -1 and arr.max() <= 1
-    else:
-        trits = ((arr == -1) | (arr == 0) | (arr == 1)).all()
-    if not trits:
+    if not _entries_within(arr, -1, 1):
         raise ValueError("entries must be -1, 0 or +1")
     out = arr.astype(np.int8)
     out.setflags(write=False)
@@ -56,7 +69,7 @@ def _as_trit_array(data) -> np.ndarray:
 
 
 def _product_is(left: np.ndarray, right: np.ndarray, target) -> bool:
-    """True iff left @ right == target(r0, r1) on every row panel [r0, r1).
+    """True iff left @ right == target(r0, r1) on every full row panel [r0, r1).
 
     left and right hold entries in {-1, 0, 1}, so every entry of the product,
     and every partial sum on the way to it, is an integer of magnitude at
@@ -66,6 +79,11 @@ def _product_is(left: np.ndarray, right: np.ndarray, target) -> bool:
     returns the expected rows r0..r1-1, integers of magnitude below 2^24.
     Only one float32 copy of right and one panel are alive at a time, and
     the check stops at the first panel that differs.
+
+    Every column of each panel is compared, because a general product need
+    not be symmetric (the Williamson checks A_i A_j = A_j A_i and
+    sum A_i^2 = sI, see constructions). A product X X^t goes to _gram_is,
+    which forms half of it.
     """
     k = right.shape[0]
     assert k < FLOAT32_EXACT_BOUND, f"inner dimension {k} is too large for exact float32 sums"
@@ -74,6 +92,53 @@ def _product_is(left: np.ndarray, right: np.ndarray, target) -> bool:
         r1 = min(r0 + PANEL_ROWS, left.shape[0])
         if not (left[r0:r1].astype(np.float32) @ right32 == target(r0, r1)).all():
             return False
+    return True
+
+
+def _gram_is(x: np.ndarray, target) -> bool:
+    """True iff x @ x^t == T, checked on the upper trapezoid of each row panel.
+
+    T must be symmetric; target(r0, r1) returns its rows r0..r1-1 at the
+    columns r0..n-1 only. Each panel [r0, r1) forms x32[r0:r1] @ x32[r0:].T,
+    the entries (i, j) with r0 <= i < r1 and j >= r0, which include every
+    entry with j >= i. That is the whole identity: x x^t and T are both
+    symmetric, so a mismatch at (i, j) with i > j is also one at (j, i),
+    which lies in the panel of row j at column i >= r0. The callers' T are
+    alpha I (is_orthogonal) and -aA - bI for a symmetric A (the dense
+    certificate, where A A = A A^t). Each entry is exact by _product_is's
+    argument: entries in {-1, 0, 1} and inner dimension below 2^24
+    (asserted). This is half the multiplications of a full panel product;
+    BLAS reads the transposed operand as a view, and only one float32 copy
+    of x and one panel are alive at a time.
+    """
+    n, k = x.shape
+    assert k < FLOAT32_EXACT_BOUND, f"inner dimension {k} is too large for exact float32 sums"
+    x32 = x.astype(np.float32)
+    for r0 in range(0, n, PANEL_ROWS):
+        r1 = min(r0 + PANEL_ROWS, n)
+        if not (x32[r0:r1] @ x32[r0:].T == target(r0, r1)).all():
+            return False
+    return True
+
+
+def _is_symmetric(a: np.ndarray, sign: int = 1) -> bool:
+    """True iff the square array a equals sign * a^t (sign -1: antisymmetric).
+
+    Each PANEL_ROWS x PANEL_ROWS tile (i, j) with j >= i is compared with the
+    transpose of tile (j, i). A tile's transposed read stays in cache, where
+    a whole a.T read strides across rows at every element, and the only
+    temporaries are one tile and its comparison. An array of one tile is
+    compared whole, without the slicing.
+    """
+    n = a.shape[0]
+    if n <= PANEL_ROWS:
+        return bool((a == (a.T if sign == 1 else -a.T)).all())
+    for i0 in range(0, n, PANEL_ROWS):
+        i1 = i0 + PANEL_ROWS
+        for j0 in range(i0, n, PANEL_ROWS):
+            mirror = a[j0 : j0 + PANEL_ROWS, i0:i1].T
+            if not (a[i0:i1, j0 : j0 + PANEL_ROWS] == (mirror if sign == 1 else -mirror)).all():
+                return False
     return True
 
 
@@ -135,7 +200,7 @@ def _check_adjacency(a: np.ndarray) -> None:
     """Raise unless a is square, symmetric and zero on the diagonal."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("adjacency matrix must be square")
-    if not np.array_equal(a, a.T):
+    if not _is_symmetric(a):
         raise ValueError("adjacency matrix must be symmetric")
     if np.diagonal(a).any():
         raise ValueError("diagonal entries must all be 0")
@@ -181,7 +246,7 @@ class Graph:
     def from_adjacency(cls, a) -> "Graph":
         """The graph whose adjacency is a: square, symmetric, 0/1, zero diagonal."""
         arr = np.asarray(a)
-        if not ((arr == 0) | (arr == 1)).all():
+        if not _entries_within(arr, 0, 1):
             raise ValueError("graph adjacency entries must be 0 or 1")
         g = cls.__new__(cls)
         g._adj = arr.astype(np.int8)
@@ -222,7 +287,7 @@ class Graph:
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest vertex."""
         return [np.sort(np.concatenate([layer for layer, _ in layers])).tolist()
-                for layers in _bfs_components(self._adj)]
+                for layers, _ in _bfs_components(self._adj)]
 
     def bipartition(self) -> tuple[list[int], list[int]] | None:
         """A 2-coloring (X, Y) of the vertices, or None if an odd cycle exists.
@@ -231,13 +296,10 @@ class Graph:
         class goes to whichever side is currently smaller, so equal-size
         bipartitions are found whenever the component structure allows it.
         """
-        a = self._adj
         in_y = np.zeros(self.n, dtype=bool)
         sizes = [0, 0]
-        for layers in _bfs_components(a):
-            # layers are 2-colored by parity, and every edge joins the same
-            # or adjacent layers, so an odd cycle shows as an edge inside one
-            if any(a[np.ix_(layer, layer)].any() for layer, _ in layers):
+        for layers, odd in _bfs_components(self._adj):
+            if odd:
                 return None
             count = [sum(layer.size for layer, _ in layers[c::2]) for c in (0, 1)]
             big = 0 if count[0] >= count[1] else 1
@@ -289,30 +351,39 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph.from_adjacency(a)
 
 
-def _bfs_layers(a: np.ndarray, root: int, seen: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _bfs_layers(
+    a: np.ndarray, root: int, seen: np.ndarray
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], bool]:
     """Breadth-first layers of root's component in a 0/1 adjacency; marks them seen.
 
     Each layer is (vertices, parents), the vertices in the order a FIFO search
     visiting neighbors by increasing index finds them, each parent the first
     vertex of the previous layer adjacent to it. The root is its own parent.
+    The flag says whether an edge joins two vertices of one layer. Layers
+    are 2-colored by parity and every edge joins the same or adjacent
+    layers, so the flag is set iff the component has an odd cycle.
     """
     layer = np.array([root])
     seen[root] = True
     layers = [(layer, layer)]
+    odd = False
     while True:
-        rows = a[layer] != 0
-        fresh = np.flatnonzero(rows.any(axis=0) & ~seen)
+        rows = a[layer]
+        reach = rows.any(axis=0)
+        odd = odd or bool(np.count_nonzero(reach[layer]))
+        fresh = np.flatnonzero(reach & ~seen)
         if not fresh.size:
-            return layers
+            return layers, odd
         first = rows[:, fresh].argmax(axis=0)
-        order = np.lexsort((fresh, first))
+        # fresh is ascending, so a stable sort orders by (first, vertex)
+        order = first.argsort(kind="stable")
         parents, layer = layer[first[order]], fresh[order]
         seen[layer] = True
         layers.append((layer, parents))
 
 
 def _bfs_components(a: np.ndarray):
-    """The BFS layers of each component, in order of the component's smallest vertex."""
+    """The BFS layers and odd-cycle flag of each component, in order of its smallest vertex."""
     seen = np.zeros(a.shape[0], dtype=bool)
     for root in range(a.shape[0]):
         if not seen[root]:
@@ -372,7 +443,11 @@ def star(c: SignedMatrix) -> SignedGraph:
     n = c.rows
     a = np.zeros((2 * n, 2 * n), dtype=np.int8)
     a[:n, n:] = c.data
-    a[n:, :n] = c.data.T
+    # C^t one column strip at a time: each strip reads PANEL_ROWS whole rows
+    # of C, where one a[n:, :n] = C^t write strides down C's columns
+    for r0 in range(0, n, PANEL_ROWS):
+        r1 = min(r0 + PANEL_ROWS, n)
+        a[n:, r0:r1] = c.data[r0:r1].T
     return SignedGraph(a)
 
 
@@ -380,9 +455,9 @@ def is_orthogonal(c: SignedMatrix) -> OrthogonalityCertificate | None:
     """Certificate with CC^t = C^tC = alpha I, checked in exact integer arithmetic.
 
     alpha can only be (CC^t)_00, the support size of row 0. Only CC^t = alpha I
-    is checked (by _product_is): for square C with alpha >= 1 it makes C
-    invertible with C^-1 = C^t / alpha, and a one-sided inverse of a square
-    matrix is two-sided, so C^tC = alpha I follows.
+    is checked (by _gram_is, on and above the diagonal): for square C with
+    alpha >= 1 it makes C invertible with C^-1 = C^t / alpha, and a one-sided
+    inverse of a square matrix is two-sided, so C^tC = alpha I follows.
     """
     if not c.is_square:
         raise ValueError(f"orthogonality is defined for square matrices, got {c.rows}x{c.cols}")
@@ -390,9 +465,7 @@ def is_orthogonal(c: SignedMatrix) -> OrthogonalityCertificate | None:
     alpha = int(np.count_nonzero(c.data[0]))
     if alpha < 1:
         return None
-    if not _product_is(
-        c.data, c.data.T, lambda r0, r1: np.eye(r1 - r0, n, r0, dtype=np.float32) * alpha
-    ):
+    if not _gram_is(c.data, lambda r0, r1: np.eye(r1 - r0, n - r0, dtype=np.float32) * alpha):
         return None
     return OrthogonalityCertificate(alpha)
 
@@ -414,7 +487,7 @@ def _bfs_forest(g: Graph) -> list[tuple[int, int]]:
     visited in increasing index order, so the forest is canonical.
     """
     order: list[tuple[int, int]] = []
-    for layers in _bfs_components(g.adjacency()):
+    for layers, _ in _bfs_components(g.adjacency()):
         for layer, parents in layers[1:]:
             order += zip(parents.tolist(), layer.tolist())
     return order

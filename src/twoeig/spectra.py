@@ -21,7 +21,8 @@ from .core import (
     OrthogonalityCertificate,
     SignedGraph,
     SignedMatrix,
-    _product_is,
+    _gram_is,
+    _is_symmetric,
     ground,
     is_orthogonal,
 )
@@ -158,7 +159,7 @@ def _to_symmetric_float(m) -> np.ndarray:
         raise ValueError("matrix must have positive order")
     if not np.isfinite(out).all():
         raise ValueError("matrix entries must be finite")
-    if not np.array_equal(out, out.T):
+    if not _is_symmetric(out):
         raise ValueError("matrix is not symmetric")
     return out
 
@@ -186,9 +187,11 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
 
     A^2 + aA + bI = 0 pins (a, b) down: its (0, 0) entry gives b = -deg(v0),
     and at a nonzero entry A_0j it gives a = -(A^2)_0j A_0j. The identity is
-    then verified at every entry, A^2 one float32 row panel at a time, which
-    is exact because every entry is an integer of magnitude at most n (see
-    core._product_is). Returns None when no such quadratic annihilates A.
+    then verified at every entry on and above the diagonal, A^2 = A A^t one
+    float32 row panel at a time, which is exact because every entry is an
+    integer of magnitude at most n, and enough because A^2 and -aA - bI are
+    both symmetric (see core._gram_is). Returns None when no such quadratic
+    annihilates A.
 
     When n is even and both diagonal n/2 x n/2 blocks are zero, A is
     star(C) = [[O, C], [C^t, O]] and A^2 + aA + bI = [[CC^t + bI, aC],
@@ -217,11 +220,11 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
         b = -degree
 
         def target(r0: int, r1: int) -> np.ndarray:
-            t = data[r0:r1] * np.float32(-a)
-            np.fill_diagonal(t[:, r0:r1], -b)
+            t = data[r0:r1, r0:] * np.float32(-a)
+            np.fill_diagonal(t, -b)
             return t
 
-        if not _product_is(data, data, target):
+        if not _gram_is(data, target):
             return None
     disc = a * a - 4 * b
     if disc <= 0:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from twoeig import Graph, SignedGraph, SignedMatrix, two_lift
+from twoeig.core import PANEL_ROWS
 
 # The 6-vertex regular two-graph worked through in the docs: ten triples,
 # pair count 2, descendant at vertex 0 has edges 12, 13, 24, 35, 45 and the
@@ -79,6 +80,33 @@ def odd_product_triples(a) -> list[tuple[int, int, int]]:
     a = np.asarray(a)
     return [(x, y, z) for x, y, z in itertools.combinations(range(a.shape[0]), 3)
             if int(a[x, y]) * int(a[x, z]) * int(a[y, z]) == -1]
+
+
+# The full-panel product check that core._gram_is halves: every column of every
+# float32 row panel of X X^t against the whole target, so no entry is left to
+# symmetry. The oracle for is_orthogonal and the dense two-eigenvalue route.
+
+
+def full_panel_gram_oracle(x: np.ndarray, target: np.ndarray) -> bool:
+    x32 = x.astype(np.float32)
+    return all((x32[r0 : r0 + PANEL_ROWS] @ x32.T == target[r0 : r0 + PANEL_ROWS]).all()
+               for r0 in range(0, x.shape[0], PANEL_ROWS))
+
+
+def orthogonal_oracle(c: np.ndarray) -> bool:
+    """C C^t = alpha I, with alpha the support size of row 0."""
+    alpha = np.count_nonzero(c[0])
+    return alpha > 0 and full_panel_gram_oracle(c, alpha * np.eye(c.shape[0]))
+
+
+def annihilated_oracle(a: np.ndarray) -> bool:
+    """A^2 + aA + bI = 0 for the (a, b) that row 0 forces: b = -deg(0), and
+    a = -(A^2)_0j A_0j at the first neighbor j of vertex 0."""
+    row = a[0].astype(np.int64)
+    j = np.flatnonzero(row)[0]
+    coef = -int(a[j].astype(np.int64) @ row) * int(row[j])
+    b = -np.count_nonzero(row)
+    return full_panel_gram_oracle(a, -coef * a.astype(np.float64) - b * np.eye(a.shape[0]))
 
 
 # Per-line and per-entry reference readers and writers for the text formats: the

@@ -9,16 +9,21 @@ from twoeig import (
     SignedMatrix,
     count_switching_classes,
     disjoint_union,
+    double,
+    eigenvalues_symmetric,
     enumerate_switching_classes,
     ground,
     is_orthogonal,
     is_regular,
+    kronecker,
     resign,
+    shift_antisymmetric,
     star,
     switching_canonical,
     switching_equivalent,
+    williamson_preset,
 )
-from twoeig.core import _bfs_forest
+from twoeig.core import PANEL_ROWS, _bfs_forest, _is_symmetric
 
 from conftest import petersen, random_signed_graph
 
@@ -118,7 +123,7 @@ def test_ground_and_all_positive():
     assert ground(SignedGraph.all_positive(g)) == g
 
 
-def test_star_layout():
+def test_star_layout(rng):
     c = SignedMatrix([[1, -1], [0, 1]])
     sg = star(c)
     assert sg.n == 4
@@ -128,6 +133,103 @@ def test_star_layout():
     assert not a[:2, :2].any() and not a[2:, 2:].any()
     with pytest.raises(ValueError, match="square"):
         star(SignedMatrix([[1, 0, 1], [0, 1, 1]]))
+    # C^t is written one column strip at a time: orders around the strip width
+    for n in (PANEL_ROWS - 1, PANEL_ROWS, PANEL_ROWS + 1, 2 * PANEL_ROWS + 1):
+        c = rng.integers(-1, 2, size=(n, n), dtype=np.int8)
+        zero = np.zeros_like(c)
+        assert np.array_equal(star(SignedMatrix(c)).matrix.data, np.block([[zero, c], [c.T, zero]]))
+
+
+SYMMETRY_ORDERS = [1, 2, 255, 256, 257, 513, 4096]
+
+
+def symmetry_breaks(n: int) -> list[tuple[int, int]]:
+    """Entries (i, j), i <= j, in a diagonal tile, in off-diagonal tiles (one
+    across the first tile border) and in the last partial tile."""
+    last = n - 1
+    pairs = {(0, min(1, last)), (0, last), (max(last - 1, 0), last), (last, last)}
+    if n > PANEL_ROWS:
+        pairs.add((PANEL_ROWS - 1, PANEL_ROWS))
+    return sorted(pairs)
+
+
+def changed(a: np.ndarray, i: int, j: int) -> np.ndarray:
+    """A copy of a trit array with entry (i, j) moved to another trit."""
+    b = a.copy()
+    b[i, j] = (b[i, j] + 2) % 3 - 1
+    return b
+
+
+@pytest.mark.parametrize("n", SYMMETRY_ORDERS)
+def test_tiled_symmetry_check_matches_array_equal(n):
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.integers(-1, 2, size=(n, n), dtype=np.int8), 1)
+    # at order 4096 each array_equal oracle call takes ~0.15 s, so only sign +1
+    for sign in (1, -1) if n < 4096 else (1,):
+        base = upper + sign * upper.T
+        cases = [base] + [changed(base, *p) for i, j in symmetry_breaks(n) for p in ((i, j), (j, i))]
+        for a in cases:
+            assert _is_symmetric(a, sign) == np.array_equal(a, a.T if sign == 1 else -a.T)
+        assert _is_symmetric(base, sign)
+        assert n == 1 or not _is_symmetric(changed(base, n - 1, 0), sign)
+
+
+def test_float_symmetry_is_checked_by_tiles():
+    n = 257
+    x = np.random.default_rng(n).standard_normal((n, n))
+    f = x + x.T
+    assert eigenvalues_symmetric(f).order == n
+    for i, j in symmetry_breaks(n):
+        bad = f.copy()
+        bad[i, j] += 2.0**-30
+        assert _is_symmetric(bad) == (i == j) == np.array_equal(bad, bad.T)
+        if i != j:
+            with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+                eigenvalues_symmetric(bad)
+
+
+def test_symmetry_errors_keep_their_messages():
+    """Each check sees one broken pair in the last partial tile of order 258."""
+    n = 258
+    rotations = kronecker(SignedMatrix.identity(n // 2), SignedMatrix([[0, 1], [-1, 0]]))
+    assert shift_antisymmetric(rotations)[1].alpha == 2
+    bad = rotations.data.copy()
+    bad[n - 1, n - 2] = 1
+    with pytest.raises(ValueError, match="^input must be an antisymmetric square matrix$"):
+        shift_antisymmetric(SignedMatrix(bad))
+    # a 3-cycle on the last three indices: orthogonal, symmetric outside the last tile
+    cycle = np.eye(n, dtype=np.int8)
+    cycle[n - 3 :, n - 3 :] = np.roll(np.eye(3, dtype=np.int8), 1, axis=1)
+    assert is_orthogonal(SignedMatrix(cycle)).alpha == 1
+    with pytest.raises(ValueError, match="^input must be a symmetric square matrix$"):
+        double(SignedMatrix(cycle))
+    with pytest.raises(ValueError, match="^preset 'all-c' requires a symmetric matrix$"):
+        williamson_preset(SignedMatrix(cycle), "all-c")
+    with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+        eigenvalues_symmetric(cycle)
+    adjacency = cycle - np.eye(n, dtype=np.int8)
+    with pytest.raises(ValueError, match="^adjacency matrix must be symmetric$"):
+        SignedGraph(adjacency)
+    with pytest.raises(ValueError, match="^adjacency matrix must be symmetric$"):
+        Graph.from_adjacency(np.abs(adjacency))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint64, np.int64, bool, np.float64, object])
+def test_graph_from_adjacency_checks_entries_and_copies(dtype):
+    a = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=dtype)
+    g = Graph.from_adjacency(a)
+    assert g == Graph.path(3)
+    assert not np.shares_memory(g.adjacency(), a) and a.flags.writeable
+    bad = a.copy()
+    bad[0, 2] = bad[2, 0] = 2 if dtype is not bool else 1
+    if dtype is bool:
+        bad[0, 0] = True
+        with pytest.raises(ValueError, match="diagonal"):
+            Graph.from_adjacency(bad)
+    else:
+        with pytest.raises(ValueError, match="^graph adjacency entries must be 0 or 1$"):
+            Graph.from_adjacency(bad)
+    assert Graph.from_adjacency(np.zeros((0, 0), dtype=dtype)).n == 0
 
 
 def test_is_orthogonal():

@@ -21,7 +21,7 @@ from twoeig import (
 )
 from twoeig.core import FLOAT32_EXACT_BOUND, PANEL_ROWS, _product_is
 
-from conftest import random_signed_graph
+from conftest import annihilated_oracle, orthogonal_oracle, random_signed_graph
 
 EIG_TOL = 1e-6
 
@@ -161,6 +161,58 @@ def test_general_route_detects_a_flip_in_first_and_last_panel(n):
 
 
 @pytest.mark.parametrize("n", PANEL_ORDERS)
+def test_half_products_agree_with_the_full_panel_oracle(n):
+    """One flip in the first, a middle and the last panel, on both Gram routes."""
+    rng = np.random.default_rng(n + 2)
+    mid = n // 2 - n // 2 % 4
+    c = h2_blocks(rng, n)
+    a = k4_blocks(rng, n)
+    flips = [c] + [c.copy() for _ in range(3)]
+    edges = [a] + [a.copy() for _ in range(3)]
+    for k, (r, (u, v)) in enumerate(zip((0, mid, n - 1), ((0, 1), (mid, mid + 1), (n - 2, n - 1))), 1):
+        flips[k][r, r] *= -1
+        edges[k][u, v] *= -1
+        edges[k][v, u] *= -1
+    for x in flips:
+        assert (is_orthogonal(SignedMatrix(x)) is not None) == orthogonal_oracle(x)
+    for x in edges:
+        assert (certify_two_eigenvalues(SignedGraph(x)) is not None) == annihilated_oracle(x)
+    assert orthogonal_oracle(c) and annihilated_oracle(a)
+    assert not any(map(orthogonal_oracle, flips[1:])) and not any(map(annihilated_oracle, edges[1:]))
+
+
+@pytest.mark.parametrize("n", PANEL_ORDERS)
+def test_is_orthogonal_sees_a_defect_on_the_diagonal_only(n):
+    # C C^t = I except a 0 at (n - 1, n - 1), inside the last panel's diagonal tile
+    c = np.eye(n, dtype=np.int8)
+    c[n - 1, n - 1] = 0
+    assert not orthogonal_oracle(c)
+    assert is_orthogonal(SignedMatrix(c)) is None
+
+
+@pytest.mark.parametrize("n", PANEL_ORDERS + [m + 1 for m in PANEL_ORDERS])
+def test_dense_certificate_sees_a_defect_on_the_diagonal_only(n):
+    """A signed perfect matching on the first 2 floor((n - 1) / 2) vertices; the
+    one (n odd) or two (n even) vertices left are isolated and lie in the last
+    panel. A^2 = I except a 0 at each isolated vertex, inside the diagonal tile.
+    With n odd the +-1 multiplicities cannot balance either, so only n even
+    needs the product to see the defect."""
+    m = 2 * ((n - 1) // 2)
+    signs = np.random.default_rng(n).choice((-1, 1), size=m // 2).astype(np.int8)
+    a = np.zeros((n, n), dtype=np.int8)
+    a[np.arange(0, m, 2), np.arange(1, m, 2)] = signs
+    a[np.arange(1, m, 2), np.arange(0, m, 2)] = signs
+    assert a[: n // 2, : n // 2].any()
+    assert not annihilated_oracle(a)
+    assert certify_two_eigenvalues(SignedGraph(a)) is None
+    if n % 2 == 0:
+        # an edge between the two isolated vertices completes the matching: A^2 = I
+        a[n - 2, n - 1] = a[n - 1, n - 2] = 1
+        assert annihilated_oracle(a)
+        assert certify_two_eigenvalues(SignedGraph(a)).b == -1
+
+
+@pytest.mark.parametrize("n", PANEL_ORDERS)
 def test_williamson_checks_see_the_last_panel(n):
     """Blocks I (+) X differ from I only in their last two rows and columns,
     so A_i A_j - A_j A_i and sum A_i^2 - 4I are nonzero only in the last panel."""
@@ -209,6 +261,13 @@ def traced_peak(f, *args) -> int:
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def test_symmetry_validation_peaks_at_a_few_tiles():
+    m = star(sylvester_hadamard(11)).matrix
+    assert m.rows == 4096
+    # an n x n bool temporary would be 16 MB; one tile and its comparison are 128 KB
+    assert traced_peak(SignedGraph, m) <= 4 * PANEL_ROWS**2
 
 
 def test_certificate_memory_stays_within_a_few_bytes_per_entry():
