@@ -127,12 +127,9 @@ def _is_symmetric(a: np.ndarray, sign: int = 1) -> bool:
     Each PANEL_ROWS x PANEL_ROWS tile (i, j) with j >= i is compared with the
     transpose of tile (j, i). A tile's transposed read stays in cache, where
     a whole a.T read strides across rows at every element, and the only
-    temporaries are one tile and its comparison. An array of one tile is
-    compared whole, without the slicing.
+    temporaries are one tile and its comparison.
     """
     n = a.shape[0]
-    if n <= PANEL_ROWS:
-        return bool((a == (a.T if sign == 1 else -a.T)).all())
     for i0 in range(0, n, PANEL_ROWS):
         i1 = i0 + PANEL_ROWS
         for j0 in range(i0, n, PANEL_ROWS):

@@ -182,12 +182,16 @@ def test_half_products_agree_with_the_full_panel_oracle(n):
 
 
 @pytest.mark.parametrize("n", PANEL_ORDERS)
-def test_is_orthogonal_sees_a_defect_on_the_diagonal_only(n):
-    # C C^t = I except a 0 at (n - 1, n - 1), inside the last panel's diagonal tile
-    c = np.eye(n, dtype=np.int8)
-    c[n - 1, n - 1] = 0
-    assert not orthogonal_oracle(c)
-    assert is_orthogonal(SignedMatrix(c)) is None
+def test_is_orthogonal_sees_a_defect_on_or_off_the_diagonal_tiles(n):
+    """C C^t = I except a 0 at (n - 1, n - 1), inside the last panel's diagonal
+    tile; and I with row n - 1 set to e_0, where C C^t = I except a 1 at
+    (0, n - 1) and (n - 1, 0), outside every diagonal tile once n > PANEL_ROWS."""
+    on = np.eye(n, dtype=np.int8)
+    on[n - 1, n - 1] = 0
+    off = np.eye(n, dtype=np.int8)[np.r_[: n - 1, 0]]
+    for c in (on, off):
+        assert not orthogonal_oracle(c)
+        assert is_orthogonal(SignedMatrix(c)) is None
 
 
 @pytest.mark.parametrize("n", PANEL_ORDERS + [m + 1 for m in PANEL_ORDERS])
@@ -210,6 +214,34 @@ def test_dense_certificate_sees_a_defect_on_the_diagonal_only(n):
         a[n - 2, n - 1] = a[n - 1, n - 2] = 1
         assert annihilated_oracle(a)
         assert certify_two_eigenvalues(SignedGraph(a)).b == -1
+
+
+@pytest.mark.parametrize("n", PANEL_ORDERS)
+def test_dense_certificate_sees_a_defect_off_the_diagonal_tiles_only(n):
+    """Unbalanced signed 4-cycles, under a random switching, have A^2 = 2I. One
+    balanced 4-cycle through 0, 1, n - 1, n - 2 instead makes A^2 = 2I except
+    at (0, n - 1) and (1, n - 2) and their mirrors, outside every diagonal
+    tile once n > PANEL_ROWS; its diagonal and row 0's (a, b) = (0, -2) are
+    those of A^2 = 2I."""
+    rng = np.random.default_rng(n + 3)
+    cycles = [(0, 1, n - 1, n - 2)] + [tuple(range(v, v + 4)) for v in range(2, n - 2, 4)]
+    a = np.zeros((n, n), dtype=np.int8)
+    for cycle in cycles:
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            a[u, v] = a[v, u] = 1
+        a[cycle[3], cycle[0]] = a[cycle[0], cycle[3]] = -1
+    d = rng.choice((-1, 1), size=n).astype(np.int8)
+    a = d[:, None] * a * d[None, :]
+    assert annihilated_oracle(a)
+    cert = certify_two_eigenvalues(SignedGraph(a))
+    assert (cert.a, cert.b) == (0, -2)
+    # flipping one edge balances the first cycle
+    a[0, 1] *= -1
+    a[1, 0] *= -1
+    wrong = np.nonzero(a.astype(np.int64) @ a - 2 * np.eye(n, dtype=np.int64))
+    assert set(zip(*wrong)) == {(0, n - 1), (n - 1, 0), (1, n - 2), (n - 2, 1)}
+    assert not annihilated_oracle(a)
+    assert certify_two_eigenvalues(SignedGraph(a)) is None
 
 
 @pytest.mark.parametrize("n", PANEL_ORDERS)
