@@ -154,12 +154,11 @@ class WilliamsonQuadruple:
     """Four same-order blocks with row-constant supports, pairwise commuting.
 
     k1..k4 hold the per-row support size of each block; they are computed
-    and the commuting invariant is verified exactly at construction: both
-    A_i A_j and A_j A_i are products of {-1, 0, 1} matrices with inner
-    dimension n, so their entries and every partial sum are integers of
-    magnitude at most n, which float32 holds exactly for n < 2^24 (asserted
-    by core._product_is). Comparing the float32 panels of A_i A_j with
-    those of A_j A_i is therefore the integer identity.
+    and the commuting invariant is verified exactly at construction, one
+    product per pair: [A_i | -A_j] @ [A_j ; A_i] = A_i A_j - A_j A_i must be
+    0. Both factors hold {-1, 0, 1} entries and the inner dimension is 2n,
+    so every entry is an integer of magnitude at most 2n, and
+    core._product_is compares it exactly (its docstring says why).
     """
 
     a1: SignedMatrix
@@ -179,12 +178,10 @@ class WilliamsonQuadruple:
                 raise ValueError(f"block {idx} is {m.rows}x{m.cols}, expected {n}x{n}")
         for name, m in zip(("k1", "k2", "k3", "k4"), mats):
             object.__setattr__(self, name, _row_count(m, f"block {name[1]}"))
-        data32 = [m.data.astype(np.float32) for m in mats]
         for i in range(4):
             for j in range(i + 1, 4):
-                if not _product_is(
-                    mats[i].data, mats[j].data, lambda r0, r1: data32[j][r0:r1] @ data32[i]
-                ):
+                a_i, a_j = mats[i].data, mats[j].data
+                if not _product_is(np.hstack([a_i, -a_j]), np.vstack([a_j, a_i]), 0):
                     raise ValueError(f"blocks {i + 1} and {j + 1} do not commute")
 
     def blocks(self) -> tuple[SignedMatrix, SignedMatrix, SignedMatrix, SignedMatrix]:
@@ -219,18 +216,13 @@ def williamson(quad: WilliamsonQuadruple) -> SignedMatrix | None:
     matrix is re-verified orthogonal with alpha = k1 + k2 + k3 + k4.
 
     The square sum is one product [A1 A2 A3 A4] @ [A1; A2; A3; A4] of
-    {-1, 0, 1} matrices with inner dimension 4n, so each entry and every
-    partial sum is an integer of magnitude at most 4n; core._product_is
-    asserts 4n < 2^24, below which float32 sums are exact.
+    {-1, 0, 1} matrices with inner dimension 4n, so each entry is an integer
+    of magnitude at most 4n, and so is s; core._product_is compares it with
+    s I exactly (its docstring says why).
     """
-    ks = quad.row_counts()
-    s = sum(ks)
-    n = quad.order
+    s = sum(quad.row_counts())
     blocks = [m.data for m in quad.blocks()]
-    if not _product_is(
-        np.hstack(blocks), np.vstack(blocks),
-        lambda r0, r1: np.eye(r1 - r0, n, r0, dtype=np.float32) * s,
-    ):
+    if not _product_is(np.hstack(blocks), np.vstack(blocks), s):
         return None
     h = _williamson_assemble(*blocks)
     m, _ = _verified(h, s, "Williamson block matrix")

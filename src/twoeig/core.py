@@ -1,15 +1,23 @@
 """Signed matrices, signed graphs, graphs, and switching equivalence.
 
 Everything in this module is exact: entries live in {-1, 0, +1} (stored as
-int8), and a product identity such as C C^t = alpha I is checked one row
-panel at a time on float32 operands whose every sum is a small integer, so
-orthogonality is an integer identity, never a numerical judgement. No
-certificate holds more than one float32 copy of its factor and one panel.
+int8), and a product identity such as C C^t = alpha I is checked on float32
+operands whose every sum is an integer below 2^24, so orthogonality is an
+integer identity, never a numerical judgement. Two row panels go into each
+product: with inner dimension k, every entry G of the product and T of the
+target has |G|, |T| <= k, and the panels X_a, X_b are packed into one
+operand X_a + B X_b with B = 2k + 1. Its partial sums are integers of
+magnitude at most k(2k + 2), below 2^24 for k <= 2895, so float32 holds
+them exactly; for larger k the same loop takes one panel per product. A
+packed match G_a + B G_b = T_a + B T_b makes G_a - T_a a multiple of B of
+magnitude at most 2k < B, hence 0, and then G_b = T_b: the packed check is
+the same integer identity at half the products. No certificate holds more
+than one float32 copy of its factor and one packed panel.
 A Gram product X X^t is symmetric, and so are its targets (alpha I, and
 -aA - bI for a symmetric A), so a mismatch below the diagonal is mirrored
-above it: each panel of rows [r0, r1) is compared only at columns j >= r0,
-which covers every entry on or above the diagonal and halves the
-multiplications with the verdict unchanged. Symmetry itself is checked one
+above it: each step, from row r0 on, is compared only at columns j >= r0,
+which covers every entry on or above the diagonal and saves multiplications
+with the verdict unchanged. Symmetry itself is checked one
 256 x 256 tile pair at a time, so no pass over an n x n array reads it
 transposed as a whole. A Graph is the 0/1 case of a signed adjacency, and
 its views are array operations on that matrix.
@@ -68,55 +76,134 @@ def _as_trit_array(data) -> np.ndarray:
     return out
 
 
-def _product_is(left: np.ndarray, right: np.ndarray, target) -> bool:
-    """True iff left @ right == target(r0, r1) on every full row panel [r0, r1).
-
-    left and right hold entries in {-1, 0, 1}, so every entry of the product,
-    and every partial sum on the way to it, is an integer of magnitude at
-    most the inner dimension k. float32 represents every integer below 2^24
-    exactly, so for k < 2^24 each float32 BLAS addition is exact whatever
-    its order, and the comparison is the integer identity. target(r0, r1)
-    returns the expected rows r0..r1-1, integers of magnitude below 2^24.
-    Only one float32 copy of right and one panel are alive at a time, and
-    the check stops at the first panel that differs.
-
-    Every column of each panel is compared, because a general product need
-    not be symmetric (the Williamson checks A_i A_j = A_j A_i and
-    sum A_i^2 = sI, see constructions). A product X X^t goes to _gram_is,
-    which forms half of it.
-    """
-    k = right.shape[0]
+def _packing(k: int) -> tuple[int, int]:
+    """(B, width) for inner dimension k: B = 2k + 1, and two row panels per
+    product (width 2) while k(2k + 2) < 2^24, else one (width 1)."""
     assert k < FLOAT32_EXACT_BOUND, f"inner dimension {k} is too large for exact float32 sums"
+    base = 2 * k + 1
+    return base, 2 if k * (base + 1) < FLOAT32_EXACT_BOUND else 1
+
+
+def _packed_panel(x: np.ndarray, r0: int, base: int, width: int, pack):
+    """(rows, m, left) for the step of the panel loop at row r0 of x.
+
+    left is the float32 panel x[r0:r1] + base * x[r1:r1+m], r1 = r0 + rows:
+    the second panel's m rows are added into the first m rows of the first,
+    in pack (PANEL_ROWS x k float32). With width 1, and for a last panel
+    that no second one follows, m is 0 and left is x[r0:r1] itself, a view
+    when x is C-ordered float32, so a call of one panel makes no copy.
+    Those rows are read again only by the product of this step, so the
+    caller may overwrite left after it.
+    """
+    n = x.shape[0]
+    r1 = min(r0 + PANEL_ROWS, n)
+    m = min(r1 + PANEL_ROWS, n) - r1 if width == 2 else 0
+    if not m:
+        return r1 - r0, 0, np.ascontiguousarray(x[r0:r1], dtype=np.float32)
+    np.multiply(x[r1 : r1 + m], np.float32(base), out=pack[:m])
+    pack[:m] += x[r0 : r0 + m]
+    pack[m:] = x[r0 + m : r1]
+    return PANEL_ROWS, m, pack
+
+
+def _add_packed_identity(a: np.ndarray, col: int, rows: int, m: int, base: int, value: int) -> None:
+    """Add value at (i, col + i) for i < rows and base * value at
+    (i, col + PANEL_ROWS + i) for i < m: value * I on a packed pair of
+    panels. a is C-contiguous, so its ravel is a view."""
+    flat = a.ravel()
+    step = a.shape[1] + 1
+    diagonal = flat[col : col + rows * step : step]
+    diagonal += value
+    if m:
+        diagonal = flat[col + PANEL_ROWS : col + PANEL_ROWS + m * step : step]
+        diagonal += base * value
+
+
+def _product_is(left: np.ndarray, right: np.ndarray, shift: int) -> bool:
+    """True iff left @ right == shift * I, two row panels per float32 product.
+
+    left (n x k) and right (k x n) hold entries in {-1, 0, 1}, so every
+    entry G of the product is an integer with |G| <= k, and |shift| <= k
+    (asserted). The rows [r0, r1) and [r1, r1 + m) of a pair are packed into
+    one panel X_a + B X_b with B = 2k + 1, and (X_a + B X_b) @ right is
+    compared with the packed target T_a + B T_b. Why this is exact:
+    - Every operand of the packed product has magnitude at most B + 1, so
+      every partial sum is an integer of magnitude at most k(2k + 2), and
+      so is every packed target. _packing packs only while k(2k + 2) < 2^24,
+      below which float32 holds every integer and each BLAS addition is
+      exact whatever its order.
+    - Equality forces G_a - T_a = B (T_b - G_b), a multiple of B, but
+      |G_a - T_a| <= 2k < B, so G_a = T_a and then G_b = T_b: the packed
+      comparison is the same integer identity, one product per pair.
+    For k(2k + 2) >= 2^24 the same loop takes one panel per product, whose
+    partial sums have magnitude at most k < 2^24 (asserted).
+    Only one float32 copy of right and one packed panel are alive at a
+    time, and the check stops at the first pair that differs. Every column
+    is compared, because a general product need not be symmetric; the
+    callers are the Williamson checks (constructions). A Gram product x x^t
+    goes to _gram_is, which forms half of it.
+    """
+    n, k = left.shape
+    base, width = _packing(k)
+    assert abs(shift) <= k, f"target {shift} exceeds the inner dimension {k}"
     right32 = right.astype(np.float32)
-    for r0 in range(0, left.shape[0], PANEL_ROWS):
-        r1 = min(r0 + PANEL_ROWS, left.shape[0])
-        if not (left[r0:r1].astype(np.float32) @ right32 == target(r0, r1)).all():
+    pack = np.empty((PANEL_ROWS, k), dtype=np.float32) if n > PANEL_ROWS and width == 2 else None
+    for r0 in range(0, n, width * PANEL_ROWS):
+        rows, m, packed = _packed_panel(left, r0, base, width, pack)
+        y = packed @ right32
+        _add_packed_identity(y, r0, rows, m, base, -shift)
+        if np.count_nonzero(y):
             return False
     return True
 
 
-def _gram_is(x: np.ndarray, target) -> bool:
-    """True iff x @ x^t == T, checked on the upper trapezoid of each row panel.
+def _gram_is(x: np.ndarray, scale: int, shift: int) -> bool:
+    """True iff x @ x^t == scale * x + shift * I, on the upper trapezoid of each pair.
 
-    T must be symmetric; target(r0, r1) returns its rows r0..r1-1 at the
-    columns r0..n-1 only. Each panel [r0, r1) forms x32[r0:r1] @ x32[r0:].T,
-    the entries (i, j) with r0 <= i < r1 and j >= r0, which include every
-    entry with j >= i. That is the whole identity: x x^t and T are both
-    symmetric, so a mismatch at (i, j) with i > j is also one at (j, i),
-    which lies in the panel of row j at column i >= r0. The callers' T are
-    alpha I (is_orthogonal) and -aA - bI for a symmetric A (the dense
-    certificate, where A A = A A^t). Each entry is exact by _product_is's
-    argument: entries in {-1, 0, 1} and inner dimension below 2^24
-    (asserted). This is half the multiplications of a full panel product;
-    BLAS reads the transposed operand as a view, and only one float32 copy
-    of x and one panel are alive at a time.
+    x (n x k) has entries in {-1, 0, 1}; when scale != 0 it is also square
+    and symmetric with a zero diagonal. |scale|, |shift| <= k (asserted), so
+    every entry of x x^t and of the target is an integer of magnitude at
+    most k. The callers' identities are C C^t = alpha I (is_orthogonal:
+    scale 0, shift alpha) and A^2 = -aA - bI for a signed adjacency A (the
+    dense certificate, where A A = A A^t).
+
+    Two row panels X_a = x[r0:r1] and X_b = x[r1:r1+m] go into one product,
+    (X_a + B X_b) @ x[r0:]^t with B = 2k + 1, compared at the columns
+    r0..n-1 with the packed target T_a + B T_b: scale times the packed panel
+    itself, plus shift at (i, r0 + i) and B shift at (i, r1 + i). This is
+    the same integer identity, by _product_is's argument: every partial sum
+    and every packed target is an integer of magnitude at most
+    k(2k + 2) < 2^24, which float32 holds exactly, and a packed match forces
+    G_a - T_a, a multiple of B of magnitude at most 2k < B, to vanish, and
+    with it G_b - T_b. For k(2k + 2) >= 2^24 the loop takes one panel per
+    product.
+
+    Columns j >= r0 include every entry with j >= i of both panels. That is
+    the whole identity: x x^t and the target are both symmetric, so a
+    mismatch at (i, j) with i > j is also one at (j, i), which the same or
+    an earlier step compares. A pair costs one product of PANEL_ROWS rows
+    where two panels cost two, so at n = 2048 the trapezoid takes
+    0.31 n^2 k multiplications, against 0.56 n^2 k unpacked and n^2 k for
+    the full product. Only one float32 copy of x and one packed panel are
+    alive at a time: the target is built in place in the packed panel, or,
+    when scale is 0, subtracted from the product's two diagonals.
     """
     n, k = x.shape
-    assert k < FLOAT32_EXACT_BOUND, f"inner dimension {k} is too large for exact float32 sums"
-    x32 = x.astype(np.float32)
-    for r0 in range(0, n, PANEL_ROWS):
-        r1 = min(r0 + PANEL_ROWS, n)
-        if not (x32[r0:r1] @ x32[r0:].T == target(r0, r1)).all():
+    base, width = _packing(k)
+    assert max(abs(scale), abs(shift)) <= k, f"target exceeds the inner dimension {k}"
+    x32 = x.astype(np.float32, order="C")
+    pack = np.empty((PANEL_ROWS, k), dtype=np.float32) if n > PANEL_ROWS and width == 2 else None
+    for r0 in range(0, n, width * PANEL_ROWS):
+        rows, m, left = _packed_panel(x32, r0, base, width, pack)
+        y = left @ x32[r0:].T
+        if scale:
+            target = left[:, r0:]
+            target *= scale
+            _add_packed_identity(left, r0, rows, m, base, shift)
+            y -= target
+        else:
+            _add_packed_identity(y, 0, rows, m, base, -shift)
+        if np.count_nonzero(y):
             return False
     return True
 
@@ -458,11 +545,15 @@ def is_orthogonal(c: SignedMatrix) -> OrthogonalityCertificate | None:
     """
     if not c.is_square:
         raise ValueError(f"orthogonality is defined for square matrices, got {c.rows}x{c.cols}")
-    n = c.rows
-    alpha = int(np.count_nonzero(c.data[0]))
-    if alpha < 1:
-        return None
-    if not _gram_is(c.data, lambda r0, r1: np.eye(r1 - r0, n - r0, dtype=np.float32) * alpha):
+    return _orthogonality(c.data)
+
+
+def _orthogonality(c: np.ndarray) -> OrthogonalityCertificate | None:
+    """is_orthogonal on a square array of {-1, 0, 1} entries, which is not checked
+    again: the routes of the two-eigenvalue certificate pass blocks of an
+    already validated signed graph, so they need no SignedMatrix copy."""
+    alpha = int(np.count_nonzero(c[0]))
+    if alpha < 1 or not _gram_is(c, 0, alpha):
         return None
     return OrthogonalityCertificate(alpha)
 

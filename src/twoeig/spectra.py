@@ -23,8 +23,8 @@ from .core import (
     SignedMatrix,
     _gram_is,
     _is_symmetric,
+    _orthogonality,
     ground,
-    is_orthogonal,
 )
 
 __all__ = [
@@ -187,17 +187,18 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
 
     A^2 + aA + bI = 0 pins (a, b) down: its (0, 0) entry gives b = -deg(v0),
     and at a nonzero entry A_0j it gives a = -(A^2)_0j A_0j. The identity is
-    then verified at every entry on and above the diagonal, A^2 = A A^t one
-    float32 row panel at a time, which is exact because every entry is an
-    integer of magnitude at most n, and enough because A^2 and -aA - bI are
-    both symmetric (see core._gram_is). Returns None when no such quadratic
-    annihilates A.
+    then verified at every entry on and above the diagonal, A^2 = A A^t two
+    float32 row panels per product (see core._gram_is), which is exact
+    because every entry of A^2 and of -aA - bI is an integer of magnitude at
+    most n, and enough because both are symmetric. Returns None when no such
+    quadratic annihilates A.
 
     When n is even and both diagonal n/2 x n/2 blocks are zero, A is
     star(C) = [[O, C], [C^t, O]] and A^2 + aA + bI = [[CC^t + bI, aC],
     [aC^t, C^tC + bI]]. C is nonzero, so the identity holds iff a = 0 and
     CC^t = C^tC = -bI, which is is_orthogonal(C) with alpha = -b: the same
-    verdict from a product of half the order, 1/8 of the flops.
+    verdict from a product of half the order, 1/8 of the flops. C is a
+    block of the validated sg, so it goes to the kernel without a copy.
     """
     data = sg.matrix.data
     n = sg.n
@@ -210,7 +211,7 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
         return None
     h = n // 2
     if n % 2 == 0 and not data[:h, :h].any() and not data[h:, h:].any():
-        cert = is_orthogonal(SignedMatrix(data[:h, h:]))
+        cert = _orthogonality(data[:h, h:])
         if cert is None:
             return None
         a, b = 0, -cert.alpha
@@ -218,13 +219,7 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
         j = int(row.nonzero()[0][0])
         a = -int(data[j].astype(np.float32) @ row) * int(row[j])
         b = -degree
-
-        def target(r0: int, r1: int) -> np.ndarray:
-            t = data[r0:r1, r0:] * np.float32(-a)
-            np.fill_diagonal(t, -b)
-            return t
-
-        if not _gram_is(data, target):
+        if not _gram_is(data, -a, -b):
             return None
     disc = a * a - 4 * b
     if disc <= 0:
@@ -273,8 +268,7 @@ def bipartite_two_eig_check(sg: SignedGraph) -> OrthogonalityCertificate | None:
     x, y = parts
     if len(x) != len(y):
         return None
-    block = SignedMatrix(sg.matrix.data[np.ix_(x, y)])
-    return is_orthogonal(block)
+    return _orthogonality(sg.matrix.data[np.ix_(x, y)])
 
 
 def spectrum_union(a: Spectrum, b: Spectrum, tol: float = DEFAULT_GROUP_TOL) -> Spectrum:

@@ -19,9 +19,14 @@ from twoeig import (
     williamson,
     williamson_preset,
 )
-from twoeig.core import FLOAT32_EXACT_BOUND, PANEL_ROWS, _product_is
+from twoeig.core import FLOAT32_EXACT_BOUND, PANEL_ROWS, _gram_is, _packing, _product_is
 
-from conftest import annihilated_oracle, orthogonal_oracle, random_signed_graph
+from conftest import (
+    annihilated_oracle,
+    full_panel_gram_oracle,
+    orthogonal_oracle,
+    random_signed_graph,
+)
 
 EIG_TOL = 1e-6
 
@@ -109,9 +114,11 @@ def test_random_stars_match_int64_oracle_on_both_routes():
     assert accepted >= len(orthogonal) * 3
 
 
-# just below, at and just above one and two panel heights, in steps of 4 so
-# that every H2 and K4 block below lies inside one panel
-PANEL_ORDERS = [k * PANEL_ROWS + d for k in (1, 2) for d in (-4, 0, 4)]
+# just below, at and just above one, two and four panel heights, in steps of 4
+# so that every H2 and K4 block below lies inside one panel. Two panels go into
+# each product: 4 PANEL_ROWS + {-4, 0, 4} give a partial second pair, two full
+# pairs, and two pairs with a lone trailing panel.
+PANEL_ORDERS = [k * PANEL_ROWS + d for k in (1, 2, 4) for d in (-4, 0, 4)]
 
 
 def h2_blocks(rng, n: int) -> np.ndarray:
@@ -238,7 +245,8 @@ def test_dense_certificate_sees_a_defect_off_the_diagonal_tiles_only(n):
     # flipping one edge balances the first cycle
     a[0, 1] *= -1
     a[1, 0] *= -1
-    wrong = np.nonzero(a.astype(np.int64) @ a - 2 * np.eye(n, dtype=np.int64))
+    # float64 holds every sum of this product (at most n) exactly, and runs in BLAS
+    wrong = np.nonzero(a.astype(np.float64) @ a - 2 * np.eye(n))
     assert set(zip(*wrong)) == {(0, n - 1), (n - 1, 0), (1, n - 2), (n - 2, 1)}
     assert not annihilated_oracle(a)
     assert certify_two_eigenvalues(SignedGraph(a)) is None
@@ -263,6 +271,62 @@ def test_williamson_checks_see_the_last_panel(n):
     assert williamson(WilliamsonQuadruple(*(swap,) * 4)) is not None
 
 
+def test_a_defect_in_the_second_half_of_a_later_pair_is_seen():
+    """Order 4 PANEL_ROWS + 4: pairs from rows 0 and 2 PANEL_ROWS, then a lone
+    panel. Each defect (i, j) has i in the second half of the second pair and j
+    in the lone panel, whose step compares row j only at columns >= 4
+    PANEL_ROWS: only the packed second half sees it."""
+    n = 4 * PANEL_ROWS + 4
+    i, j = 3 * PANEL_ROWS, n - 1
+    c = np.eye(n, dtype=np.int8)
+    c[j] = c[i]
+    assert not orthogonal_oracle(c)
+    assert is_orthogonal(SignedMatrix(c)) is None
+    assert certify_two_eigenvalues(star(SignedMatrix(c))) is None
+    # unbalanced signed 4-cycles have A^2 = 2I; the cycle i, i + 1, j, j - 1 is
+    # balanced, so A^2 = 2I except at (i, j) and (i + 1, j - 1) and their mirrors
+    rest = [v for v in range(n) if v not in (i, i + 1, j - 1, j)]
+    a = np.zeros((n, n), dtype=np.int8)
+    for k, cycle in enumerate([(i, i + 1, j, j - 1)] + [tuple(rest[v : v + 4]) for v in range(0, n - 4, 4)]):
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            a[u, v] = a[v, u] = 1
+        if k:
+            a[cycle[3], cycle[0]] = a[cycle[0], cycle[3]] = -1
+    # float64 holds every sum of this product (at most n) exactly, and runs in BLAS
+    wrong = np.nonzero(a.astype(np.float64) @ a - 2 * np.eye(n))
+    assert set(zip(*wrong)) == {(i, j), (j, i), (i + 1, j - 1), (j - 1, i + 1)}
+    assert not annihilated_oracle(a)
+    assert certify_two_eigenvalues(SignedGraph(a)) is None
+    a[i, i + 1] = a[i + 1, i] = -1
+    assert annihilated_oracle(a)
+    assert certify_two_eigenvalues(SignedGraph(a)).b == -2
+
+
+@pytest.mark.parametrize("k", [2895, 2896])
+def test_gram_kernel_at_the_packing_bound(k):
+    """k(2k + 2) < 2^24 holds up to k = 2895, so 2895 packs two panels per
+    product and 2896 takes one. Rows with disjoint supports of size 5 give
+    x x^t = 5I; an antipodal pair of full rows, one in a second half, makes
+    partial sums of k(2k + 1) and an inner product of -k."""
+    assert _packing(k) == (2 * k + 1, 2 if k == 2895 else 1)
+    n = 2 * PANEL_ROWS + 4
+    rng = np.random.default_rng(k)
+    x = np.zeros((n, k), dtype=np.int8)
+    x[np.arange(n).repeat(5), np.arange(5 * n)] = rng.choice((-1, 1), size=5 * n)
+    antipodal = x.copy()
+    antipodal[PANEL_ROWS + 1] = rng.choice((-1, 1), size=k)
+    antipodal[2 * PANEL_ROWS + 1] = -antipodal[PANEL_ROWS + 1]
+    # a sixth entry in row PANEL_ROWS + 3, in the support of row 2 PANEL_ROWS + 2:
+    # wrong at (r, r) and (r, 2 PANEL_ROWS + 2), both compared only in the second half
+    flipped = x.copy()
+    flipped[PANEL_ROWS + 3, 5 * (2 * PANEL_ROWS + 2)] = 1
+    for arr, want in ((x, True), (antipodal, False), (flipped, False)):
+        assert full_panel_gram_oracle(arr, 5 * np.eye(n)) is want
+        assert _gram_is(arr, 0, 5) is want
+    g = antipodal.astype(np.int64) @ antipodal[2 * PANEL_ROWS + 1].astype(np.int64)
+    assert g[PANEL_ROWS + 1] == -k and g[2 * PANEL_ROWS + 1] == k
+
+
 def test_nonsymmetric_orthogonal_matrices_keep_their_alpha():
     block = conference_block(paley_conference(37))
     spun = williamson_preset(block, "nonsymmetric-all-c")
@@ -281,7 +345,7 @@ def test_product_bound_is_asserted_without_allocating():
     right = np.broadcast_to(np.int8(1), (k, 1))
     assert left.strides == (0, 0) and right.strides == (0, 0)
     with pytest.raises(AssertionError, match="inner dimension"):
-        _product_is(left, right, lambda r0, r1: np.full((r1 - r0, 1), k, dtype=np.float32))
+        _product_is(left, right, k)
 
 
 def traced_peak(f, *args) -> int:
