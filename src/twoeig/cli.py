@@ -110,7 +110,8 @@ GEN_FLAG_READERS = {"-k": ("hadamard",), "-q": ("conference",), "--preset": ("wi
                     "--input": ("williamson", "double", "kron", "conference-block")}
 
 
-def _gen_matrix(args) -> core.SignedMatrix:
+def _gen_matrix(args) -> tuple[core.SignedMatrix, core.OrthogonalityCertificate | None]:
+    """The generated matrix, and the certificate of the constructions that return one."""
     kind = args.kind
     for flag, readers in GEN_FLAG_READERS.items():
         if getattr(args, flag.lstrip("-")) is not None and kind not in readers:
@@ -125,30 +126,30 @@ def _gen_matrix(args) -> core.SignedMatrix:
     if kind == "hadamard":
         if args.k is None:
             raise ValueError("kind 'hadamard' needs -k, the base-two exponent of the order")
-        return constructions.sylvester_hadamard(args.k)
+        return constructions.sylvester_hadamard(args.k), None
     if kind == "conference":
         if args.q is None:
             raise ValueError("kind 'conference' needs -q, a prime congruent to 1 mod 4")
-        return constructions.paley_conference(args.q)
+        return constructions.paley_conference(args.q), None
     if kind == "williamson":
         if args.preset is None:
             raise ValueError("kind 'williamson' needs --preset")
-        return constructions.williamson_preset(one_input(), args.preset)
+        return constructions.williamson_preset(one_input(), args.preset), None
     if kind == "double":
-        return constructions.double(one_input())[0]
+        return constructions.double(one_input())
     if kind == "conference-block":
-        return constructions.conference_block(one_input())
+        return constructions.conference_block(one_input()), None
     if len(inputs) != 2:
         raise ValueError("kind 'kron' needs exactly two --input matrix files")
-    return constructions.kronecker_orthogonal(*inputs)[0]
+    return constructions.kronecker_orthogonal(*inputs)
 
 
 def cmd_gen(args) -> RunReport:
     report = RunReport("gen", {"kind": args.kind})
-    m = _gen_matrix(args)
+    m, cert = _gen_matrix(args)
     text = io.format_matrix(m)
     if args.certify:
-        cert = core.is_orthogonal(m)
+        cert = cert or core.is_orthogonal(m)
         if cert is None:
             raise ValueError("generated matrix is not orthogonal, nothing to certify")
         text += f"alpha = {cert.alpha}\n"

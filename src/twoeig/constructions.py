@@ -3,7 +3,9 @@
 Every construction here outputs a matrix whose orthogonality identity
 C C^t = C^t C = alpha I is re-verified in exact integer arithmetic before
 the result is handed back, so a returned certificate is never inherited on
-faith from the inputs.
+faith from the inputs. Their entries are not checked again: each is a closed
+operation on {-1, 0, 1} (a Kronecker product, blocks of validated blocks and
+their negations, D +- I on a zero diagonal), wrapped by SignedMatrix._trusted.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ WILLIAMSON_PRESETS = ("all-c", "two-shifted", "four-shifted", "nonsymmetric-all-
 
 def kronecker(a: SignedMatrix, b: SignedMatrix) -> SignedMatrix:
     """Kronecker product; sign entries are closed under it, so int8 is exact."""
-    return SignedMatrix(np.kron(a.data, b.data))
+    return SignedMatrix._trusted(np.kron(a.data, b.data))
 
 
 def _require_orthogonal(c: SignedMatrix, name: str) -> int:
@@ -71,9 +73,7 @@ def sylvester_hadamard(k: int) -> SignedMatrix:
     h2 = np.array([[1, 1], [1, -1]], dtype=np.int8)
     for _ in range(k):
         h = np.kron(h2, h)
-    out = SignedMatrix(h)
-    _verified(out, 2**k, f"Hadamard matrix of order 2^{k}")
-    return out
+    return _verified(SignedMatrix._trusted(h), 2**k, f"Hadamard matrix of order 2^{k}")[0]
 
 
 def _is_prime(n: int) -> bool:
@@ -106,11 +106,9 @@ def paley_conference(q: int) -> SignedMatrix:
     c[0, 0] = 0
     diff = (np.arange(q)[:, None] - np.arange(q)[None, :]) % q
     c[1:, 1:] = chi[diff]
-    out = SignedMatrix(c)
-    if not _is_symmetric(out.data):
+    if not _is_symmetric(c):
         raise AssertionError(f"conference matrix for q = {q} failed the symmetry check")
-    _verified(out, q, f"conference matrix of order {q + 1}")
-    return out
+    return _verified(SignedMatrix._trusted(c), q, f"conference matrix of order {q + 1}")[0]
 
 
 def double(c: SignedMatrix) -> tuple[SignedMatrix, OrthogonalityCertificate]:
@@ -129,16 +127,16 @@ def double(c: SignedMatrix) -> tuple[SignedMatrix, OrthogonalityCertificate]:
     d = c.data
     eye = np.eye(c.rows, dtype=np.int8)
     b = np.block([[d + eye, d - eye], [d - eye, -d - eye]])
-    return _verified(SignedMatrix(b), 2 * alpha + 2, "doubled matrix")
+    return _verified(SignedMatrix._trusted(b), 2 * alpha + 2, "doubled matrix")
 
 
 def shift_antisymmetric(c: SignedMatrix) -> tuple[SignedMatrix, OrthogonalityCertificate]:
-    """C + I for antisymmetric orthogonal C; the certificate grows by one."""
+    """C + I for antisymmetric (so zero-diagonal) orthogonal C; the certificate grows by one."""
     if not c.is_square or not _is_symmetric(c.data, -1):
         raise ValueError("input must be an antisymmetric square matrix")
     alpha = _require_orthogonal(c, "input")
     shifted = c.data + np.eye(c.rows, dtype=np.int8)
-    return _verified(SignedMatrix(shifted), alpha + 1, "shifted matrix")
+    return _verified(SignedMatrix._trusted(shifted), alpha + 1, "shifted matrix")
 
 
 def _row_count(m: SignedMatrix, name: str) -> int:
@@ -158,7 +156,8 @@ class WilliamsonQuadruple:
     product per pair: [A_i | -A_j] @ [A_j ; A_i] = A_i A_j - A_j A_i must be
     0. Both factors hold {-1, 0, 1} entries and the inner dimension is 2n,
     so every entry is an integer of magnitude at most 2n, and
-    core._product_is compares it exactly (its docstring says why).
+    core._product_is compares it exactly (its docstring says why). The blocks
+    and their negations are cast to float32 once.
     """
 
     a1: SignedMatrix
@@ -178,10 +177,12 @@ class WilliamsonQuadruple:
                 raise ValueError(f"block {idx} is {m.rows}x{m.cols}, expected {n}x{n}")
         for name, m in zip(("k1", "k2", "k3", "k4"), mats):
             object.__setattr__(self, name, _row_count(m, f"block {name[1]}"))
+        f32 = [m.data.astype(np.float32) for m in mats]
+        neg = [-f for f in f32]
         for i in range(4):
             for j in range(i + 1, 4):
-                a_i, a_j = mats[i].data, mats[j].data
-                if not _product_is(np.hstack([a_i, -a_j]), np.vstack([a_j, a_i]), 0):
+                left, right = np.concatenate((f32[i], neg[j]), 1), np.concatenate((f32[j], f32[i]))
+                if not _product_is(left, right, 0):
                     raise ValueError(f"blocks {i + 1} and {j + 1} do not commute")
 
     def blocks(self) -> tuple[SignedMatrix, SignedMatrix, SignedMatrix, SignedMatrix]:
@@ -196,16 +197,10 @@ class WilliamsonQuadruple:
 
 
 def _williamson_assemble(a1, a2, a3, a4) -> SignedMatrix:
-    return SignedMatrix(
-        np.block(
-            [
-                [a1, a2, a3, a4],
-                [-a2, a1, -a4, a3],
-                [-a3, a4, a1, -a2],
-                [-a4, -a3, a2, a1],
-            ]
-        )
-    )
+    return SignedMatrix._trusted(np.block([[a1, a2, a3, a4],
+                                           [-a2, a1, -a4, a3],
+                                           [-a3, a4, a1, -a2],
+                                           [-a4, -a3, a2, a1]]))
 
 
 def williamson(quad: WilliamsonQuadruple) -> SignedMatrix | None:
@@ -224,9 +219,7 @@ def williamson(quad: WilliamsonQuadruple) -> SignedMatrix | None:
     blocks = [m.data for m in quad.blocks()]
     if not _product_is(np.hstack(blocks), np.vstack(blocks), s):
         return None
-    h = _williamson_assemble(*blocks)
-    m, _ = _verified(h, s, "Williamson block matrix")
-    return m
+    return _verified(_williamson_assemble(*blocks), s, "Williamson block matrix")[0]
 
 
 def williamson_preset(c: SignedMatrix, preset: str) -> SignedMatrix:
@@ -244,8 +237,7 @@ def williamson_preset(c: SignedMatrix, preset: str) -> SignedMatrix:
     alpha = _require_orthogonal(c, "input")
     d = c.data
     if preset == "nonsymmetric-all-c":
-        m, _ = _verified(_williamson_assemble(d, d, d, d), 4 * alpha, "Williamson block matrix")
-        return m
+        return _verified(_williamson_assemble(d, d, d, d), 4 * alpha, "Williamson block matrix")[0]
     if not _is_symmetric(c.data):
         raise ValueError(f"preset {preset!r} requires a symmetric matrix")
     if preset == "all-c":
@@ -254,8 +246,8 @@ def williamson_preset(c: SignedMatrix, preset: str) -> SignedMatrix:
         if np.any(np.diagonal(c.data) != 0):
             raise ValueError(f"preset {preset!r} requires a zero diagonal")
         eye = np.eye(c.rows, dtype=np.int8)
-        minus = SignedMatrix(d - eye)
-        plus = SignedMatrix(d + eye)
+        minus = SignedMatrix._trusted(d - eye)
+        plus = SignedMatrix._trusted(d + eye)
         if preset == "two-shifted":
             quad = WilliamsonQuadruple(c, c, minus, plus)
         else:
@@ -277,6 +269,5 @@ def conference_block(c: SignedMatrix) -> SignedMatrix:
         raise ValueError("input has a zero off the diagonal, so it is not a conference matrix")
     alpha = _require_orthogonal(c, "input")
     d = c.data
-    m = np.block([[d, d], [-d, d]])
-    out, _ = _verified(SignedMatrix(m), 2 * alpha, "conference block matrix")
-    return out
+    m = SignedMatrix._trusted(np.block([[d, d], [-d, d]]))
+    return _verified(m, 2 * alpha, "conference block matrix")[0]

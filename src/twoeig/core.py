@@ -2,25 +2,14 @@
 
 Everything in this module is exact: entries live in {-1, 0, +1} (stored as
 int8), and a product identity such as C C^t = alpha I is checked on float32
-operands whose every sum is an integer below 2^24, so orthogonality is an
-integer identity, never a numerical judgement. Two row panels go into each
-product: with inner dimension k, every entry G of the product and T of the
-target has |G|, |T| <= k, and the panels X_a, X_b are packed into one
-operand X_a + B X_b with B = 2k + 1. Its partial sums are integers of
-magnitude at most k(2k + 2), below 2^24 for k <= 2895, so float32 holds
-them exactly; for larger k the same loop takes one panel per product. A
-packed match G_a + B G_b = T_a + B T_b makes G_a - T_a a multiple of B of
-magnitude at most 2k < B, hence 0, and then G_b = T_b: the packed check is
-the same integer identity at half the products. No certificate holds more
-than one float32 copy of its factor and one packed panel.
-A Gram product X X^t is symmetric, and so are its targets (alpha I, and
--aA - bI for a symmetric A), so a mismatch below the diagonal is mirrored
-above it: each step, from row r0 on, is compared only at columns j >= r0,
-which covers every entry on or above the diagonal and saves multiplications
-with the verdict unchanged. Symmetry itself is checked one
-256 x 256 tile pair at a time, so no pass over an n x n array reads it
-transposed as a whole. A Graph is the 0/1 case of a signed adjacency, and
-its views are array operations on that matrix.
+operands whose every partial sum is an integer below 2^24, two row panels
+packed into each product (_product_is says why that is the same integer
+identity, and _gram_is why half of a symmetric product decides it), so
+orthogonality is never a numerical judgement. A Graph is the 0/1 case of a
+signed adjacency, and its views are array operations on that matrix.
+Arrays are validated once, by the public constructors: a derivation whose
+validity follows from its validated input (star, ground, a switching) wraps
+its fresh array with the private _trusted constructor, with no check or copy.
 """
 
 from __future__ import annotations
@@ -137,7 +126,7 @@ def _product_is(left: np.ndarray, right: np.ndarray, shift: int) -> bool:
       comparison is the same integer identity, one product per pair.
     For k(2k + 2) >= 2^24 the same loop takes one panel per product, whose
     partial sums have magnitude at most k < 2^24 (asserted).
-    Only one float32 copy of right and one packed panel are alive at a
+    At most one float32 copy of right and one packed panel are alive at a
     time, and the check stops at the first pair that differs. Every column
     is compared, because a general product need not be symmetric; the
     callers are the Williamson checks (constructions). A Gram product x x^t
@@ -146,7 +135,7 @@ def _product_is(left: np.ndarray, right: np.ndarray, shift: int) -> bool:
     n, k = left.shape
     base, width = _packing(k)
     assert abs(shift) <= k, f"target {shift} exceeds the inner dimension {k}"
-    right32 = right.astype(np.float32)
+    right32 = right.astype(np.float32, copy=False)
     pack = np.empty((PANEL_ROWS, k), dtype=np.float32) if n > PANEL_ROWS and width == 2 else None
     for r0 in range(0, n, width * PANEL_ROWS):
         rows, m, packed = _packed_panel(left, r0, base, width, pack)
@@ -171,12 +160,9 @@ def _gram_is(x: np.ndarray, scale: int, shift: int) -> bool:
     (X_a + B X_b) @ x[r0:]^t with B = 2k + 1, compared at the columns
     r0..n-1 with the packed target T_a + B T_b: scale times the packed panel
     itself, plus shift at (i, r0 + i) and B shift at (i, r1 + i). This is
-    the same integer identity, by _product_is's argument: every partial sum
-    and every packed target is an integer of magnitude at most
-    k(2k + 2) < 2^24, which float32 holds exactly, and a packed match forces
-    G_a - T_a, a multiple of B of magnitude at most 2k < B, to vanish, and
-    with it G_b - T_b. For k(2k + 2) >= 2^24 the loop takes one panel per
-    product.
+    the same integer identity, by _product_is's argument (sums below 2^24,
+    and a packed match forces both panels' match); for k(2k + 2) >= 2^24 the
+    loop takes one panel per product.
 
     Columns j >= r0 include every entry with j >= i of both panels. That is
     the whole identity: x x^t and the target are both symmetric, so a
@@ -234,6 +220,14 @@ class SignedMatrix:
     def __init__(self, data):
         self.data = _as_trit_array(data)
 
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> "SignedMatrix":
+        """Own a fresh 2-D int8 array of {-1, 0, 1} entries, made read-only: no check, no copy."""
+        arr.setflags(write=False)
+        m = cls.__new__(cls)
+        m.data = arr
+        return m
+
     @property
     def rows(self) -> int:
         return self.data.shape[0]
@@ -246,12 +240,9 @@ class SignedMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def wide(self) -> np.ndarray:
-        """Entries as a fresh int64 array, for exact products."""
-        return self.data.astype(np.int64)
-
     def transpose(self) -> "SignedMatrix":
-        return SignedMatrix(self.data.T)
+        """C^t, a view of C's read-only entries: transposing keeps them in {-1, 0, 1}."""
+        return SignedMatrix._trusted(self.data.T)
 
     @classmethod
     def identity(cls, n: int) -> "SignedMatrix":
@@ -332,10 +323,16 @@ class Graph:
         arr = np.asarray(a)
         if not _entries_within(arr, 0, 1):
             raise ValueError("graph adjacency entries must be 0 or 1")
+        adj = arr.astype(np.int8)
+        _check_adjacency(adj)
+        return cls._trusted(adj)
+
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> "Graph":
+        """As SignedMatrix._trusted, for a square, symmetric, zero-diagonal 0/1 int8 array."""
+        arr.setflags(write=False)
         g = cls.__new__(cls)
-        g._adj = arr.astype(np.int8)
-        _check_adjacency(g._adj)
-        g._adj.setflags(write=False)
+        g._adj = arr
         return g
 
     @property
@@ -425,14 +422,15 @@ class Graph:
 
 
 def disjoint_union(*graphs: Graph) -> Graph:
-    """Disjoint union, relabeling each graph's vertices after the previous one."""
+    """Disjoint union, relabeling each graph's vertices after the previous one: valid
+    adjacencies on the diagonal of a zero array make a valid one, so it is not checked."""
     n = sum(g.n for g in graphs)
     a = np.zeros((n, n), dtype=np.int8)
     start = 0
     for g in graphs:
         a[start : start + g.n, start : start + g.n] = g.adjacency()
         start += g.n
-    return Graph.from_adjacency(a)
+    return Graph._trusted(a)
 
 
 def _bfs_layers(
@@ -484,6 +482,13 @@ class SignedGraph:
         _check_adjacency(sm.data)
         self.matrix = sm
 
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> "SignedGraph":
+        """As SignedMatrix._trusted, for a symmetric, zero-diagonal array."""
+        sg = cls.__new__(cls)
+        sg.matrix = SignedMatrix._trusted(arr)
+        return sg
+
     @property
     def n(self) -> int:
         return self.matrix.rows
@@ -492,7 +497,7 @@ class SignedGraph:
         """Map (u, v) with u < v to the edge sign."""
         a = self.matrix.data
         iu, iv = np.nonzero(np.triu(a, 1))
-        return {(int(u), int(v)): int(a[u, v]) for u, v in zip(iu, iv)}
+        return dict(zip(zip(iu.tolist(), iv.tolist()), a[iu, iv].tolist()))
 
     @classmethod
     def from_edges(cls, n: int, signed_edges) -> "SignedGraph":
@@ -516,12 +521,12 @@ class SignedGraph:
 
 
 def ground(sg: SignedGraph) -> Graph:
-    """The underlying unsigned graph (entrywise absolute value)."""
-    return Graph.from_adjacency(np.abs(sg.matrix.data))
+    """The underlying unsigned graph |A|, unchecked: 0/1, symmetric, zero diagonal as A is."""
+    return Graph._trusted(np.abs(sg.matrix.data))
 
 
 def star(c: SignedMatrix) -> SignedGraph:
-    """The 2n-vertex bipartite signed graph with block adjacency [[O, C], [C^t, O]]."""
+    """The bipartite signed graph [[O, C], [C^t, O]]: symmetric, zero on the diagonal."""
     if not c.is_square:
         raise ValueError(f"star operator needs a square matrix, got {c.rows}x{c.cols}")
     n = c.rows
@@ -532,7 +537,7 @@ def star(c: SignedMatrix) -> SignedGraph:
     for r0 in range(0, n, PANEL_ROWS):
         r1 = min(r0 + PANEL_ROWS, n)
         a[n:, r0:r1] = c.data[r0:r1].T
-    return SignedGraph(a)
+    return SignedGraph._trusted(a)
 
 
 def is_orthogonal(c: SignedMatrix) -> OrthogonalityCertificate | None:
@@ -559,13 +564,13 @@ def _orthogonality(c: np.ndarray) -> OrthogonalityCertificate | None:
 
 
 def resign(sg: SignedGraph, v: int) -> SignedGraph:
-    """Negate all edge signs at vertex v (the diagonal stays 0)."""
+    """Negate all edge signs at vertex v: D A D for a +-1 diagonal D, valid as A is, unchecked."""
     if not (0 <= v < sg.n):
         raise ValueError(f"vertex {v} out of range [0, {sg.n})")
     a = sg.matrix.data.copy()
     a[v, :] *= -1
     a[:, v] *= -1
-    return SignedGraph(a)
+    return SignedGraph._trusted(a)
 
 
 def _bfs_forest(g: Graph) -> list[tuple[int, int]]:
@@ -586,13 +591,14 @@ def switching_canonical(sg: SignedGraph) -> SignedGraph:
 
     Resigns so that every edge of the canonical BFS spanning forest gets sign
     +1; the residual signs on the co-forest edges depend only on the class.
+    D A D for a +-1 diagonal D is valid as A is, so it is not checked again.
     """
     g = ground(sg)
     a = sg.matrix.data
     d = np.ones(g.n, dtype=np.int8)
     for u, v in _bfs_forest(g):
         d[v] = d[u] * a[u, v]
-    return SignedGraph(d[:, None] * a * d[None, :])
+    return SignedGraph._trusted(d[:, None] * a * d[None, :])
 
 
 def switching_equivalent(a: SignedGraph, b: SignedGraph) -> bool:

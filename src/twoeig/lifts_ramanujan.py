@@ -101,10 +101,11 @@ class RamanujanReport:
 
 
 def two_lift(sg: SignedGraph) -> LiftedGraph:
-    """Double cover [[P, N], [N, P]]: positive edges (P) lift parallel, negative (N) crossed."""
+    """Double cover [[P, N], [N, P]]: positive edges (P) lift parallel, negative (N) crossed.
+    P and N are 0/1, symmetric and zero-diagonal as A is, so the lift is not checked."""
     a = sg.matrix.data
-    pos, neg = (a > 0).astype(np.int8), (a < 0).astype(np.int8)
-    return LiftedGraph(sg.n, Graph.from_adjacency(np.block([[pos, neg], [neg, pos]])))
+    pos, neg = (a > 0).view(np.int8), (a < 0).view(np.int8)
+    return LiftedGraph(sg.n, Graph._trusted(np.block([[pos, neg], [neg, pos]])))
 
 
 def lift_spectrum_check(sg: SignedGraph) -> bool:
@@ -154,12 +155,13 @@ def is_good_signature(sg: SignedGraph) -> bool:
 
 
 def complement(g: Graph) -> Graph:
-    """Off-diagonal edge flip: J - I - A."""
-    return Graph.from_adjacency(1 - np.eye(g.n, dtype=np.int8) - g.adjacency())
+    """Off-diagonal edge flip: J - I - A, valid (0/1, symmetric, zero diagonal) whenever A is."""
+    return Graph._trusted(1 - np.eye(g.n, dtype=np.int8) - g.adjacency())
 
 
 def bipartite_complement(g: Graph, parts: tuple[list[int], list[int]]) -> Graph:
-    """Flip only the cross edges of a balanced bipartition, keeping the parts."""
+    """Flip only the cross edges of a balanced bipartition, keeping the parts. With no
+    edge inside a part, A <= K_{X,Y}, so K_{X,Y} - A is valid and is not checked."""
     x, y = parts
     if sorted(list(x) + list(y)) != list(range(g.n)):
         raise ValueError("parts do not partition the vertex set")
@@ -172,7 +174,7 @@ def bipartite_complement(g: Graph, parts: tuple[list[int], list[int]]) -> Graph:
     if inside.size:
         u, v = inside[0].tolist()
         raise ValueError(f"edge ({u}, {v}) lies inside one part")
-    return Graph.from_adjacency(cross - g.adjacency())
+    return Graph._trusted(cross - g.adjacency())
 
 
 @dataclass(frozen=True)

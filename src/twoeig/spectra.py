@@ -209,9 +209,9 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
             raise ValueError("signed graph has no edges")
         # every degree equals -b = deg(v0) = 0 under the identity
         return None
-    h = n // 2
-    if n % 2 == 0 and not data[:h, :h].any() and not data[h:, h:].any():
-        cert = _orthogonality(data[:h, h:])
+    c = _star_block(data)
+    if c is not None:
+        cert = _orthogonality(c)
         if cert is None:
             return None
         a, b = 0, -cert.alpha
@@ -246,6 +246,12 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
     return TwoEigCertificate(a, b, float(lam), float(mu), mult_lam, mult_mu)
 
 
+def _star_block(a: np.ndarray) -> np.ndarray | None:
+    """The view C = a[:h, h:] when a = [[O, C], [C^t, O]] with h = n / 2, else None."""
+    h = len(a) // 2
+    return None if len(a) % 2 or a[:h, :h].any() or a[h:, h:].any() else a[:h, h:]
+
+
 def degree_from_certificate(cert: TwoEigCertificate) -> int:
     """Common degree of the ground graph: -lam*mu, which is -b."""
     return -cert.b
@@ -254,21 +260,26 @@ def degree_from_certificate(cert: TwoEigCertificate) -> int:
 def bipartite_two_eig_check(sg: SignedGraph) -> OrthogonalityCertificate | None:
     """Orthogonality certificate for the off-diagonal block of a bipartite sg.
 
-    The block C over a balanced bipartition satisfies CC^t = C^tC = alpha I
-    exactly when sg has two distinct eigenvalues, so this is an exact
-    integer-arithmetic route to the same verdict as certify_two_eigenvalues.
-    The bipartition balances its components, so it comes out unbalanced only
-    when some component is, and then the verdict is None: that component has
-    eigenvalue 0, and any edge adds a pair +-lambda (a signed bipartite
-    spectrum is symmetric), so sg never has exactly two distinct eigenvalues.
+    Over any balanced bipartition A is [[O, C], [C^t, O]] up to the order of
+    the vertices, and A^2 = alpha I iff CC^t = alpha I for its square block C
+    (C^tC = alpha I follows), which holds exactly when sg has two distinct
+    eigenvalues: the verdict of certify_two_eigenvalues, the same for every
+    balanced bipartition. When both diagonal n/2 x n/2 blocks are zero the
+    halves are one, and C goes to the kernel as a view, with no ground graph,
+    BFS or gather. Otherwise the BFS bipartition balances its components, so
+    it comes out unbalanced only when some component is, and then the verdict
+    is None: that component has eigenvalue 0, and any edge adds a pair
+    +-lambda (a signed bipartite spectrum is symmetric).
     """
-    parts = ground(sg).bipartition()
-    if parts is None:
-        raise ValueError("ground graph is not bipartite")
-    x, y = parts
-    if len(x) != len(y):
-        return None
-    return _orthogonality(sg.matrix.data[np.ix_(x, y)])
+    c = _star_block(sg.matrix.data)
+    if c is None:
+        parts = ground(sg).bipartition()
+        if parts is None:
+            raise ValueError("ground graph is not bipartite")
+        if len(parts[0]) != len(parts[1]):
+            return None
+        c = sg.matrix.data[np.ix_(*parts)]
+    return _orthogonality(c)
 
 
 def spectrum_union(a: Spectrum, b: Spectrum, tol: float = DEFAULT_GROUP_TOL) -> Spectrum:

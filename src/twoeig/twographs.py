@@ -69,6 +69,8 @@ def validate_twograph(n: int, triples) -> TwoGraph | None:
     """The TwoGraph on these triples (duplicates dropped), or None if they are not one.
 
     Each member must have product -1 in S, and S's odd set, counted by slab, the same size.
+    S is symmetric and +-1 off a zero diagonal by construction, so it is not checked again
+    (for n = 0 the public constructor still rejects the empty matrix).
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
@@ -88,7 +90,7 @@ def validate_twograph(n: int, triples) -> TwoGraph | None:
     s[y[x == 0], z[x == 0]] = s[z[x == 0], y[x == 0]] = -1
     if (s[x, y] * s[x, z] * s[y, z] != -1).any() or keys.size != sum(map(len, _odd_slabs(s))):
         return None
-    return twograph_from_signed_complete(SignedGraph(s))
+    return twograph_from_signed_complete(SignedGraph._trusted(s) if n else SignedGraph(s))
 
 
 def is_regular_twograph(t: TwoGraph) -> int | None:
@@ -105,25 +107,29 @@ def pair_count(n: int, cert: TwoEigCertificate | None) -> int | None:
 
 
 def descendant(t: TwoGraph, x: int) -> Graph:
-    """Graph joining y, z whenever {x, y, z} is a triple: the -1 entries of S switched at x."""
+    """Graph joining y, z whenever {x, y, z} is a triple: the -1 entries of S switched at x,
+    a valid adjacency (unchecked) because D S D is symmetric with a zero diagonal."""
     if not (0 <= x < t.n):
         raise ValueError(f"vertex {x} out of range [0, {t.n})")
     s = t.seidel.matrix.data
     d = s[x] + (np.arange(t.n) == x)  # row x of S + I: D S D has row x all +1
-    return Graph.from_adjacency(d[:, None] * s * d[None, :] < 0)
+    return Graph._trusted((d[:, None] * s * d[None, :] < 0).view(np.int8))
 
 
 def signed_complete_from_graph(g: Graph) -> SignedGraph:
-    """Complete signed graph that is -1 on edges of g and +1 elsewhere: J - I - 2A."""
-    return SignedGraph(1 - np.eye(g.n, dtype=np.int8) - 2 * g.adjacency())
+    """Complete signed graph, -1 on edges of g and +1 elsewhere: J - I - 2A, valid as A is
+    when n >= 1 (the public constructor rejects the empty matrix of n = 0)."""
+    a = 1 - np.eye(g.n, dtype=np.int8) - 2 * g.adjacency()
+    return SignedGraph._trusted(a) if g.n else SignedGraph(a)
 
 
 def twograph_from_signed_complete(sg: SignedGraph) -> TwoGraph:
-    """The two-graph of a signing A of K_n: its triples whose sign product is -1."""
+    """The two-graph of a signing A of K_n: its triples whose sign product is -1. Its
+    Seidel matrix D A D, D = diag(row 0 of A + I), is a switching of A, so it is unchecked."""
     a = sg.matrix.data
     if np.count_nonzero(a) != sg.n * (sg.n - 1):
         raise ValueError("ground graph is not complete")
     d = a[0] + (np.arange(sg.n) == 0)  # row 0 of A + I: D A D has row 0 all +1
     t = object.__new__(TwoGraph)
-    object.__setattr__(t, "seidel", SignedGraph(d[:, None] * a * d[None, :]))
+    object.__setattr__(t, "seidel", SignedGraph._trusted(d[:, None] * a * d[None, :]))
     return t

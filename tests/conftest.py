@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from twoeig import Graph, SignedGraph, SignedMatrix, two_lift
-from twoeig.core import PANEL_ROWS
+from twoeig.core import PANEL_ROWS, _as_trit_array, _check_adjacency, _entries_within
 
 # The 6-vertex regular two-graph worked through in the docs: ten triples,
 # pair count 2, descendant at vertex 0 has edges 12, 13, 24, 35, 45 and the
@@ -25,6 +25,67 @@ K6_MATRIX = [
 ]
 
 K6_DESCENDANT_EDGES = [(1, 2), (1, 3), (2, 4), (3, 5), (4, 5)]
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "unchecked_trusted: run without the checks that "
+                            "the autouse fixture adds to every _trusted construction")
+
+
+def _check_signed(arr: np.ndarray) -> None:
+    _as_trit_array(arr)
+    _check_adjacency(arr)
+
+
+def _check_graph(arr: np.ndarray) -> None:
+    if not _entries_within(arr, 0, 1):
+        raise ValueError("graph adjacency entries must be 0 or 1")
+    _check_adjacency(arr)
+
+
+@pytest.fixture(autouse=True)
+def checked_trusted(request, monkeypatch):
+    """Every _trusted construction in a test also runs the public constructor's checks on
+    its array, so each derivation that skips them is still shown to give a valid object.
+    An invalid array fails the test (pytest.fail is not an exception the code catches)."""
+    if request.node.get_closest_marker("unchecked_trusted"):
+        return
+    for cls, check in ((SignedMatrix, _as_trit_array), (SignedGraph, _check_signed),
+                       (Graph, _check_graph)):
+        bare = cls.__dict__["_trusted"].__func__
+
+        def trusted(klass, arr, bare=bare, check=check):
+            if not (isinstance(arr, np.ndarray) and arr.dtype == np.int8):
+                pytest.fail(f"{klass.__name__}._trusted got {type(arr).__name__} "
+                            f"{getattr(arr, 'dtype', '')}, not an int8 array")
+            try:
+                check(arr)
+            except ValueError as exc:
+                pytest.fail(f"{klass.__name__}._trusted got an invalid array: {exc}")
+            return bare(klass, arr)
+
+        monkeypatch.setattr(cls, "_trusted", classmethod(trusted))
+
+
+def wide(m: SignedMatrix) -> np.ndarray:
+    """A signed matrix's entries as a fresh int64 array, for exact products in the tests."""
+    return m.data.astype(np.int64)
+
+
+def bipartite_bfs_oracle(signings: np.ndarray) -> list[int | None]:
+    """bipartite_two_eig_check's alpha by the BFS route alone, for a stack of signings of
+    one bipartite ground graph: the block C over the ground's BFS bipartition, with
+    C C^t = alpha I checked by int64 products; None where it fails or the bipartition is
+    unbalanced."""
+    x, y = Graph.from_adjacency(np.abs(signings[0])).bipartition()
+    if len(x) != len(y):
+        return [None] * len(signings)
+    c = signings[:, x][:, :, y].astype(np.int64)
+    alpha = np.count_nonzero(c[:, 0], axis=1)
+    gram = c @ c.transpose(0, 2, 1)
+    ok = (alpha > 0) & (gram == alpha[:, None, None] * np.eye(len(x), dtype=np.int64)).all(
+        axis=(1, 2))
+    return [int(a) if k else None for a, k in zip(alpha, ok)]
 
 
 def petersen() -> Graph:

@@ -60,6 +60,7 @@ from conftest import (
     pair_count_oracle,
     petersen,
     random_signed_graph,
+    wide,
 )
 
 PRINTED_VALUE_TOL = 1e-4
@@ -91,7 +92,7 @@ def test_criterion_01_six_vertex_example_end_to_end():
     sg = signed_complete_from_graph(d)
     assert sg == SignedGraph(K6_MATRIX)
 
-    a = sg.matrix.wide()
+    a = wide(sg.matrix)
     assert np.array_equal(a @ a, 5 * np.eye(6, dtype=np.int64))
     cert = certify_two_eigenvalues(sg)
     assert (cert.a, cert.b) == (0, -5)
@@ -135,7 +136,7 @@ def test_criterion_02_construction_certificates_exact():
         doubled, cert = double(c)
         assert cert.alpha == 2 * q + 2 == doubled.rows
         assert np.array_equal(
-            doubled.wide() @ doubled.wide(),
+            wide(doubled) @ wide(doubled),
             (2 * q + 2) * np.eye(2 * (q + 1), dtype=np.int64),
         )
 

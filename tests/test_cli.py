@@ -72,6 +72,34 @@ def test_gen_kron_and_williamson(tmp_path, capsys):
     assert parse_matrix(out).rows == 24
 
 
+def test_gen_certify_reuses_the_construction_certificate(tmp_path, capsys, monkeypatch):
+    """kron and double return their certificate, so --certify reports it: kron certifies
+    both factors and the product (3 calls), double the input and the output (2)."""
+    from twoeig import constructions, core
+
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return is_orthogonal(c)
+
+    monkeypatch.setattr(core, "is_orthogonal", counted)
+    monkeypatch.setattr(constructions, "is_orthogonal", counted)
+    h, c = tmp_path / "h.txt", tmp_path / "c.txt"
+    h.write_text(format_matrix(sylvester_hadamard(2)))
+    c.write_text(format_matrix(paley_conference(5)))
+    for argv, product, alpha, count in [
+        (["kron", "--input", str(h), "--input", str(c)],
+         twoeig.kronecker(sylvester_hadamard(2), paley_conference(5)), 20, 3),
+        (["double", "--input", str(c)], twoeig.double(paley_conference(5))[0], 12, 2),
+    ]:
+        calls.clear()
+        code, out, err = run(capsys, "gen", *argv, "--certify")
+        assert (code, err) == (0, "")
+        assert out == format_matrix(product) + f"alpha = {alpha}\n"
+        assert len(calls) == count
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["hadamard", "-k", "1", "--input", "never-read.graph"], "--input"),
     (["conference", "-q", "5", "-k", "2"], "-k"),

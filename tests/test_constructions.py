@@ -19,6 +19,8 @@ from twoeig import (
     williamson_preset,
 )
 
+from conftest import wide
+
 ROTATION = SignedMatrix([[0, 1], [-1, 0]])
 SWAP = SignedMatrix([[0, 1], [1, 0]])
 C4_ADJACENCY = SignedMatrix([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
@@ -90,9 +92,9 @@ def test_double_conference():
     assert b.rows == 12
     assert np.array_equal(b.data, b.data.T)
     assert np.all(np.abs(b.data) == 1)
-    assert np.array_equal(b.wide() @ b.wide(), 12 * np.eye(12, dtype=np.int64))
-    c, eye = paley_conference(5).wide(), np.eye(6, dtype=np.int64)
-    assert np.array_equal(b.wide(), np.block([[c + eye, c - eye], [c - eye, -c - eye]]))
+    assert np.array_equal(wide(b) @ wide(b), 12 * np.eye(12, dtype=np.int64))
+    c, eye = wide(paley_conference(5)), np.eye(6, dtype=np.int64)
+    assert np.array_equal(wide(b), np.block([[c + eye, c - eye], [c - eye, -c - eye]]))
 
 
 def test_double_rejects_bad_inputs():
@@ -125,8 +127,8 @@ def test_shift_rejects_bad_inputs():
 def test_quadruple_records_row_counts():
     c = paley_conference(5)
     eye = np.eye(6, dtype=np.int64)
-    plus = SignedMatrix(c.wide() + eye)
-    minus = SignedMatrix(c.wide() - eye)
+    plus = SignedMatrix(wide(c) + eye)
+    minus = SignedMatrix(wide(c) - eye)
     quad = WilliamsonQuadruple(c, c, minus, plus)
     assert quad.row_counts() == (5, 5, 6, 6)
     assert quad.order == 6

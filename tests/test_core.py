@@ -25,7 +25,7 @@ from twoeig import (
 )
 from twoeig.core import PANEL_ROWS, _bfs_forest, _is_symmetric
 
-from conftest import petersen, random_signed_graph
+from conftest import petersen, random_signed_graph, wide
 
 
 def test_signed_matrix_validates_entries():
@@ -48,7 +48,7 @@ def test_signed_matrix_basics():
     assert (m.rows, m.cols) == (2, 3)
     assert not m.is_square
     assert m.transpose().data.shape == (3, 2)
-    assert m.wide().dtype == np.int64
+    assert np.array_equal(wide(m.transpose()), wide(m).T)
     assert SignedMatrix.identity(3) == SignedMatrix(np.eye(3))
     assert hash(m) == hash(SignedMatrix(m.data))
     assert m != SignedMatrix([[1, -1], [0, 1]])
@@ -114,6 +114,16 @@ def test_signed_graph_from_edges():
         SignedGraph.from_edges(3, [(0, 1, 2)])
     with pytest.raises(ValueError, match="duplicate"):
         SignedGraph.from_edges(3, [(0, 1, 1), (1, 0, 1)])
+
+
+def test_edge_signs_match_a_per_edge_read(rng):
+    for n in (1, 2, 7, 30):
+        sg = random_signed_graph(rng, n) if n > 1 else SignedGraph([[0]])
+        a = sg.matrix.data
+        want = {(u, v): int(a[u, v]) for u in range(n) for v in range(u + 1, n) if a[u, v]}
+        got = sg.edge_signs()
+        assert got == want and list(got) == sorted(want)
+        assert all(type(x) is int for key, s in got.items() for x in (*key, s))
 
 
 def test_ground_and_all_positive():

@@ -19,6 +19,7 @@ from twoeig import (
     williamson,
     williamson_preset,
 )
+from twoeig import core
 from twoeig.core import FLOAT32_EXACT_BOUND, PANEL_ROWS, _gram_is, _packing, _product_is
 
 from conftest import (
@@ -364,6 +365,26 @@ def test_symmetry_validation_peaks_at_a_few_tiles():
     assert m.rows == 4096
     # an n x n bool temporary would be 16 MB; one tile and its comparison are 128 KB
     assert traced_peak(SignedGraph, m) <= 4 * PANEL_ROWS**2
+
+
+@pytest.mark.unchecked_trusted
+def test_star_writes_one_array_and_checks_nothing(monkeypatch):
+    """star's array is valid by construction: it is neither checked nor copied, so the
+    order-4096 star of H_11 costs one 16 MB int8 array (the parent checked and copied it,
+    a peak of 32 MB)."""
+    c = sylvester_hadamard(11)
+    calls = []
+    for name in ("_check_adjacency", "_entries_within", "_as_trit_array"):
+        monkeypatch.setattr(core, name, lambda *args, name=name: calls.append(name))
+    tracemalloc.start()
+    try:
+        sg = star(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert sg.n == 4096 and not sg.matrix.data.flags.writeable
+    assert sg.matrix.data.nbytes <= peak <= 1.05 * sg.matrix.data.nbytes
 
 
 def test_certificate_memory_stays_within_a_few_bytes_per_entry():

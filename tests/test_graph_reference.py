@@ -24,6 +24,8 @@ from twoeig import (
 from twoeig.core import _bfs_forest
 from twoeig.twographs import TwoGraph
 
+from conftest import wide
+
 
 def ref_neighbors(n, edges):
     nbr = [[] for _ in range(n)]
@@ -188,7 +190,7 @@ def test_two_lift_edges_and_exact_identity(rng):
         lift = two_lift(sg).graph
         assert lift.edges == ref_two_lift(n, signs)
         # Q L Q = 2 diag(|A|, A) over the integers, Q = [[I, I], [I, -I]]
-        a = sg.matrix.wide()
+        a = wide(sg.matrix)
         eye, zero = np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
         q = np.block([[eye, eye], [eye, -eye]])
         ell = lift.adjacency().astype(np.int64)

@@ -21,8 +21,10 @@ from twoeig import (
     star,
     sylvester_hadamard,
 )
+from twoeig.core import _bfs_forest
+from twoeig.spectra import _star_block
 
-from conftest import random_signed_graph
+from conftest import bipartite_bfs_oracle, random_signed_graph, wide
 
 SQRT2 = math.sqrt(2)
 SQRT5 = math.sqrt(5)
@@ -89,7 +91,7 @@ def test_eigenvalue_sums_match_trace_and_frobenius(rng):
         n = int(rng.integers(2, 10))
         sg = random_signed_graph(rng, n)
         eigs = np.array(eigenvalues_symmetric(sg, tol=1e-10).expand())
-        a = sg.matrix.wide()
+        a = wide(sg.matrix)
         assert abs(eigs.sum() - a.trace()) <= 1e-9
         assert abs((eigs**2).sum() - (a**2).sum()) <= 1e-6
 
@@ -124,7 +126,7 @@ def test_certify_k6_signing(k6_signing):
     assert (cert.a, cert.b) == (0, -5)
     assert cert.lam == pytest.approx(SQRT5, abs=1e-12)
     assert (cert.mult_lam, cert.mult_mu) == (3, 3)
-    a = k6_signing.matrix.wide()
+    a = wide(k6_signing.matrix)
     assert np.array_equal(a @ a, 5 * np.eye(6, dtype=np.int64))
     assert degree_from_certificate(cert) == 5
     assert cert.spectrum().close_to([(SQRT5, 3), (-SQRT5, 3)])
@@ -222,6 +224,70 @@ def test_bipartite_check_matches_eigvalsh_on_every_small_graph():
                 cert = bipartite_two_eig_check(SignedGraph(a))
                 assert (cert is not None) == (count == 2), a
     assert unbalanced > 0
+
+
+def alpha_of(sg: SignedGraph) -> int | None:
+    cert = bipartite_two_eig_check(sg)
+    return None if cert is None else cert.alpha
+
+
+def bipartite_grounds(n: int):
+    """Every bipartite graph on n vertices: each subset of the cross pairs of each 2-coloring."""
+    pairs = list(itertools.combinations(range(n), 2))
+    seen = set()
+    for colors in itertools.product((0, 1), repeat=n - 1):
+        side = (0, *colors)
+        cross = [k for k, (u, v) in enumerate(pairs) if side[u] != side[v]]
+        for chosen in itertools.product((0, 1), repeat=len(cross)):
+            key = frozenset(k for k, bit in zip(cross, chosen) if bit)
+            if key not in seen:
+                seen.add(key)
+                yield Graph(n, [pairs[k] for k in sorted(key)])
+
+
+def test_bipartite_check_matches_the_bfs_route_on_every_5_and_6_vertex_graph():
+    """Every bipartite ground graph on 5 and 6 vertices and every switching class on it
+    (forest edges positive, any sign on the rest; both routes' verdicts are switching
+    invariant). The 2^9 grounds inside the 3 + 3 split take the half-block route, the rest
+    the BFS route; each verdict must equal the BFS-route oracle's."""
+    split_grounds = 0
+    for n, count in ((5, 376), (6, 5177)):
+        grounds = list(bipartite_grounds(n))
+        assert len(grounds) == count
+        for g in grounds:
+            split_grounds += _star_block(g.adjacency()) is not None
+            forest = {tuple(sorted(e)) for e in _bfs_forest(g)}
+            free = np.array([e for e in g.sorted_edges() if e not in forest], dtype=int)
+            signings = np.repeat(g.adjacency()[None], 2 ** len(free), axis=0)
+            if len(free):
+                signs = np.array(list(itertools.product((1, -1), repeat=len(free))), np.int8)
+                signings[:, free[:, 0], free[:, 1]] = signings[:, free[:, 1], free[:, 0]] = signs
+            want = bipartite_bfs_oracle(signings)
+            assert [alpha_of(SignedGraph(a)) for a in signings] == want, g
+    assert split_grounds == 2**9
+
+
+def test_bipartite_check_matches_the_bfs_route_on_permuted_stars(rng):
+    """Stars with their vertices permuted: a random order mixes the halves (BFS route),
+    and swapping the two sides of one block of a block-diagonal C keeps both diagonal
+    half-blocks zero with a split that is not the star's own bipartition."""
+    blocks = [sylvester_hadamard(1).data, sylvester_hadamard(2).data, paley_conference(5).data,
+              np.eye(3, dtype=np.int8), np.array([[1, 1], [1, 1]], dtype=np.int8)]
+    blocks += [rng.integers(-1, 2, size=(k, k), dtype=np.int8) for k in (1, 2, 3, 4, 5)]
+    for c1, c2 in itertools.product(blocks, repeat=2):
+        n1, n2 = len(c1), len(c2)
+        c = np.block([[c1, np.zeros((n1, n2), dtype=np.int8)],
+                      [np.zeros((n2, n1), dtype=np.int8), c2]])
+        a = star(SignedMatrix(c)).matrix.data
+        n = n1 + n2
+        side = np.arange(n1, n)  # C2's rows; its columns are the vertices n later
+        swap = np.arange(2 * n)
+        swap[side], swap[side + n] = side + n, side
+        assert _star_block(a[np.ix_(swap, swap)]) is not None
+        for p in (swap, rng.permutation(2 * n)):
+            permuted = a[np.ix_(p, p)]
+            assert [alpha_of(SignedGraph(permuted))] == bipartite_bfs_oracle(permuted[None]), p
+            assert alpha_of(SignedGraph(permuted)) == alpha_of(star(SignedMatrix(c)))
 
 
 def test_numeric_spectrum_invariant_under_resigning(rng):

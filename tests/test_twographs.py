@@ -52,6 +52,8 @@ def test_validate_twograph_parity():
     empty = validate_twograph(5, [])
     assert empty is not None and empty.triples == frozenset()
     assert complete_twograph(5) is not None
+    with pytest.raises(ValueError, match="at least 1x1"):
+        validate_twograph(0, [])
 
 
 def test_k6_triples_form_a_regular_twograph():
@@ -109,6 +111,8 @@ def test_signed_complete_from_graph_signs():
     signs = sg.edge_signs()
     assert signs[(0, 1)] == -1
     assert signs[(0, 2)] == 1 and signs[(1, 2)] == 1
+    with pytest.raises(ValueError, match="at least 1x1"):
+        signed_complete_from_graph(Graph(0))
 
 
 def test_twograph_from_incomplete_rejected():
