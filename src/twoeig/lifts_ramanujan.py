@@ -145,13 +145,18 @@ def is_ramanujan(g: Graph, mode: str = "paper_literal") -> RamanujanReport:
     return RamanujanReport(d, g.n, stat, bound, mode, stat <= bound + RAMANUJAN_SLACK)
 
 
+def _is_good(top: float, d: int) -> bool:
+    """The good-signature rule: the largest signed eigenvalue top is at most
+    2*sqrt(d-1), for ground degree d >= 2."""
+    return top <= 2.0 * math.sqrt(d - 1) + RAMANUJAN_SLACK
+
+
 def is_good_signature(sg: SignedGraph) -> bool:
     """True iff the largest signed eigenvalue is at most 2*sqrt(d-1)."""
     d = _regular_degree(ground(sg), "ground graph")
     if d < 2:
         raise ValueError(f"ground degree must be at least 2, got {d}")
-    top = eigenvalues_symmetric(sg).expand()[0]
-    return top <= 2.0 * math.sqrt(d - 1) + RAMANUJAN_SLACK
+    return _is_good(eigenvalues_symmetric(sg).expand()[0], d)
 
 
 def complement(g: Graph) -> Graph:
@@ -240,10 +245,10 @@ def ground_ramanujan_from_symmetric(c) -> GroundRamanujanReport:
     lam1 = eigenvalues_symmetric(sg).expand()[0]
     if abs(lam1 - math.sqrt(alpha)) > DEFAULT_GROUP_TOL:
         raise AssertionError("largest eigenvalue of an alpha-orthogonal matrix must be sqrt(alpha)")
-    good = is_good_signature(sg)
     base = ground(sg)
     if is_regular(base) != alpha:
         raise AssertionError("ground graph of an alpha-orthogonal signing must be alpha-regular")
+    good = _is_good(lam1, alpha)  # lambda1 is the top signed eigenvalue, alpha the ground degree
     report = is_ramanujan(base, "paper_literal")
     if not report.verdict:
         raise AssertionError("ground graph must be Ramanujan under the degree bound")

@@ -140,6 +140,23 @@ def test_good_signature(k6_signing, rng):
         is_good_signature(SignedGraph.from_edges(2, [(0, 1, -1)]))
 
 
+def test_ground_ramanujan_eigensolves_the_signed_matrix_once(monkeypatch):
+    """lambda1 also decides the good-signature verdict: two eigvalsh calls on Paley 197,
+    one for C and one for its ground graph, where solving C again made three. The report
+    is what is_good_signature and is_ramanujan give on their own."""
+    c = paley_conference(197)
+    sg = SignedGraph(c)
+    expected = (is_good_signature(sg), is_ramanujan(ground(sg), "paper_literal"))
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    report = ground_ramanujan_from_symmetric(c)
+    assert shapes == [(198, 198)] * 2
+    assert (report.signature_good, report.ground_report) == expected
+    assert (report.alpha, report.n, report.k) == (197, 198, 0)
+    assert abs(report.lambda1 - math.sqrt(197)) < 1e-9
+
+
 def test_complement_basics(rng):
     assert complement(Graph.complete(4)).m == 0
     assert complement(Graph(3)).edges == Graph.complete(3).edges
