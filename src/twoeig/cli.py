@@ -254,17 +254,16 @@ def cmd_switch_classes(args) -> RunReport:
     g = core.ground(io.parse_signed_graph(_read_text(args.file)))
     formula = core.count_switching_classes(g)
     reps = core.enumerate_switching_classes(g)
-    edges = g.sorted_edges()
+    iu, iv = np.nonzero(np.triu(g.adjacency(), 1))
     report.add("vertices", g.n)
     report.add("edges", g.m)
     report.add("components", len(g.components()))
     report.add("formula count", formula)
     report.add("enumerated count", len(reps))
-    report.add("edge order", " ".join(f"{u + 1}-{v + 1}" for u, v in edges))
+    report.add("edge order", " ".join(f"{u + 1}-{v + 1}" for u, v in g.sorted_edges()))
     for i, rep in enumerate(reps):
-        signs = rep.edge_signs()
-        report.add(f"representative {i + 1}",
-                   "".join("+" if signs[e] == 1 else "-" for e in edges))
+        signs = rep.matrix.data[iu, iv]
+        report.add(f"representative {i + 1}", "".join(np.where(signs > 0, "+", "-")))
     agree = formula == len(reps)
     report.add("counts agree", agree)
     report.status = "pass" if agree else "fail"

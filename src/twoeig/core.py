@@ -10,6 +10,8 @@ signed adjacency, and its views are array operations on that matrix.
 Arrays are validated once, by the public constructors: a derivation whose
 validity follows from its validated input (star, ground, a switching) wraps
 its fresh array with the private _trusted constructor, with no check or copy.
+Edges and triples are held as (m, 2 or 3) integer arrays (_int_rows), checked
+by array expressions: _edge_array for edges, _lex_order for every duplicate.
 """
 
 from __future__ import annotations
@@ -281,24 +283,66 @@ def _check_adjacency(a: np.ndarray) -> None:
         raise ValueError("diagonal entries must all be 0")
 
 
-def _edge_array(n: int, signed_edges) -> np.ndarray:
-    """Symmetric n x n int8 array with a[u, v] = a[v, u] = sign for each (u, v, sign)."""
-    signs: dict[tuple[int, int], int] = {}
-    for u, v, s in signed_edges:
-        if s not in (1, -1):
-            raise ValueError(f"edge ({u}, {v}) has sign {s}, expected +1 or -1")
-        if u == v:
-            raise ValueError(f"loop at vertex {u} not allowed")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range [0, {n})")
-        key = (u, v) if u < v else (v, u)
-        if key in signs:
-            raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
-        signs[key] = s
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in mask, or len(mask)."""
+    return int(mask.argmax()) if mask.any() else mask.size
+
+
+def _lex_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable lexicographic order of the rows of a 2-D integer array, and per
+    row whether an earlier row is equal. Rows are ranked, and compared, by one
+    int64 key when the key fits, else by np.lexsort."""
+    low = int(rows.min(initial=0))
+    span = int(rows.max(initial=0)) - low + 1
+    if span ** rows.shape[1] < 2**63:
+        key = np.ravel_multi_index((rows - low).T, (span,) * rows.shape[1])
+        order = np.argsort(key, kind="stable")
+        ranked = key[order, None]
+    else:
+        order = np.lexsort(rows.T[::-1])
+        ranked = rows[order]
+    repeat = np.zeros(len(rows), dtype=bool)
+    repeat[order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]] = True
+    return order, repeat
+
+
+def _int_rows(data, width: int, what: str) -> np.ndarray:
+    """data as an (m, width) int64 array: an ndarray as it is, else a sequence of rows.
+    Ragged rows, another shape or non-int64 entries (no float is truncated) raise ValueError."""
+    rows = data if isinstance(data, np.ndarray) else list(data) or np.empty((0, width), np.int64)
+    try:
+        arr = np.asarray(rows)
+    except ValueError:
+        raise ValueError(f"{what}, got rows of different lengths") from None
+    if not (arr.ndim == 2 and arr.shape[1] == width and arr.dtype.kind in "iu"
+            and np.can_cast(arr.dtype, np.int64)):
+        raise ValueError(f"{what}, got {arr.dtype} rows of shape {arr.shape}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _edge_array(n: int, edges, width: int, exact=None) -> np.ndarray:
+    """Symmetric n x n int8 array with a[u, v] = a[v, u] = sign for each row (u, v, sign),
+    or (u, v) with sign +1 for width 2. The first row that is not an edge raises the error
+    of its first failing check (sign +-1, no loop, vertices in 0..n-1, a new pair), worded
+    from Python ints: exact(j) for row j if given (a reader's text: its array saturates)."""
+    what = "(u, v, sign)" if width == 3 else "(u, v)"
+    rows = _int_rows(edges, width, f"each edge must be {what} integers")
+    u, v = rows[:, 0], rows[:, 1]
+    s = rows[:, 2] if width == 3 else 1
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = ((s != 1) & (s != -1)) | (lo == hi) | (lo < 0) | (hi >= n)
+    j = _first(bad | _lex_order(np.column_stack((lo, hi)))[1])
+    if j < len(rows):
+        x, y, sign = [*(exact(j) if exact else rows[j].tolist()), 1][:3]  # no sign: +1
+        if sign not in (1, -1):
+            raise ValueError(f"edge ({x}, {y}) has sign {sign}, expected +1 or -1")
+        if x == y:
+            raise ValueError(f"loop at vertex {x} not allowed")
+        if not (0 <= x < n and 0 <= y < n):
+            raise ValueError(f"edge ({x}, {y}) out of range [0, {n})")
+        raise ValueError(f"duplicate edge ({min(x, y)}, {max(x, y)})")
     a = np.zeros((n, n), dtype=np.int8)
-    if signs:
-        (iu, iv), values = zip(*signs), list(signs.values())
-        a[iu, iv] = a[iv, iu] = values
+    a[u, v] = a[v, u] = s
     return a
 
 
@@ -314,7 +358,7 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        self._adj = _edge_array(n, ((u, v, 1) for u, v in edges))
+        self._adj = _edge_array(n, edges, 2)
         self._adj.setflags(write=False)
 
     @classmethod
@@ -397,17 +441,17 @@ class Graph:
 
     @classmethod
     def complete_bipartite(cls, a: int, b: int) -> "Graph":
-        return cls(a + b, ((i, a + j) for i in range(a) for j in range(b)))
+        return cls(a + b, np.argwhere(np.ones((a, b), dtype=bool)) + [0, a])
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
         if n < 3:
             raise ValueError("cycle needs at least 3 vertices")
-        return cls(n, ((i, (i + 1) % n) for i in range(n)))
+        return cls(n, np.column_stack((np.arange(n), np.roll(np.arange(n), -1))))
 
     @classmethod
     def path(cls, n: int) -> "Graph":
-        return cls(n, ((i, i + 1) for i in range(n - 1)))
+        return cls(n, np.column_stack((np.arange(n - 1), np.arange(1, n))))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -501,8 +545,10 @@ class SignedGraph:
 
     @classmethod
     def from_edges(cls, n: int, signed_edges) -> "SignedGraph":
-        """Build from (u, v, sign) triples; sign must be +1 or -1."""
-        return cls(_edge_array(n, signed_edges))
+        """Build from (u, v, sign) rows, sign +1 or -1, as an (m, 3) integer array or an
+        iterable; _edge_array validates them, so for n >= 1 it is not checked again."""
+        a = _edge_array(n, signed_edges, 3)
+        return cls._trusted(a) if n else cls(a)
 
     @classmethod
     def all_positive(cls, g: Graph) -> "SignedGraph":
@@ -618,13 +664,14 @@ def enumerate_switching_classes(g: Graph) -> list[SignedGraph]:
 
     Returns one representative (the canonical form) per switching class, in a
     deterministic order. This is the oracle against the 2^(m-n+c) formula, so
-    it deliberately walks every signature instead of using the formula.
+    it deliberately walks every signature instead of using the formula. Keys written
+    at the edges of a zero array are valid adjacencies, so they are not checked
+    (for n = 0 the public constructor rejects the empty matrix).
     """
     if g.m > MAX_ENUM_EDGES:
         raise ValueError(f"too many edges for enumeration: {g.m} > {MAX_ENUM_EDGES}")
     edges = g.sorted_edges()
-    index = {e: i for i, e in enumerate(edges)}
-    forest = [(u, v, index[(u, v) if u < v else (v, u)]) for u, v in _bfs_forest(g)]
+    forest = [(u, v, edges.index((min(u, v), max(u, v)))) for u, v in _bfs_forest(g)]
     classes: dict[tuple[int, ...], None] = {}
     d = [1] * g.n
     for signs in itertools.product((1, -1), repeat=g.m):
@@ -632,10 +679,10 @@ def enumerate_switching_classes(g: Graph) -> list[SignedGraph]:
             d[v] = d[u] * signs[i]
         key = tuple(d[u] * d[v] * signs[i] for i, (u, v) in enumerate(edges))
         classes.setdefault(key, None)
-    reps = []
-    for key in sorted(classes):
-        reps.append(SignedGraph.from_edges(g.n, ((u, v, s) for (u, v), s in zip(edges, key))))
-    return reps
+    iu, iv = np.nonzero(np.triu(g.adjacency(), 1))
+    a = np.zeros((len(classes), g.n, g.n), dtype=np.int8)
+    a[:, iu, iv] = a[:, iv, iu] = sorted(classes)
+    return [SignedGraph._trusted(rep) if g.n else SignedGraph(rep) for rep in a]
 
 
 def is_regular(g: Graph) -> int | None:

@@ -22,11 +22,12 @@ bytes, then reads all data integers in one pass. When every token has one
 digit, as in every trit matrix, each is decoded from its digit byte and the
 byte before it, into int8; otherwise (a label of two or more digits, or a
 short text) one np.fromstring call reads them into int64, which saturates
-instead of wrapping. Range, sign, distinctness and duplicate checks are array
-expressions. Python reads only the header, the annotations, and on bad input
-the one line that the error message names. The writer (_write_rows) lays each
-entry into a fixed-width byte buffer by whole-column arithmetic and deletes
-the pad bytes with one bytes.translate pass.
+instead of wrapping. Every check is an array expression, an edge's in the one
+edge validator, core._edge_array; triples are returned as a (t, 3) array.
+Python reads only the header, the annotations, and on bad input the one line
+that the error message names. The writer (_write_rows) lays each entry into a
+fixed-width byte buffer by whole-column arithmetic and deletes the pad bytes
+with one bytes.translate pass.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ import itertools
 
 import numpy as np
 
-from .core import SignedGraph, SignedMatrix, _entries_within
+from .core import (SignedGraph, SignedMatrix, _edge_array, _entries_within, _first, _int_rows,
+                   _lex_order)
 
 __all__ = [
     "parse_matrix",
@@ -172,11 +174,6 @@ class _Lines:
         return np.fromstring(body, dtype=np.int64, sep=" ")
 
 
-def _first(mask: np.ndarray) -> int:
-    """Index of the first True in mask, or len(mask)."""
-    return int(mask.argmax()) if mask.any() else mask.size
-
-
 def _integer(token: str) -> int:
     digits = token[1:] if token[0] in "+-" else token
     if not (digits.isascii() and digits.isdigit()):
@@ -202,24 +199,6 @@ def _check_vertex_count(n: int) -> None:
     # value keeps every label past int64 out of range
     if n >= np.iinfo(np.int64).max:
         raise ValueError(f"vertex count must be below {np.iinfo(np.int64).max}, got {n}")
-
-
-def _lex_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable lexicographic order of the rows of a 2-D integer array, and per
-    row whether an earlier row is equal. Rows are ranked by one int64 key when
-    the key fits, else by np.lexsort."""
-    low, span = int(rows.min(initial=0)), int(rows.max(initial=0)) - int(rows.min(initial=0)) + 1
-    if span ** rows.shape[1] < 2**63:
-        key = np.zeros(len(rows), dtype=np.int64)
-        for column in rows.T:
-            key = key * span + (column - low)
-        order = np.argsort(key, kind="stable")
-    else:
-        order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    repeat = np.zeros(len(rows), dtype=bool)
-    repeat[order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]] = True
-    return order, repeat
 
 
 def _write_rows(header: str, rows: np.ndarray) -> str:
@@ -292,16 +271,9 @@ def format_matrix(m: SignedMatrix) -> str:
     return _write_rows(f"{m.rows} {m.cols}", m.data)
 
 
-def _edge_of(line: str) -> tuple[int, int, int]:
-    """The 0-based (u, v, sign) of an edge line that passed the line checks."""
-    u, v, *s = map(int, line.split())
-    return u - 1, v - 1, s[0] if s else 1
-
-
 def parse_signed_graph(text: str) -> SignedGraph:
-    """Read a signed graph. Its adjacency is built valid and is not checked again:
-    n >= 1, every sign is -1 or 1, no edge is a loop and no pair comes twice, so
-    each edge writes its sign at (u, v) and (v, u) and no other edge overwrites it."""
+    """Read a signed graph: core._edge_array validates its edges, so for n >= 1 it is not
+    checked again. The array saturates, so a faulty edge's message reads its line's text."""
     lines = _Lines(text)
     if not len(lines):
         raise ValueError("empty graph text")
@@ -326,19 +298,8 @@ def parse_signed_graph(text: str) -> SignedGraph:
         if i == readable:
             raise ValueError(f"edge line {i + 1} has a non-integer field")
         raise ValueError(f"edge line {i + 1}: vertex out of range 1..{n}")
-    u, v = u - 1, v - 1
-    pairs = np.column_stack((np.minimum(u, v), np.maximum(u, v)))
-    repeat = _lex_order(pairs)[1]
-    j = _first(((s != 1) & (s != -1)) | (u == v) | repeat)
-    if j < m:
-        # the first bad edge, behind the first edge with its pair if it repeats one,
-        # read exactly from its text: from_edges raises the message for it
-        k = _first((pairs == pairs[j]).all(axis=1)) if repeat[j] else j
-        SignedGraph.from_edges(n, [_edge_of(lines.line(1 + e)) for e in sorted({k, j})])
-        raise AssertionError(f"edge line {j + 1} was flagged but passes the edge checks")
-    a = np.zeros((n, n), dtype=np.int8)
-    a[u, v] = a[v, u] = s
-    return SignedGraph._trusted(a)
+    return SignedGraph._trusted(_edge_array(n, np.column_stack((u - 1, v - 1, s)), 3, lambda j: [
+        int(x) - (k < 2) for k, x in enumerate(lines.line(1 + j).split())]))  # u - 1, v - 1, s
 
 
 def format_signed_graph(sg: SignedGraph) -> str:
@@ -347,8 +308,8 @@ def format_signed_graph(sg: SignedGraph) -> str:
     return _write_rows(f"{sg.n} {iu.size}", np.column_stack((iu + 1, iv + 1, a[iu, iv])))
 
 
-def parse_triples(text: str) -> tuple[int, list[tuple[int, int, int]]]:
-    """Read a triple system; returns (n, sorted 0-based triples)."""
+def parse_triples(text: str) -> tuple[int, np.ndarray]:
+    """Read a triple system: (n, its sorted 0-based triples as a lexicographic (t, 3) array)."""
     lines = _Lines(text)
     if not len(lines):
         raise ValueError("empty triple text")
@@ -376,15 +337,14 @@ def parse_triples(text: str) -> tuple[int, list[tuple[int, int, int]]]:
         if a == b or b == c:
             raise ValueError(f"triple line {i + 1}: labels must be distinct")
         raise ValueError(f"duplicate triple {{{a}, {b}, {c}}}")
-    a, b, c = (labels[order] - 1).T
-    return n, list(zip(a.tolist(), b.tolist(), c.tolist()))
+    return n, labels[order].astype(np.intp) - 1
 
 
 def format_triples(n: int, triples) -> str:
-    triples = [*triples]
-    if set(map(len, triples)) - {3}:
-        raise ValueError("each triple must be three integer vertices")
-    rows = np.fromiter(itertools.chain.from_iterable(triples), dtype=np.int64,
-                       count=3 * len(triples)).reshape(-1, 3)
-    rows.sort(axis=1)
+    """Write a (t, 3) integer array or an iterable of triples of labels in 0..n-1."""
+    rows = np.sort(_int_rows(triples, 3, "each triple must be three integer vertices"), axis=1)
+    bad = (rows[:, 0] < 0) | (rows[:, 2] >= n)
+    if bad.any():
+        raise ValueError(f"triple {tuple(rows[bad.argmax()].tolist())} has a vertex out of "
+                         f"range [0, {n})")
     return _write_rows(f"{n} {len(rows)}", rows[_lex_order(rows)[0]] + 1)

@@ -256,13 +256,11 @@ def ground_ramanujan_from_symmetric(c) -> GroundRamanujanReport:
 
 
 def _k_c4(k: int) -> tuple[Graph, tuple[list[int], list[int]]]:
-    """k disjoint 4-cycles drawn bipartite: parts 0..2k-1 and 2k..4k-1."""
-    edges = []
-    for t in range(k):
-        x1, x2 = 2 * t, 2 * t + 1
-        y1, y2 = 2 * k + 2 * t, 2 * k + 2 * t + 1
-        edges += [(x1, y1), (x2, y1), (x2, y2), (x1, y2)]
-    return Graph(4 * k, edges), (list(range(2 * k)), list(range(2 * k, 4 * k)))
+    """k disjoint 4-cycles drawn bipartite: parts 0..2k-1 and 2k..4k-1 joined by
+    B = I_k (x) J_2. B is symmetric and 0/1, so [[O, B], [B, O]] is not checked."""
+    b = np.kron(np.eye(k, dtype=np.int8), np.ones((2, 2), dtype=np.int8))
+    a = np.block([[np.zeros_like(b), b], [b, np.zeros_like(b)]])
+    return Graph._trusted(a), (list(range(2 * k)), list(range(2 * k, 4 * k)))
 
 
 def k_c4_complement(k: int) -> tuple[Graph, Spectrum]:

@@ -9,6 +9,7 @@ is the odd-product set of that S. A pair {y, z} lies in ((n - 2) - S_yz
 (S^2)_yz) / 2 triples, so the two-graph is regular, with (n - 2 + a) / 2 per
 pair, iff S^2 + aS - (n - 1)I = 0, iff S has two eigenvalues (Seidel, "A
 survey of two-graphs", 1976; Taylor, "Regular 2-graphs", 1977).
+Triples come and go as (t, 3) integer arrays; any iterable of triples is read as rows.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Graph, SignedGraph
+from .core import Graph, SignedGraph, _int_rows, _lex_order
 from .spectra import TwoEigCertificate, certify_two_eigenvalues
 
 __all__ = [
@@ -57,12 +58,12 @@ class TwoGraph:
 
     @property
     def triples(self) -> frozenset[tuple[int, int, int]]:
-        return frozenset(self.sorted_triples())
+        return frozenset(map(tuple, self.sorted_triples().tolist()))
 
-    def sorted_triples(self) -> list[tuple[int, int, int]]:
+    def sorted_triples(self) -> np.ndarray:
+        """The (t, 3) intp array of triples x < y < z, in lexicographic order."""
         slabs = _odd_slabs(self.seidel.matrix.data)
-        x, y, z = np.concatenate([np.empty((0, 3), dtype=np.intp), *slabs]).T
-        return list(zip(x.tolist(), y.tolist(), z.tolist()))
+        return np.concatenate([np.empty((0, 3), dtype=np.intp), *slabs])
 
 
 def validate_twograph(n: int, triples) -> TwoGraph | None:
@@ -74,21 +75,15 @@ def validate_twograph(n: int, triples) -> TwoGraph | None:
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    t = np.array([*triples] or np.empty((0, 3), dtype=np.intp))
-    if t.ndim != 2 or t.shape[1] != 3 or t.dtype.kind not in "iu":
-        raise ValueError("each triple must be three integer vertices")
-    t = np.sort(t.astype(np.intp), axis=1)
+    t = np.sort(_int_rows(triples, 3, "each triple must be three integer vertices"), axis=1)
     bad = (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] < 0) | (t[:, 2] >= n)
     if bad.any():
         raise ValueError(f"triple {tuple(t[bad.argmax()].tolist())} must have three distinct "
                          f"vertices, none out of range [0, {n})")
-    keys = np.sort((t[:, 0] * n + t[:, 1]) * n + t[:, 2])
-    keys = keys[np.diff(np.concatenate(([-1], keys))) != 0]
-    x, yz = np.divmod(keys, n * n)
-    y, z = np.divmod(yz, n)
+    x, y, z = t[~_lex_order(t)[1]].T
     s = 1 - np.eye(n, dtype=np.int8)
     s[y[x == 0], z[x == 0]] = s[z[x == 0], y[x == 0]] = -1
-    if (s[x, y] * s[x, z] * s[y, z] != -1).any() or keys.size != sum(map(len, _odd_slabs(s))):
+    if (s[x, y] * s[x, z] * s[y, z] != -1).any() or x.size != sum(map(len, _odd_slabs(s))):
         return None
     return twograph_from_signed_complete(SignedGraph._trusted(s) if n else SignedGraph(s))
 

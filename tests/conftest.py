@@ -170,6 +170,28 @@ def annihilated_oracle(a: np.ndarray) -> bool:
     return full_panel_gram_oracle(a, -coef * a.astype(np.float64) - b * np.eye(a.shape[0]))
 
 
+def edge_array_oracle(n: int, signed_edges) -> np.ndarray:
+    """The adjacency of (u, v, sign) edges, checked one edge at a time, in order: its
+    sign, a loop, its range, then a pair already seen. The oracle for core._edge_array,
+    behind Graph(n, edges), SignedGraph.from_edges and the signed graph reader."""
+    signs: dict[tuple[int, int], int] = {}
+    for u, v, s in signed_edges:
+        if s not in (1, -1):
+            raise ValueError(f"edge ({u}, {v}) has sign {s}, expected +1 or -1")
+        if u == v:
+            raise ValueError(f"loop at vertex {u} not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range [0, {n})")
+        key = (u, v) if u < v else (v, u)
+        if key in signs:
+            raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
+        signs[key] = s
+    a = np.zeros((n, n), dtype=np.int8)
+    for (u, v), s in signs.items():
+        a[u, v] = a[v, u] = s
+    return a
+
+
 # Per-line and per-entry reference readers and writers for the text formats: the
 # differential oracles for twoeig.io, which reads and writes on byte arrays. They
 # read integers with Python int, which also takes "1_0" and non-ASCII digits.
@@ -248,7 +270,7 @@ def parse_signed_graph_oracle(text: str) -> SignedGraph:
         if not (1 <= u <= n and 1 <= v <= n):
             raise ValueError(f"edge line {i + 1}: vertex out of range 1..{n}")
         triples.append((u - 1, v - 1, s))
-    return SignedGraph.from_edges(n, triples)
+    return SignedGraph(edge_array_oracle(n, triples))
 
 
 def format_signed_graph_oracle(sg: SignedGraph) -> str:

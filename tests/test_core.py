@@ -7,6 +7,7 @@ from twoeig import (
     Graph,
     SignedGraph,
     SignedMatrix,
+    TwoGraph,
     count_switching_classes,
     disjoint_union,
     double,
@@ -21,11 +22,13 @@ from twoeig import (
     star,
     switching_canonical,
     switching_equivalent,
+    validate_twograph,
     williamson_preset,
 )
 from twoeig.core import PANEL_ROWS, _bfs_forest, _is_symmetric
+from twoeig.io import format_triples
 
-from conftest import petersen, random_signed_graph, wide
+from conftest import K6_TRIPLES, edge_array_oracle, petersen, random_signed_graph, wide
 
 
 def test_signed_matrix_validates_entries():
@@ -114,6 +117,94 @@ def test_signed_graph_from_edges():
         SignedGraph.from_edges(3, [(0, 1, 2)])
     with pytest.raises(ValueError, match="duplicate"):
         SignedGraph.from_edges(3, [(0, 1, 1), (1, 0, 1)])
+
+
+def test_malformed_edges_raise_a_clear_value_error():
+    """A float is never truncated to a vertex or a sign, and a row of the wrong width or
+    length says so, where a per-edge unpacking raised IndexError or "too many values"."""
+    for make, edges, found in [
+        (Graph, [(0, 1.0)], "float64 rows of shape (1, 2)"),
+        (Graph, [(0, 1, 1)], "int64 rows of shape (1, 3)"),
+        (Graph, [(0, 1), (1, 2, 1)], "rows of different lengths"),
+        (SignedGraph.from_edges, [(0, 1, 1.0)], "float64 rows of shape (1, 3)"),
+        (SignedGraph.from_edges, [(0, 1, 1.5)], "float64 rows of shape (1, 3)"),
+        (SignedGraph.from_edges, [(0, 1)], "int64 rows of shape (1, 2)"),
+        (SignedGraph.from_edges, np.ones((1, 3), dtype=np.uint64), "uint64 rows of shape (1, 3)"),
+    ]:
+        what = "(u, v)" if make is Graph else "(u, v, sign)"
+        with pytest.raises(ValueError) as caught:
+            make(3, edges)
+        assert str(caught.value) == f"each edge must be {what} integers, got {found}"
+
+
+def _faulty_edge_list(rng, n: int) -> list[tuple[int, int, int]]:
+    """Random signed edges on 0..n-1 (maybe fewer vertices than needed) with up to three
+    faults at random positions: a bad sign, a loop, a vertex out of range, or an earlier
+    pair again in either orientation."""
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    rows = [(*pairs[k], int(rng.choice((-1, 1))))
+            for k in rng.choice(len(pairs), size=min(len(pairs), int(rng.integers(0, 9))))]
+    for _ in range(int(rng.integers(0, 4))):
+        at = int(rng.integers(0, len(rows) + 1))
+        u, v, s = rows[int(rng.integers(len(rows)))] if rows else (0, 1, 1)
+        fault = int(rng.integers(4))
+        if fault == 0:
+            s = int(rng.choice((0, 2, -2, 7, 2**62, -(2**63), 2**63 - 1)))
+        elif fault == 1:
+            v = u
+        elif fault == 2:
+            v = int(rng.choice((n, n + 3, -1, -(2**63), 2**63 - 1)))
+        elif rng.random() < 0.5:
+            u, v = v, u
+        rows.insert(at, (u, v, s))
+    return rows
+
+
+def _built(make):
+    try:
+        return "ok", np.asarray(make()).tolist()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def test_edge_validation_matches_the_per_edge_oracle(rng):
+    """Graph(n, edges) and SignedGraph.from_edges, from lists and int64 arrays, give the
+    per-edge oracle's array or its exact message."""
+    verdicts = set()
+    for _ in range(400):
+        n = int(rng.integers(0, 7))
+        rows = _faulty_edge_list(rng, n)
+        array = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        signed = _built(lambda: SignedGraph(edge_array_oracle(n, rows)).matrix.data)
+        for edges in (rows, array):
+            assert _built(lambda: SignedGraph.from_edges(n, edges).matrix.data) == signed, rows
+        unsigned = _built(lambda: edge_array_oracle(n, [(u, v, 1) for u, v, _ in rows]))
+        for edges in ([(u, v) for u, v, _ in rows], array[:, :2]):
+            assert _built(lambda: Graph(n, edges)) == unsigned, rows
+        verdicts |= {k for k in ("has sign", "loop", "out of range", "duplicate", "ok")
+                     for want in (signed, unsigned) if k in str(want)}
+    assert verdicts == {"has sign", "loop", "out of range", "duplicate", "ok"}
+
+
+class _RowsWithoutIteration(np.ndarray):
+    def __iter__(self):
+        raise AssertionError("rows were iterated one by one")
+
+
+def _no_iteration(rows) -> np.ndarray:
+    return np.array(rows).view(_RowsWithoutIteration)
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda: Graph(3, _no_iteration([[0, 1], [1, 2]])), lambda: Graph.path(3)),
+    (lambda: SignedGraph.from_edges(3, _no_iteration([[0, 1, -1], [2, 1, 1]])),
+     lambda: SignedGraph([[0, -1, 0], [-1, 0, 1], [0, 1, 0]])),
+    (lambda: validate_twograph(6, _no_iteration(K6_TRIPLES)), lambda: TwoGraph(6, K6_TRIPLES)),
+    (lambda: TwoGraph(6, _no_iteration(K6_TRIPLES)), lambda: TwoGraph(6, K6_TRIPLES)),
+    (lambda: format_triples(6, _no_iteration(K6_TRIPLES)), lambda: format_triples(6, K6_TRIPLES)),
+], ids=["Graph", "from_edges", "validate_twograph", "TwoGraph", "format_triples"])
+def test_edge_and_triple_arrays_are_never_iterated_row_by_row(build, want):
+    assert build() == want()
 
 
 def test_edge_signs_match_a_per_edge_read(rng):

@@ -88,7 +88,7 @@ def test_triples_round_trip():
     text = format_triples(6, K6_TRIPLES)
     n, triples = parse_triples(text)
     assert n == 6
-    assert triples == sorted(K6_TRIPLES)
+    assert triples.dtype == np.intp and triples.tolist() == sorted(map(list, K6_TRIPLES))
 
 
 def test_triples_parse_errors():
@@ -143,6 +143,8 @@ def _outcome(parse, text):
         return "error", str(exc)
     if isinstance(value, SignedGraph):
         value = value.matrix
+    if isinstance(value, tuple):  # (n, triples): the reader's array, the oracle's list
+        value = value[0], list(map(tuple, np.asarray(value[1]).tolist()))
     return "ok", value.data.tolist() if isinstance(value, SignedMatrix) else value
 
 
@@ -178,8 +180,8 @@ def test_vertex_counts_stop_below_the_int64_limit():
     for parse, what in [(parse_signed_graph, "1 2"), (parse_triples, "1 2 3")]:
         with pytest.raises(ValueError, match="vertex count must be below 9223372036854775807"):
             parse(f"9223372036854775807 1\n{what}\n")
-    assert parse_triples("9223372036854775806 1\n1 2 9223372036854775806\n")[1] == [
-        (0, 1, 9223372036854775805)]
+    assert parse_triples("9223372036854775806 1\n1 2 9223372036854775806\n")[1].tolist() == [
+        [0, 1, 9223372036854775805]]
 
 
 def test_a_detached_sign_is_not_an_integer():
@@ -374,14 +376,26 @@ def test_triple_writer_and_reader_match_the_per_triple_oracles():
         assert text == format_triples_oracle(n, triples)
     for n, triples in [(62, paley), (4, [])]:
         text = format_triples(n, triples)
-        assert parse_triples(text) == (n, sorted(paley) if triples else []) == parse_triples_oracle(text)
-        assert format_triples(*parse_triples(text)) == text
+        got = parse_triples(text)
+        assert got[1].dtype == np.intp
+        assert (got[0], list(map(tuple, got[1].tolist()))) == (n, sorted(triples)) == \
+            parse_triples_oracle(text)
+        assert format_triples(*got) == text
     assert format_triples(4, []) == "4 0\n"
 
 
 def test_triple_writer_rejects_triples_that_are_not_three_vertices():
     with pytest.raises(ValueError, match="three integer vertices"):
         format_triples(5, [(0, 1), (2, 3, 4, 1)])
+
+
+def test_triple_writer_rejects_labels_outside_the_vertex_range():
+    """Its reader rejects all three; the writer wrapped 2^63 - 1 to a negative label,
+    wrote -1 as label 0 and 5 as 6."""
+    for label in (2**63 - 1, -1, 5, 3):
+        with pytest.raises(ValueError, match=r"^triple \(.*\) has a vertex out of range \[0, 3\)$"):
+            format_triples(3, [(0, 1, 2), (label, 0, 1)])
+    assert format_triples(3, [(2, 0, 1)]) == "3 1\n1 2 3\n"
 
 
 def _rows_oracle(header: str, rows) -> str:
@@ -405,12 +419,13 @@ def _rows_of_width(rng, width: int, shape) -> np.ndarray:
 
 def test_writers_match_the_per_entry_join_for_every_width(rng):
     """Byte-identical to " ".join(map(str, row)) for entries of 1 to 19 digits, as rows,
-    as triple labels (1-based, so 0-based labels up to 2^63 - 2) and as graph labels."""
+    as triple labels (in range: non-negative, 0-based labels up to 2^63 - 2, written 1-based)
+    and as graph labels."""
     for width in range(1, 20):
         for shape in [(1, 1), (1, 5), (7, 3), (40, 9)]:
             rows = _rows_of_width(rng, width, shape)
             assert twoeig.io._write_rows("h 1", rows) == _rows_oracle("h 1", rows.tolist())
-        labels = _rows_of_width(rng, width, (50, 3))
+        labels = np.abs(_rows_of_width(rng, width, (50, 3)).clip(-np.iinfo(np.int64).max))
         labels[labels == np.iinfo(np.int64).max] -= 1
         n = int(labels.max()) + 1
         assert format_triples(n, labels.tolist()) == _rows_oracle(

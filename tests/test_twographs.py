@@ -36,7 +36,7 @@ def complete_twograph(n):
 
 def test_twograph_container_and_cleaning():
     t = TwoGraph(4, [(2, 1, 0), (0, 1, 2), (1, 2, 3)])
-    assert t.sorted_triples() == [(0, 1, 2), (1, 2, 3)]
+    assert t.sorted_triples().tolist() == [[0, 1, 2], [1, 2, 3]]
     with pytest.raises(ValueError, match="distinct"):
         TwoGraph(4, [(0, 1, 1)])
     with pytest.raises(ValueError, match="out of range"):
