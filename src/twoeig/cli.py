@@ -252,12 +252,13 @@ def cmd_table(args) -> RunReport:
 def cmd_switch_classes(args) -> RunReport:
     report = RunReport("switch-classes", {"file": args.file})
     g = core.ground(io.parse_signed_graph(_read_text(args.file)))
-    formula = core.count_switching_classes(g)
+    components = len(g.components())
+    formula = core.count_switching_classes(g, components)
     reps = core.enumerate_switching_classes(g)
     iu, iv = np.nonzero(np.triu(g.adjacency(), 1))
     report.add("vertices", g.n)
     report.add("edges", g.m)
-    report.add("components", len(g.components()))
+    report.add("components", components)
     report.add("formula count", formula)
     report.add("enumerated count", len(reps))
     report.add("edge order", " ".join(f"{u + 1}-{v + 1}" for u, v in g.sorted_edges()))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from twoeig import Graph, SignedGraph, SignedMatrix, two_lift
-from twoeig.core import PANEL_ROWS, _as_trit_array, _check_adjacency, _entries_within
+from twoeig.core import PANEL_ROWS, _as_trit_array, _bfs_forest, _check_adjacency, _entries_within
 
 # The 6-vertex regular two-graph worked through in the docs: ten triples,
 # pair count 2, descendant at vertex 0 has edges 12, 13, 24, 35, 45 and the
@@ -190,6 +190,21 @@ def edge_array_oracle(n: int, signed_edges) -> np.ndarray:
     for (u, v), s in signs.items():
         a[u, v] = a[v, u] = s
     return a
+
+
+def enumerate_switching_classes_oracle(g: Graph) -> list[tuple[int, ...]]:
+    """The sorted sign tuples, over g's sorted edges, of the canonical forms of all 2^m
+    signatures, walked one signature at a time: each is resigned to +1 along the
+    canonical BFS forest. The oracle for core.enumerate_switching_classes."""
+    edges = g.sorted_edges()
+    forest = [(u, v, edges.index((min(u, v), max(u, v)))) for u, v in _bfs_forest(g)]
+    classes: set[tuple[int, ...]] = set()
+    d = [1] * g.n
+    for signs in itertools.product((1, -1), repeat=g.m):
+        for u, v, i in forest:
+            d[v] = d[u] * signs[i]
+        classes.add(tuple(d[u] * d[v] * signs[i] for i, (u, v) in enumerate(edges)))
+    return sorted(classes)
 
 
 # Per-line and per-entry reference readers and writers for the text formats: the

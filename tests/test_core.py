@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,10 +26,11 @@ from twoeig import (
     validate_twograph,
     williamson_preset,
 )
-from twoeig.core import PANEL_ROWS, _bfs_forest, _is_symmetric
+from twoeig.core import MAX_ENUM_EDGES, PANEL_ROWS, _bfs_forest, _is_symmetric
 from twoeig.io import format_triples
 
-from conftest import K6_TRIPLES, edge_array_oracle, petersen, random_signed_graph, wide
+from conftest import (K6_TRIPLES, edge_array_oracle, enumerate_switching_classes_oracle, petersen,
+                      random_signed_graph, wide)
 
 
 def test_signed_matrix_validates_entries():
@@ -137,10 +139,18 @@ def test_malformed_edges_raise_a_clear_value_error():
         assert str(caught.value) == f"each edge must be {what} integers, got {found}"
 
 
+_PAST_INT64 = (2**63, -(2**63) - 1, 2**64, 2**70)
+
+
+def _pick(rng, values):
+    return values[int(rng.integers(len(values)))]
+
+
 def _faulty_edge_list(rng, n: int) -> list[tuple[int, int, int]]:
     """Random signed edges on 0..n-1 (maybe fewer vertices than needed) with up to three
-    faults at random positions: a bad sign, a loop, a vertex out of range, or an earlier
-    pair again in either orientation."""
+    faults at random positions: a bad sign, a loop, a vertex out of range in either slot,
+    or an earlier pair again in either orientation. Bad signs and vertices include Python
+    ints past int64."""
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     rows = [(*pairs[k], int(rng.choice((-1, 1))))
             for k in rng.choice(len(pairs), size=min(len(pairs), int(rng.integers(0, 9))))]
@@ -149,11 +159,13 @@ def _faulty_edge_list(rng, n: int) -> list[tuple[int, int, int]]:
         u, v, s = rows[int(rng.integers(len(rows)))] if rows else (0, 1, 1)
         fault = int(rng.integers(4))
         if fault == 0:
-            s = int(rng.choice((0, 2, -2, 7, 2**62, -(2**63), 2**63 - 1)))
+            s = _pick(rng, (0, 2, -2, 7, 2**62, -(2**63), 2**63 - 1, *_PAST_INT64))
         elif fault == 1:
             v = u
         elif fault == 2:
-            v = int(rng.choice((n, n + 3, -1, -(2**63), 2**63 - 1)))
+            v = _pick(rng, (n, n + 3, -1, -(2**63), 2**63 - 1, *_PAST_INT64))
+            if rng.random() < 0.5:
+                u, v = v, u
         elif rng.random() < 0.5:
             u, v = v, u
         rows.insert(at, (u, v, s))
@@ -169,21 +181,26 @@ def _built(make):
 
 def test_edge_validation_matches_the_per_edge_oracle(rng):
     """Graph(n, edges) and SignedGraph.from_edges, from lists and int64 arrays, give the
-    per-edge oracle's array or its exact message."""
+    per-edge oracle's array or its exact message. A list holding a Python int past int64
+    has no int64 array; its message quotes that int."""
     verdicts = set()
     for _ in range(400):
         n = int(rng.integers(0, 7))
         rows = _faulty_edge_list(rng, n)
-        array = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        past = any(not -(2**63) <= x < 2**63 for row in rows for x in row)
+        arrays = [] if past else [np.array(rows, dtype=np.int64).reshape(-1, 3)]
         signed = _built(lambda: SignedGraph(edge_array_oracle(n, rows)).matrix.data)
-        for edges in (rows, array):
+        for edges in (rows, *arrays):
             assert _built(lambda: SignedGraph.from_edges(n, edges).matrix.data) == signed, rows
         unsigned = _built(lambda: edge_array_oracle(n, [(u, v, 1) for u, v, _ in rows]))
-        for edges in ([(u, v) for u, v, _ in rows], array[:, :2]):
+        for edges in ([(u, v) for u, v, _ in rows], *(a[:, :2] for a in arrays)):
             assert _built(lambda: Graph(n, edges)) == unsigned, rows
         verdicts |= {k for k in ("has sign", "loop", "out of range", "duplicate", "ok")
                      for want in (signed, unsigned) if k in str(want)}
-    assert verdicts == {"has sign", "loop", "out of range", "duplicate", "ok"}
+        verdicts |= {f"past int64: {k}" for k in ("has sign", "out of range")
+                     if past and k in str(signed)}
+    assert verdicts == {"has sign", "loop", "out of range", "duplicate", "ok",
+                        "past int64: has sign", "past int64: out of range"}
 
 
 class _RowsWithoutIteration(np.ndarray):
@@ -417,6 +434,59 @@ def test_enumerate_switching_classes_matches_formula():
             assert switching_canonical(r) == r
         for a, b in itertools.combinations(reps, 2):
             assert not switching_equivalent(a, b)
+
+
+def _all_graphs(n: int):
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(2 ** len(pairs)):
+        yield Graph(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+
+
+def _random_graph(rng, n: int, max_edges: int, isolated: int) -> Graph:
+    """A random graph on n vertices and at most max_edges edges, with `isolated` more
+    vertices that no edge touches, all labels shuffled."""
+    pairs = list(itertools.combinations(range(n), 2))
+    m = int(rng.integers(0, min(len(pairs), max_edges) + 1))
+    label = rng.permutation(n + isolated)
+    return Graph(n + isolated, [(label[pairs[k][0]], label[pairs[k][1]])
+                                for k in rng.choice(len(pairs), size=m, replace=False)])
+
+
+def test_enumerate_switching_classes_matches_the_per_signature_oracle(rng):
+    """The same representatives, in the same order, as the walk one signature at a time:
+    on every labelled graph on 1 to 5 vertices and on random graphs of up to 9 vertices
+    and 16 edges, isolated vertices included."""
+    graphs = [g for n in range(1, 6) for g in _all_graphs(n)]
+    graphs += [_random_graph(rng, int(rng.integers(1, 8)), 16, int(rng.integers(0, 3)))
+               for _ in range(24)]
+    graphs += [_random_graph(rng, 9, 16, 0), Graph(9, list(itertools.combinations(range(6), 2))
+                                                   + [(6, 7)])]
+    assert max(g.m for g in graphs) == 16
+    for g in graphs:
+        iu, iv = np.nonzero(np.triu(g.adjacency(), 1))
+        reps = [tuple(rep.matrix.data[iu, iv].tolist()) for rep in enumerate_switching_classes(g)]
+        assert reps == enumerate_switching_classes_oracle(g), g
+
+
+@pytest.mark.parametrize("g", [
+    Graph(40, [(2 * i, 2 * i + 1) for i in range(20)]),
+    Graph.path(21),
+    Graph(9, list(itertools.combinations(range(7), 2))[:19] + [(7, 8)]),
+], ids=["matching", "path", "nine-vertices"])
+def test_enumerate_switching_classes_at_the_edge_limit(g):
+    """At m = MAX_ENUM_EDGES = 20 the walk of all 2^20 signatures gives 2^(m - n + c)
+    canonical representatives and allocates at most 64 MB at its peak."""
+    assert g.m == MAX_ENUM_EDGES
+    tracemalloc.start()
+    try:
+        reps = enumerate_switching_classes(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reps) == 2 ** (g.m - g.n + len(g.components()))
+    assert peak <= 64 * 2**20, peak
+    for rep in reps[:3] + reps[-3:]:
+        assert ground(rep) == g and switching_canonical(rep) == rep
 
 
 def test_enumerate_switching_classes_guard():
