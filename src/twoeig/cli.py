@@ -110,8 +110,8 @@ GEN_FLAG_READERS = {"-k": ("hadamard",), "-q": ("conference",), "--preset": ("wi
                     "--input": ("williamson", "double", "kron", "conference-block")}
 
 
-def _gen_matrix(args) -> tuple[core.SignedMatrix, core.OrthogonalityCertificate | None]:
-    """The generated matrix, and the certificate of the constructions that return one."""
+def _gen_matrix(args) -> tuple[core.SignedMatrix, core.OrthogonalityCertificate]:
+    """The generated matrix and the certificate its construction proved."""
     kind = args.kind
     for flag, readers in GEN_FLAG_READERS.items():
         if getattr(args, flag.lstrip("-")) is not None and kind not in readers:
@@ -126,19 +126,19 @@ def _gen_matrix(args) -> tuple[core.SignedMatrix, core.OrthogonalityCertificate 
     if kind == "hadamard":
         if args.k is None:
             raise ValueError("kind 'hadamard' needs -k, the base-two exponent of the order")
-        return constructions.sylvester_hadamard(args.k), None
+        return constructions._sylvester_hadamard(args.k)
     if kind == "conference":
         if args.q is None:
             raise ValueError("kind 'conference' needs -q, a prime congruent to 1 mod 4")
-        return constructions.paley_conference(args.q), None
+        return constructions._paley_conference(args.q)
     if kind == "williamson":
         if args.preset is None:
             raise ValueError("kind 'williamson' needs --preset")
-        return constructions.williamson_preset(one_input(), args.preset), None
+        return constructions._williamson_preset(one_input(), args.preset)
     if kind == "double":
         return constructions.double(one_input())
     if kind == "conference-block":
-        return constructions.conference_block(one_input()), None
+        return constructions._conference_block(one_input())
     if len(inputs) != 2:
         raise ValueError("kind 'kron' needs exactly two --input matrix files")
     return constructions.kronecker_orthogonal(*inputs)
@@ -149,9 +149,6 @@ def cmd_gen(args) -> RunReport:
     m, cert = _gen_matrix(args)
     text = io.format_matrix(m)
     if args.certify:
-        cert = cert or core.is_orthogonal(m)
-        if cert is None:
-            raise ValueError("generated matrix is not orthogonal, nothing to certify")
         text += f"alpha = {cert.alpha}\n"
         report.add("alpha", cert.alpha)
     report.add("order", f"{m.rows}x{m.cols}")
@@ -254,18 +251,20 @@ def cmd_switch_classes(args) -> RunReport:
     g = core.ground(io.parse_signed_graph(_read_text(args.file)))
     components = len(g.components())
     formula = core.count_switching_classes(g, components)
-    reps = core.enumerate_switching_classes(g)
-    iu, iv = np.nonzero(np.triu(g.adjacency(), 1))
+    # the representatives as sign strings straight from their codes: no
+    # (classes, n, n) block of adjacencies, whose memory would grow with n
+    codes = core._switching_class_codes(g)
+    m = g.m
+    text = np.where(core._code_signs(codes, m) > 0, b"+", b"-").tobytes().decode("ascii")
     report.add("vertices", g.n)
-    report.add("edges", g.m)
+    report.add("edges", m)
     report.add("components", components)
     report.add("formula count", formula)
-    report.add("enumerated count", len(reps))
+    report.add("enumerated count", len(codes))
     report.add("edge order", " ".join(f"{u + 1}-{v + 1}" for u, v in g.sorted_edges()))
-    for i, rep in enumerate(reps):
-        signs = rep.matrix.data[iu, iv]
-        report.add(f"representative {i + 1}", "".join(np.where(signs > 0, "+", "-")))
-    agree = formula == len(reps)
+    for i in range(len(codes)):
+        report.add(f"representative {i + 1}", text[i * m : (i + 1) * m])
+    agree = formula == len(codes)
     report.add("counts agree", agree)
     report.status = "pass" if agree else "fail"
     return report

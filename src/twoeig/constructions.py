@@ -1,11 +1,17 @@
 """Generators for orthogonal signed matrices.
 
-Every construction here outputs a matrix whose orthogonality identity
-C C^t = C^t C = alpha I is re-verified in exact integer arithmetic before
-the result is handed back, so a returned certificate is never inherited on
-faith from the inputs. Their entries are not checked again: each is a closed
-operation on {-1, 0, 1} (a Kronecker product, blocks of validated blocks and
-their negations, D +- I on a zero diagonal), wrapped by SignedMatrix._trusted.
+Every construction here proves the orthogonality identity C C^t = C^t C =
+alpha I of its output in exact integer arithmetic before the result is
+handed back, by one of two routes, and takes nothing on faith:
+- a Kronecker product A (x) B (sylvester_hadamard, kronecker_orthogonal,
+  conference_block, the "nonsymmetric-all-c" Williamson preset) is compared
+  entry by entry with the product of its certified factors, an O(n^2) check
+  of structure (_kronecker_certificate says why that proves the identity);
+- every other output (paley_conference, double, shift_antisymmetric, the
+  Williamson quadruple) is checked by an exact Gram product (is_orthogonal).
+Their entries are not checked again: each is a closed operation on
+{-1, 0, 1} (a Kronecker product, blocks of validated blocks and their
+negations, D +- I on a zero diagonal), wrapped by SignedMatrix._trusted.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ __all__ = [
 ]
 
 MAX_HADAMARD_EXPONENT = 12
+KRON_PANEL_BYTES = 2**18
 
 WILLIAMSON_PRESETS = ("all-c", "two-shifted", "four-shifted", "nonsymmetric-all-c")
 
@@ -54,26 +61,80 @@ def _verified(m: SignedMatrix, alpha: int, what: str) -> tuple[SignedMatrix, Ort
     return m, cert
 
 
+def _kronecker_certificate(
+    m: np.ndarray, a: np.ndarray, alpha_a: int, b: np.ndarray, alpha_b: int
+) -> OrthogonalityCertificate:
+    """Certificate of m = a (x) b with alpha = alpha_a * alpha_b, for square a and b
+    with certified a a^t = alpha_a I and b b^t = alpha_b I.
+
+    m is compared with a (x) b entry by entry, as the (na, nb, na, nb) view
+    of m against the broadcast a[i, k] * b[j, l]; np.kron, which builds the
+    outputs, takes no part in the check. On a match the mixed-product
+    identity gives m m^t = (a a^t) (x) (b b^t) = alpha_a I (x) alpha_b I =
+    alpha_a alpha_b I, and m^t m = alpha I follows for the square m as in
+    is_orthogonal: m^t / alpha is a one-sided, so two-sided, inverse. No
+    arithmetic can overflow: every entry is in {-1, 0, 1}, and so is every
+    int8 product of two of them. The check reads each entry of m once,
+    O(n^2) where a Gram product is O(n^3), a panel of rows of b at a time so
+    that the broadcast product stays near KRON_PANEL_BYTES: at order 4096
+    one whole-matrix broadcast took 19-21 ms and the panels take 5 ms
+    (2-vCPU host).
+    A mismatch, in shape or in any entry, is a defect of the construction
+    and raises AssertionError.
+    """
+    na, nb = a.shape[0], b.shape[0]
+    if a.shape != (na, na) or b.shape != (nb, nb) or m.shape != (na * nb, na * nb):
+        raise AssertionError(f"{m.shape} is not the Kronecker shape of {a.shape} and {b.shape}")
+    view = m.reshape(na, nb, na, nb)
+    step = max(1, KRON_PANEL_BYTES // (na * na * nb))
+    for j0 in range(0, nb, step):
+        panel = a[:, None, :, None] * b[None, j0 : j0 + step, None, :]
+        if not (view[:, j0 : j0 + step] == panel).all():
+            raise AssertionError(
+                f"order-{na * nb} output is not the Kronecker product of its factors")
+    return OrthogonalityCertificate(alpha_a * alpha_b)
+
+
+def _certified_kronecker(
+    a: SignedMatrix, alpha_a: int, b: SignedMatrix, alpha_b: int
+) -> tuple[SignedMatrix, OrthogonalityCertificate]:
+    m = kronecker(a, b)
+    return m, _kronecker_certificate(m.data, a.data, alpha_a, b.data, alpha_b)
+
+
 def kronecker_orthogonal(
     a: SignedMatrix, b: SignedMatrix
 ) -> tuple[SignedMatrix, OrthogonalityCertificate]:
     """Kronecker product of two orthogonal matrices; alphas multiply."""
     alpha_a = _require_orthogonal(a, "left factor")
     alpha_b = _require_orthogonal(b, "right factor")
-    return _verified(kronecker(a, b), alpha_a * alpha_b, "Kronecker product")
+    return _certified_kronecker(a, alpha_a, b, alpha_b)
+
+
+# the constant left factors, each certified once by an exact Gram product
+_SYLVESTER_SIGNS = SignedMatrix([[1, 1], [1, -1]])
+_SYLVESTER_ALPHA = _require_orthogonal(_SYLVESTER_SIGNS, "Sylvester sign pattern")
+_BLOCK_SIGNS = SignedMatrix([[1, 1], [-1, 1]])
+_BLOCK_ALPHA = _require_orthogonal(_BLOCK_SIGNS, "conference block sign pattern")
 
 
 def sylvester_hadamard(k: int) -> SignedMatrix:
     """Hadamard matrix of order 2^k built by iterated doubling from [[1,1],[1,-1]]."""
+    return _sylvester_hadamard(k)[0]
+
+
+def _sylvester_hadamard(k: int) -> tuple[SignedMatrix, OrthogonalityCertificate]:
+    """sylvester_hadamard with its certificate: each doubling h' = H_1 (x) h is
+    certified against the already certified h, O(4^k) work in all."""
     if k < 0:
         raise ValueError(f"exponent must be non-negative, got {k}")
     if k > MAX_HADAMARD_EXPONENT:
         raise ValueError(f"order 2^{k} exceeds the supported maximum 2^{MAX_HADAMARD_EXPONENT}")
-    h = np.array([[1]], dtype=np.int8)
-    h2 = np.array([[1, 1], [1, -1]], dtype=np.int8)
+    # [1] [1]^t = 1 I: the 1 x 1 start is orthogonal with alpha 1
+    h, cert = SignedMatrix._trusted(np.ones((1, 1), dtype=np.int8)), OrthogonalityCertificate(1)
     for _ in range(k):
-        h = np.kron(h2, h)
-    return _verified(SignedMatrix._trusted(h), 2**k, f"Hadamard matrix of order 2^{k}")[0]
+        h, cert = _certified_kronecker(_SYLVESTER_SIGNS, _SYLVESTER_ALPHA, h, cert.alpha)
+    return h, cert
 
 
 def _is_prime(n: int) -> bool:
@@ -94,6 +155,10 @@ def paley_conference(q: int) -> SignedMatrix:
     border of +1 entries (with a zero corner) completes the matrix. Symmetry
     needs -1 to be a residue, hence q = 1 (mod 4).
     """
+    return _paley_conference(q)[0]
+
+
+def _paley_conference(q: int) -> tuple[SignedMatrix, OrthogonalityCertificate]:
     if q % 2 == 0:
         raise ValueError(f"q must be odd, got {q}")
     if not _is_prime(q):
@@ -108,7 +173,7 @@ def paley_conference(q: int) -> SignedMatrix:
     c[1:, 1:] = chi[diff]
     if not _is_symmetric(c):
         raise AssertionError(f"conference matrix for q = {q} failed the symmetry check")
-    return _verified(SignedMatrix._trusted(c), q, f"conference matrix of order {q + 1}")[0]
+    return _verified(SignedMatrix._trusted(c), q, f"conference matrix of order {q + 1}")
 
 
 def double(c: SignedMatrix) -> tuple[SignedMatrix, OrthogonalityCertificate]:
@@ -203,6 +268,11 @@ def _williamson_assemble(a1, a2, a3, a4) -> SignedMatrix:
                                            [-a4, -a3, a2, a1]]))
 
 
+# S, the block sign pattern: the assembly of four equal blocks C is S (x) C
+_WILLIAMSON_SIGNS = _williamson_assemble(*[np.ones((1, 1), dtype=np.int8)] * 4)
+_WILLIAMSON_ALPHA = _require_orthogonal(_WILLIAMSON_SIGNS, "Williamson sign pattern")
+
+
 def williamson(quad: WilliamsonQuadruple) -> SignedMatrix | None:
     """4n-order block matrix over a quadruple, when the square-sum test passes.
 
@@ -215,11 +285,16 @@ def williamson(quad: WilliamsonQuadruple) -> SignedMatrix | None:
     of magnitude at most 4n, and so is s; core._product_is compares it with
     s I exactly (its docstring says why).
     """
+    out = _williamson(quad)
+    return None if out is None else out[0]
+
+
+def _williamson(quad: WilliamsonQuadruple) -> tuple[SignedMatrix, OrthogonalityCertificate] | None:
     s = sum(quad.row_counts())
     blocks = [m.data for m in quad.blocks()]
     if not _product_is(np.hstack(blocks), np.vstack(blocks), s):
         return None
-    return _verified(_williamson_assemble(*blocks), s, "Williamson block matrix")[0]
+    return _verified(_williamson_assemble(*blocks), s, "Williamson block matrix")
 
 
 def williamson_preset(c: SignedMatrix, preset: str) -> SignedMatrix:
@@ -229,15 +304,21 @@ def williamson_preset(c: SignedMatrix, preset: str) -> SignedMatrix:
     "two-shifted" uses (C, C, C-I, C+I) and "four-shifted" uses
     (C+I, C+I, C-I, C-I), both needing a zero diagonal on top of symmetry;
     "nonsymmetric-all-c" accepts any orthogonal C and assembles directly:
-    its cross products C C^t are symmetric by construction, and the result
-    is re-verified orthogonal.
+    four equal blocks make S (x) C for the 4 x 4 sign pattern S of the
+    assembly, certified as a Kronecker product (_kronecker_certificate).
     """
+    return _williamson_preset(c, preset)[0]
+
+
+def _williamson_preset(
+    c: SignedMatrix, preset: str
+) -> tuple[SignedMatrix, OrthogonalityCertificate]:
     if preset not in WILLIAMSON_PRESETS:
         raise ValueError(f"unknown preset {preset!r}, expected one of {WILLIAMSON_PRESETS}")
     alpha = _require_orthogonal(c, "input")
     d = c.data
     if preset == "nonsymmetric-all-c":
-        return _verified(_williamson_assemble(d, d, d, d), 4 * alpha, "Williamson block matrix")[0]
+        return _certified_kronecker(_WILLIAMSON_SIGNS, _WILLIAMSON_ALPHA, c, alpha)
     if not _is_symmetric(c.data):
         raise ValueError(f"preset {preset!r} requires a symmetric matrix")
     if preset == "all-c":
@@ -252,14 +333,19 @@ def williamson_preset(c: SignedMatrix, preset: str) -> SignedMatrix:
             quad = WilliamsonQuadruple(c, c, minus, plus)
         else:
             quad = WilliamsonQuadruple(plus, plus, minus, minus)
-    out = williamson(quad)
+    out = _williamson(quad)
     if out is None:
         raise AssertionError(f"preset {preset!r} failed the square-sum condition")
     return out
 
 
 def conference_block(c: SignedMatrix) -> SignedMatrix:
-    """[[C, C], [-C, C]] for a conference matrix C; alpha doubles to 2(n-1)."""
+    """[[C, C], [-C, C]] = [[1, 1], [-1, 1]] (x) C for a conference matrix C;
+    alpha doubles to 2(n-1), certified as a Kronecker product."""
+    return _conference_block(c)[0]
+
+
+def _conference_block(c: SignedMatrix) -> tuple[SignedMatrix, OrthogonalityCertificate]:
     if not c.is_square:
         raise ValueError("input must be square")
     if np.any(np.diagonal(c.data) != 0):
@@ -268,6 +354,4 @@ def conference_block(c: SignedMatrix) -> SignedMatrix:
     if np.any(off == 0):
         raise ValueError("input has a zero off the diagonal, so it is not a conference matrix")
     alpha = _require_orthogonal(c, "input")
-    d = c.data
-    m = SignedMatrix._trusted(np.block([[d, d], [-d, d]]))
-    return _verified(m, 2 * alpha, "conference block matrix")[0]
+    return _certified_kronecker(_BLOCK_SIGNS, _BLOCK_ALPHA, c, alpha)

@@ -691,23 +691,36 @@ def enumerate_switching_classes(g: Graph) -> list[SignedGraph]:
     order of their sign tuples over the sorted edges, -1 before +1. This is the
     oracle against the 2^(m-n+c) formula, so it deliberately maps every signature
     to its switching_canonical form and counts the distinct forms instead of
-    using the formula.
+    using the formula; _switching_class_codes says how. The representatives
+    are k = 2^(m-n+c) arrays of n x n entries, so their memory grows with n
+    where the codes' does not. Signs written at the edges of a zero array are
+    valid adjacencies, so they are not checked (for n = 0 the public
+    constructor rejects the empty matrix).
+    """
+    codes = _switching_class_codes(g)
+    iu, iv = np.nonzero(np.triu(g.adjacency(), 1))
+    a = np.zeros((len(codes), g.n, g.n), dtype=np.int8)
+    a[:, iu, iv] = a[:, iv, iu] = _code_signs(codes, g.m)
+    return [SignedGraph._trusted(rep) if g.n else SignedGraph(rep) for rep in a]
 
-    The walk is batched. Signature `code` in 0..2^m - 1 has bit m-1-i set iff
-    sorted edge i is negative, so the tuple order is descending code.
-    switching_canonical switches vertex v iff the code bits on v's canonical
-    BFS forest path from its root have odd parity, so one Python walk of the
-    forest (n - c steps) records each switch as a mask of code bits. The key
-    negates edge (u, v) iff its own bit and the switches of u and v have odd
-    parity, so every key bit is a XOR of code bits and key(r + 2^j) =
-    key(r) ^ key(2^j) for r < 2^j: m XOR passes write the keys of all 2^m
-    codes into one uint32 array, and a 2^m boolean array marks those present.
-    It is still brute force: every signature gets its key, and the classes are
-    the distinct keys, with no count assumed. The memory is 2^m words whatever
-    n is: at m = MAX_ENUM_EDGES = 20 the keys take 4 MB and the marks 1 MB
-    (traced peaks of 5 to 15 MB, the representatives included). Keys written
-    at the edges of a zero array are valid adjacencies, so they are not
-    checked (for n = 0 the public constructor rejects the empty matrix).
+
+def _switching_class_codes(g: Graph) -> np.ndarray:
+    """The uint32 signature codes of the canonical switching-class
+    representatives, in descending order (enumerate_switching_classes' order).
+
+    Signature `code` in 0..2^m - 1 has bit m-1-i set iff sorted edge i is
+    negative (_code_signs decodes it), so the sign-tuple order, -1 before
+    +1, is descending code. switching_canonical switches vertex v iff the
+    code bits on v's canonical BFS forest path from its root have odd
+    parity, so one Python walk of the forest (n - c steps) records each
+    switch as a mask of code bits. The key negates edge (u, v) iff its own
+    bit and the switches of u and v have odd parity, so every key bit is a
+    XOR of code bits and key(r + 2^j) = key(r) ^ key(2^j) for r < 2^j: m XOR
+    passes write the keys of all 2^m codes into one uint32 array, and a 2^m
+    boolean array marks those present. It is still brute force: every
+    signature gets its key, and the classes are the distinct keys, with no
+    count assumed. The memory is 2^m words whatever n is: at m =
+    MAX_ENUM_EDGES = 20 the keys take 4 MB and the marks 1 MB.
     """
     m = g.m
     if m > MAX_ENUM_EDGES:
@@ -725,11 +738,14 @@ def enumerate_switching_classes(g: Graph) -> list[SignedGraph]:
         np.bitwise_xor(keys[:b], key, out=keys[b : 2 * b])
     present = np.zeros(2**m, dtype=bool)
     present[keys] = True
-    codes = np.flatnonzero(present)[::-1]
-    negative = (codes[:, None] >> np.arange(m - 1, -1, -1)) & 1
-    a = np.zeros((len(codes), g.n, g.n), dtype=np.int8)
-    a[:, iu, iv] = a[:, iv, iu] = 1 - 2 * negative
-    return [SignedGraph._trusted(rep) if g.n else SignedGraph(rep) for rep in a]
+    return np.flatnonzero(present)[::-1].astype(np.uint32)
+
+
+def _code_signs(codes: np.ndarray, m: int) -> np.ndarray:
+    """The (len(codes), m) int8 signs over the sorted edges of each signature code:
+    -1 where bit m-1-i of the code is set, else +1."""
+    negative = (codes[:, None] >> np.arange(m - 1, -1, -1, dtype=np.uint32)) & 1
+    return 1 - 2 * negative.astype(np.int8)
 
 
 def is_regular(g: Graph) -> int | None:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,10 @@ import pytest
 
 import twoeig
 from twoeig import (
+    Graph,
+    SignedGraph,
     SignedMatrix,
+    enumerate_switching_classes,
     eigenvalues_symmetric,
     is_orthogonal,
     paley_conference,
@@ -73,8 +77,11 @@ def test_gen_kron_and_williamson(tmp_path, capsys):
 
 
 def test_gen_certify_reuses_the_construction_certificate(tmp_path, capsys, monkeypatch):
-    """kron and double return their certificate, so --certify reports it: kron certifies
-    both factors and the product (3 calls), double the input and the output (2)."""
+    """Every gen kind returns its certificate, so --certify reports it with no second
+    Gram check. Kronecker-shaped outputs are certified by their block structure: kron
+    makes Gram calls only for its two factors, conference-block and the nonsymmetric
+    Williamson preset for their input, and hadamard none. double and conference check
+    their output (and double its input) by a Gram product."""
     from twoeig import constructions, core
 
     calls = []
@@ -90,8 +97,14 @@ def test_gen_certify_reuses_the_construction_certificate(tmp_path, capsys, monke
     c.write_text(format_matrix(paley_conference(5)))
     for argv, product, alpha, count in [
         (["kron", "--input", str(h), "--input", str(c)],
-         twoeig.kronecker(sylvester_hadamard(2), paley_conference(5)), 20, 3),
+         twoeig.kronecker(sylvester_hadamard(2), paley_conference(5)), 20, 2),
         (["double", "--input", str(c)], twoeig.double(paley_conference(5))[0], 12, 2),
+        (["hadamard", "-k", "3"], sylvester_hadamard(3), 8, 0),
+        (["conference", "-q", "5"], paley_conference(5), 5, 1),
+        (["conference-block", "--input", str(c)],
+         twoeig.conference_block(paley_conference(5)), 10, 1),
+        (["williamson", "--preset", "nonsymmetric-all-c", "--input", str(h)],
+         twoeig.williamson_preset(sylvester_hadamard(2), "nonsymmetric-all-c"), 16, 1),
     ]:
         calls.clear()
         code, out, err = run(capsys, "gen", *argv, "--certify")
@@ -435,6 +448,53 @@ def test_defect_exits_3_with_report(monkeypatch, capsys):
     assert code == 3 and json.loads(err)["status"] == "defect"
 
 
+def test_corrupted_kronecker_output_is_a_defect(tmp_path, monkeypatch, capsys):
+    """A Kronecker-shaped gen output that is not the product of its factors is never
+    certified: its structure check fails and gen exits 3, writing no matrix."""
+    from twoeig import constructions
+
+    build = constructions.kronecker
+
+    def corrupted(a, b):
+        m = build(a, b).data.copy()
+        m[-1, 0] = -m[-1, 0] if m[-1, 0] else 1
+        return SignedMatrix(m)
+
+    h, c = tmp_path / "h.txt", tmp_path / "c.txt"
+    h.write_text(format_matrix(sylvester_hadamard(2)))
+    c.write_text(format_matrix(paley_conference(5)))
+    monkeypatch.setattr(constructions, "kronecker", corrupted)
+    for argv in (["hadamard", "-k", "3"], ["kron", "--input", str(h), "--input", str(c)],
+                 ["conference-block", "--input", str(c)],
+                 ["williamson", "--preset", "nonsymmetric-all-c", "--input", str(h)]):
+        code, out, err = run(capsys, "gen", *argv, "--certify")
+        assert code == 3 and out == "", argv
+        assert "not the Kronecker product" in err and "status: defect" in err
+
+
+def test_switch_classes_memory_does_not_grow_with_isolated_vertices(tmp_path, capsys):
+    """20 edges on 7 of 60 vertices: 2^14 classes, printed from their signature codes
+    in a traced peak under 16 MB (a (classes, n, n) block of them would take 59 MB),
+    the same sign strings in the same order as enumerate_switching_classes."""
+    edges = list(itertools.combinations(range(7), 2))[:20]
+    f = tmp_path / "k7.graph"
+    f.write_text(format_signed_graph(SignedGraph.from_edges(60, [(u, v, 1) for u, v in edges])))
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "switch-classes", str(f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "enumerated count: 16384\n" in out and "counts agree: true" in out
+    assert peak < 16 * 2**20, peak
+    g = Graph(7, edges)
+    iu, iv = np.nonzero(np.triu(g.adjacency(), 1))
+    expected = ["".join(np.where(rep.matrix.data[iu, iv] > 0, "+", "-"))
+                for rep in enumerate_switching_classes(g)]
+    assert [line.split(": ")[1] for line in out.splitlines()
+            if line.startswith("representative ")] == expected
+
+
 def test_flags_only_where_read(tmp_path, capsys):
     f = tmp_path / "c4.txt"
     f.write_text(ONE_NEGATIVE_C4)
@@ -591,3 +651,11 @@ def test_cli_as_a_process(tmp_path):
     lift = twoeig_process("lift", str(f), "-o", str(target))
     assert lift.returncode == 0 and f"written: {target}\n" in lift.stdout
     assert target.read_text().startswith("8 8\n")
+
+
+def test_python_m_twoeig_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(twoeig.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "twoeig", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: twoeig") and "switch-classes" in proc.stdout

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from twoeig import constructions, core
 from twoeig import (
     SignedMatrix,
     WilliamsonQuadruple,
@@ -199,3 +200,62 @@ def test_conference_block_rejections():
     dense = SignedMatrix(np.ones((4, 4), dtype=np.int8) - np.eye(4, dtype=np.int8))
     with pytest.raises(ValueError, match="not an orthogonal"):
         conference_block(dense)
+
+
+KRONECKER_INPUTS = [sylvester_hadamard(1), sylvester_hadamard(3), paley_conference(5),
+                    paley_conference(13), ROTATION, SWAP]
+
+
+def test_kronecker_routes_return_the_gram_certificate():
+    """The four Kronecker-shaped constructions certify their output by its block
+    structure; the alpha they return is the one the exact Gram check finds."""
+    for k in range(12):
+        h, cert = constructions._sylvester_hadamard(k)
+        assert cert == is_orthogonal(h) and cert.alpha == 2**k
+        assert h == sylvester_hadamard(k)
+    for a in KRONECKER_INPUTS:
+        for b in KRONECKER_INPUTS:
+            m, cert = kronecker_orthogonal(a, b)
+            assert cert == is_orthogonal(m) and m == kronecker(a, b)
+        m, cert = constructions._williamson_preset(a, "nonsymmetric-all-c")
+        assert cert == is_orthogonal(m) and cert.alpha == 4 * is_orthogonal(a).alpha
+        assert m == williamson_preset(a, "nonsymmetric-all-c")
+    for c in (SWAP, *(paley_conference(q) for q in (5, 13, 29, 61))):
+        m, cert = constructions._conference_block(c)
+        assert cert == is_orthogonal(m) and m == conference_block(c)
+        assert np.array_equal(wide(m), np.block([[wide(c), wide(c)], [-wide(c), wide(c)]]))
+
+
+def test_kronecker_certificate_rejects_every_single_entry_change():
+    a, b = sylvester_hadamard(1).data, paley_conference(5).data
+    m = np.kron(a, b)
+    assert constructions._kronecker_certificate(m, a, 2, b, 5).alpha == 10
+    for i, j in np.ndindex(m.shape):
+        bad = m.copy()
+        bad[i, j] = -m[i, j] if m[i, j] else 1
+        with pytest.raises(AssertionError, match="not the Kronecker product"):
+            constructions._kronecker_certificate(bad, a, 2, b, 5)
+    with pytest.raises(AssertionError, match="not the Kronecker product"):
+        constructions._kronecker_certificate(np.kron(b, a), a, 2, b, 5)
+    for out, left, right in ((m, a, a), (m, b, b), (m[:, :11], a, b), (m, a, b[:, :5]),
+                             (m, a[:1], b)):
+        with pytest.raises(AssertionError, match="Kronecker shape"):
+            constructions._kronecker_certificate(out, left, 1, right, 1)
+
+
+def test_sylvester_hadamard_makes_no_gram_call(monkeypatch):
+    """Each doubling is certified against the last by its block structure, so no order
+    2^k Gram product is formed (the counter does see is_orthogonal's)."""
+    orders = []
+    gram_is = core._gram_is
+
+    def counted(x, scale, shift):
+        orders.append(x.shape[0])
+        return gram_is(x, scale, shift)
+
+    monkeypatch.setattr(core, "_gram_is", counted)
+    for k in range(constructions.MAX_HADAMARD_EXPONENT + 1):
+        assert sylvester_hadamard(k).rows == 2**k
+    assert orders == []
+    is_orthogonal(sylvester_hadamard(2))
+    assert orders == [4]
