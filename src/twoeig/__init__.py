@@ -7,6 +7,8 @@ correspondence, and 2-lifts that turn good signatures into regular
 Ramanujan graphs.
 """
 
+import types as _types
+
 from .constructions import (
     WilliamsonQuadruple,
     conference_block,
@@ -72,57 +74,6 @@ from .twographs import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Graph",
-    "GroundRamanujanReport",
-    "LemmaRamReport",
-    "LiftedGraph",
-    "OrthogonalityCertificate",
-    "RamanujanReport",
-    "SignedGraph",
-    "SignedMatrix",
-    "Spectrum",
-    "TableRowReport",
-    "TwoEigCertificate",
-    "TwoGraph",
-    "WilliamsonQuadruple",
-    "bipartite_complement",
-    "bipartite_two_eig_check",
-    "certify_two_eigenvalues",
-    "complement",
-    "conference_block",
-    "count_switching_classes",
-    "degree_from_certificate",
-    "descendant",
-    "disjoint_union",
-    "double",
-    "eigenvalues_symmetric",
-    "enumerate_switching_classes",
-    "ground",
-    "ground_ramanujan_from_symmetric",
-    "is_good_signature",
-    "is_orthogonal",
-    "is_ramanujan",
-    "is_regular",
-    "is_regular_twograph",
-    "k_c4_complement",
-    "kronecker",
-    "kronecker_orthogonal",
-    "lemma_ram_check",
-    "lift_spectrum_check",
-    "paley_conference",
-    "resign",
-    "shift_antisymmetric",
-    "signed_complete_from_graph",
-    "spectrum_union",
-    "star",
-    "switching_canonical",
-    "switching_equivalent",
-    "sylvester_hadamard",
-    "table_row",
-    "twograph_from_signed_complete",
-    "two_lift",
-    "validate_twograph",
-    "williamson",
-    "williamson_preset",
-]
+# every name imported above, and only those, is public
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or isinstance(value, _types.ModuleType)))

@@ -110,8 +110,8 @@ GEN_FLAG_READERS = {"-k": ("hadamard",), "-q": ("conference",), "--preset": ("wi
                     "--input": ("williamson", "double", "kron", "conference-block")}
 
 
-def _gen_matrix(args) -> tuple[core.SignedMatrix, core.OrthogonalityCertificate]:
-    """The generated matrix and the certificate its construction proved."""
+def _gen_matrix(args) -> core.SignedMatrix:
+    """The generated matrix, which keeps the certificate its construction proved."""
     kind = args.kind
     for flag, readers in GEN_FLAG_READERS.items():
         if getattr(args, flag.lstrip("-")) is not None and kind not in readers:
@@ -126,31 +126,32 @@ def _gen_matrix(args) -> tuple[core.SignedMatrix, core.OrthogonalityCertificate]
     if kind == "hadamard":
         if args.k is None:
             raise ValueError("kind 'hadamard' needs -k, the base-two exponent of the order")
-        return constructions._sylvester_hadamard(args.k)
+        return constructions.sylvester_hadamard(args.k)
     if kind == "conference":
         if args.q is None:
             raise ValueError("kind 'conference' needs -q, a prime congruent to 1 mod 4")
-        return constructions._paley_conference(args.q)
+        return constructions.paley_conference(args.q)
     if kind == "williamson":
         if args.preset is None:
             raise ValueError("kind 'williamson' needs --preset")
-        return constructions._williamson_preset(one_input(), args.preset)
+        return constructions.williamson_preset(one_input(), args.preset)
     if kind == "double":
-        return constructions.double(one_input())
+        return constructions.double(one_input())[0]
     if kind == "conference-block":
-        return constructions._conference_block(one_input())
+        return constructions.conference_block(one_input())
     if len(inputs) != 2:
         raise ValueError("kind 'kron' needs exactly two --input matrix files")
-    return constructions.kronecker_orthogonal(*inputs)
+    return constructions.kronecker_orthogonal(*inputs)[0]
 
 
 def cmd_gen(args) -> RunReport:
     report = RunReport("gen", {"kind": args.kind})
-    m, cert = _gen_matrix(args)
+    m = _gen_matrix(args)
     text = io.format_matrix(m)
     if args.certify:
-        text += f"alpha = {cert.alpha}\n"
-        report.add("alpha", cert.alpha)
+        alpha = core.is_orthogonal(m).alpha  # the construction's kept certificate
+        text += f"alpha = {alpha}\n"
+        report.add("alpha", alpha)
     report.add("order", f"{m.rows}x{m.cols}")
     report.quiet_text = _deliver(report, args, "matrix", text)
     return report
@@ -159,7 +160,8 @@ def cmd_gen(args) -> RunReport:
 def cmd_verify(args) -> RunReport:
     """One certificate decides every line: symmetric zero-diagonal M has M^2 = alpha I iff
     it certifies with a = 0, b = -alpha (zero trace rules out odd orders); star(M) certifies
-    iff M is orthogonal, with a = 0, alpha = -b. Only uncertified input reaches eigvalsh."""
+    iff M is orthogonal, with a = 0, alpha = -b, so it is built only for eigvalsh, which
+    only uncertified input reaches."""
     report = RunReport("verify", {"file": args.file})
     m = io.parse_matrix(_read_text(args.file))
     if not m.is_square:
@@ -167,8 +169,9 @@ def cmd_verify(args) -> RunReport:
     try:
         sg, obj = core.SignedGraph(m), "matrix"
     except ValueError:
-        sg, obj = core.star(m), "star"
-    cert = spectra.certify_two_eigenvalues(sg)
+        sg, obj = None, "star"
+    cert = (spectra._star_certificate(core.is_orthogonal(m), 2 * m.rows) if sg is None
+            else spectra.certify_two_eigenvalues(sg))
     orthogonal = cert is not None and cert.a == 0
     report.add("orthogonal", core.OrthogonalityCertificate(-cert.b) if orthogonal else None)
     report.add("certified object", obj)
@@ -177,7 +180,8 @@ def cmd_verify(args) -> RunReport:
         report.add("ground degree", spectra.degree_from_certificate(cert))
         report.add("spectrum", cert.spectrum(args.tol))
     else:
-        report.add("spectrum", spectra.eigenvalues_symmetric(sg, args.tol))
+        shown = core.star(m) if sg is None else sg
+        report.add("spectrum", spectra.eigenvalues_symmetric(shown, args.tol))
     report.status = "pass" if cert is not None else "fail"
     return report
 

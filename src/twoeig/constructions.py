@@ -12,6 +12,8 @@ handed back, by one of two routes, and takes nothing on faith:
 Their entries are not checked again: each is a closed operation on
 {-1, 0, 1} (a Kronecker product, blocks of validated blocks and their
 negations, D +- I on a zero diagonal), wrapped by SignedMatrix._trusted.
+Each output keeps the certificate proven for it, so is_orthogonal of it (in
+gen --certify, or in a certificate of its star) proves nothing again.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrthogonalityCertificate, SignedMatrix, _is_symmetric, _product_is, is_orthogonal
+from .core import (OrthogonalityCertificate, SignedMatrix, _is_symmetric, _keep_verdict,
+                   _product_is, is_orthogonal)
 
 __all__ = [
     "WilliamsonQuadruple",
@@ -55,6 +58,7 @@ def _require_orthogonal(c: SignedMatrix, name: str) -> int:
 
 
 def _verified(m: SignedMatrix, alpha: int, what: str) -> tuple[SignedMatrix, OrthogonalityCertificate]:
+    """m and its exact Gram certificate, which must have alpha; is_orthogonal keeps it on m."""
     cert = is_orthogonal(m)
     if cert is None or cert.alpha != alpha:
         raise AssertionError(f"{what} failed exact verification with alpha = {alpha}")
@@ -97,9 +101,10 @@ def _kronecker_certificate(
 
 def _certified_kronecker(
     a: SignedMatrix, alpha_a: int, b: SignedMatrix, alpha_b: int
-) -> tuple[SignedMatrix, OrthogonalityCertificate]:
+) -> SignedMatrix:
+    """a (x) b, keeping the certificate that _kronecker_certificate proves for it."""
     m = kronecker(a, b)
-    return m, _kronecker_certificate(m.data, a.data, alpha_a, b.data, alpha_b)
+    return _keep_verdict(m, _kronecker_certificate(m.data, a.data, alpha_a, b.data, alpha_b))
 
 
 def kronecker_orthogonal(
@@ -108,7 +113,8 @@ def kronecker_orthogonal(
     """Kronecker product of two orthogonal matrices; alphas multiply."""
     alpha_a = _require_orthogonal(a, "left factor")
     alpha_b = _require_orthogonal(b, "right factor")
-    return _certified_kronecker(a, alpha_a, b, alpha_b)
+    m = _certified_kronecker(a, alpha_a, b, alpha_b)
+    return m, is_orthogonal(m)
 
 
 # the constant left factors, each certified once by an exact Gram product
@@ -119,22 +125,18 @@ _BLOCK_ALPHA = _require_orthogonal(_BLOCK_SIGNS, "conference block sign pattern"
 
 
 def sylvester_hadamard(k: int) -> SignedMatrix:
-    """Hadamard matrix of order 2^k built by iterated doubling from [[1,1],[1,-1]]."""
-    return _sylvester_hadamard(k)[0]
-
-
-def _sylvester_hadamard(k: int) -> tuple[SignedMatrix, OrthogonalityCertificate]:
-    """sylvester_hadamard with its certificate: each doubling h' = H_1 (x) h is
-    certified against the already certified h, O(4^k) work in all."""
+    """Hadamard matrix of order 2^k built by iterated doubling from [[1,1],[1,-1]]: each
+    doubling h' = H_1 (x) h is certified against the already certified h, O(4^k) work
+    in all."""
     if k < 0:
         raise ValueError(f"exponent must be non-negative, got {k}")
     if k > MAX_HADAMARD_EXPONENT:
         raise ValueError(f"order 2^{k} exceeds the supported maximum 2^{MAX_HADAMARD_EXPONENT}")
     # [1] [1]^t = 1 I: the 1 x 1 start is orthogonal with alpha 1
-    h, cert = SignedMatrix._trusted(np.ones((1, 1), dtype=np.int8)), OrthogonalityCertificate(1)
+    h = _keep_verdict(SignedMatrix._trusted(np.ones((1, 1), np.int8)), OrthogonalityCertificate(1))
     for _ in range(k):
-        h, cert = _certified_kronecker(_SYLVESTER_SIGNS, _SYLVESTER_ALPHA, h, cert.alpha)
-    return h, cert
+        h = _certified_kronecker(_SYLVESTER_SIGNS, _SYLVESTER_ALPHA, h, is_orthogonal(h).alpha)
+    return h
 
 
 def _is_prime(n: int) -> bool:
@@ -155,10 +157,6 @@ def paley_conference(q: int) -> SignedMatrix:
     border of +1 entries (with a zero corner) completes the matrix. Symmetry
     needs -1 to be a residue, hence q = 1 (mod 4).
     """
-    return _paley_conference(q)[0]
-
-
-def _paley_conference(q: int) -> tuple[SignedMatrix, OrthogonalityCertificate]:
     if q % 2 == 0:
         raise ValueError(f"q must be odd, got {q}")
     if not _is_prime(q):
@@ -173,7 +171,7 @@ def _paley_conference(q: int) -> tuple[SignedMatrix, OrthogonalityCertificate]:
     c[1:, 1:] = chi[diff]
     if not _is_symmetric(c):
         raise AssertionError(f"conference matrix for q = {q} failed the symmetry check")
-    return _verified(SignedMatrix._trusted(c), q, f"conference matrix of order {q + 1}")
+    return _verified(SignedMatrix._trusted(c), q, f"conference matrix of order {q + 1}")[0]
 
 
 def double(c: SignedMatrix) -> tuple[SignedMatrix, OrthogonalityCertificate]:
@@ -285,16 +283,11 @@ def williamson(quad: WilliamsonQuadruple) -> SignedMatrix | None:
     of magnitude at most 4n, and so is s; core._product_is compares it with
     s I exactly (its docstring says why).
     """
-    out = _williamson(quad)
-    return None if out is None else out[0]
-
-
-def _williamson(quad: WilliamsonQuadruple) -> tuple[SignedMatrix, OrthogonalityCertificate] | None:
     s = sum(quad.row_counts())
     blocks = [m.data for m in quad.blocks()]
     if not _product_is(np.hstack(blocks), np.vstack(blocks), s):
         return None
-    return _verified(_williamson_assemble(*blocks), s, "Williamson block matrix")
+    return _verified(_williamson_assemble(*blocks), s, "Williamson block matrix")[0]
 
 
 def williamson_preset(c: SignedMatrix, preset: str) -> SignedMatrix:
@@ -307,12 +300,6 @@ def williamson_preset(c: SignedMatrix, preset: str) -> SignedMatrix:
     four equal blocks make S (x) C for the 4 x 4 sign pattern S of the
     assembly, certified as a Kronecker product (_kronecker_certificate).
     """
-    return _williamson_preset(c, preset)[0]
-
-
-def _williamson_preset(
-    c: SignedMatrix, preset: str
-) -> tuple[SignedMatrix, OrthogonalityCertificate]:
     if preset not in WILLIAMSON_PRESETS:
         raise ValueError(f"unknown preset {preset!r}, expected one of {WILLIAMSON_PRESETS}")
     alpha = _require_orthogonal(c, "input")
@@ -333,7 +320,7 @@ def _williamson_preset(
             quad = WilliamsonQuadruple(c, c, minus, plus)
         else:
             quad = WilliamsonQuadruple(plus, plus, minus, minus)
-    out = _williamson(quad)
+    out = williamson(quad)
     if out is None:
         raise AssertionError(f"preset {preset!r} failed the square-sum condition")
     return out
@@ -342,10 +329,6 @@ def _williamson_preset(
 def conference_block(c: SignedMatrix) -> SignedMatrix:
     """[[C, C], [-C, C]] = [[1, 1], [-1, 1]] (x) C for a conference matrix C;
     alpha doubles to 2(n-1), certified as a Kronecker product."""
-    return _conference_block(c)[0]
-
-
-def _conference_block(c: SignedMatrix) -> tuple[SignedMatrix, OrthogonalityCertificate]:
     if not c.is_square:
         raise ValueError("input must be square")
     if np.any(np.diagonal(c.data) != 0):

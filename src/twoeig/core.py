@@ -12,6 +12,8 @@ validity follows from its validated input (star, ground, a switching) wraps
 its fresh array with the private _trusted constructor, with no check or copy.
 Edges and triples are held as (m, 2 or 3) integer arrays (_int_rows), checked
 by array expressions: _edge_array for edges, _lex_order for every duplicate.
+A matrix keeps its orthogonality verdict once proven (is_orthogonal), and a
+graph that star built keeps its C, whose verdict certifies it.
 """
 
 from __future__ import annotations
@@ -215,12 +217,13 @@ def _is_symmetric(a: np.ndarray, sign: int = 1) -> bool:
 
 
 class SignedMatrix:
-    """Dense rectangular matrix over {-1, 0, +1}."""
+    """Dense rectangular matrix over {-1, 0, +1}; _verdict is is_orthogonal's kept verdict."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "_verdict")
 
     def __init__(self, data):
         self.data = _as_trit_array(data)
+        self._verdict = None
 
     @classmethod
     def _trusted(cls, arr: np.ndarray) -> "SignedMatrix":
@@ -228,6 +231,7 @@ class SignedMatrix:
         arr.setflags(write=False)
         m = cls.__new__(cls)
         m.data = arr
+        m._verdict = None
         return m
 
     @property
@@ -537,31 +541,27 @@ def _bfs_components(a: np.ndarray):
 
 
 class SignedGraph:
-    """Symmetric zero-diagonal signed matrix viewed as a graph plus signature."""
+    """Symmetric zero-diagonal signed matrix viewed as a graph plus signature; _star: see star."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_star")
 
     def __init__(self, matrix):
         sm = matrix if isinstance(matrix, SignedMatrix) else SignedMatrix(matrix)
         _check_adjacency(sm.data)
         self.matrix = sm
+        self._star = None
 
     @classmethod
     def _trusted(cls, arr: np.ndarray) -> "SignedGraph":
         """As SignedMatrix._trusted, for a symmetric, zero-diagonal array."""
         sg = cls.__new__(cls)
         sg.matrix = SignedMatrix._trusted(arr)
+        sg._star = None
         return sg
 
     @property
     def n(self) -> int:
         return self.matrix.rows
-
-    def edge_signs(self) -> dict[tuple[int, int], int]:
-        """Map (u, v) with u < v to the edge sign."""
-        a = self.matrix.data
-        iu, iv = np.nonzero(np.triu(a, 1))
-        return dict(zip(zip(iu.tolist(), iv.tolist()), a[iu, iv].tolist()))
 
     @classmethod
     def from_edges(cls, n: int, signed_edges) -> "SignedGraph":
@@ -592,7 +592,8 @@ def ground(sg: SignedGraph) -> Graph:
 
 
 def star(c: SignedMatrix) -> SignedGraph:
-    """The bipartite signed graph [[O, C], [C^t, O]]: symmetric, zero on the diagonal."""
+    """The bipartite signed graph [[O, C], [C^t, O]], symmetric and zero on the diagonal,
+    which keeps c, whose orthogonality verdict certifies it (_star_source)."""
     if not c.is_square:
         raise ValueError(f"star operator needs a square matrix, got {c.rows}x{c.cols}")
     n = c.rows
@@ -603,7 +604,29 @@ def star(c: SignedMatrix) -> SignedGraph:
     for r0 in range(0, n, PANEL_ROWS):
         r1 = min(r0 + PANEL_ROWS, n)
         a[n:, r0:r1] = c.data[r0:r1].T
-    return SignedGraph._trusted(a)
+    sg = SignedGraph._trusted(a)
+    sg._star = (a, c, c.data)
+    return sg
+
+
+def _star_source(sg: SignedGraph) -> SignedMatrix | None:
+    """The C that star(C) built sg from, while sg holds the array star wrote and C the one
+    star read, both still read-only: then sg is [[O, C], [C^t, O]] on C's entries."""
+    a, c, block = sg._star or (None, None, None)
+    fresh = a is sg.matrix.data and block is c.data
+    return c if fresh and not (a.flags.writeable or block.flags.writeable) else None
+
+
+def _stored_verdict(m: SignedMatrix) -> tuple | None:
+    """m's kept (data, verdict) pair while m.data is the array it was proven on, still read-only."""
+    memo = m._verdict
+    return memo if memo and memo[0] is m.data and not m.data.flags.writeable else None
+
+
+def _keep_verdict(m: SignedMatrix, cert: OrthogonalityCertificate) -> SignedMatrix:
+    """m, holding cert, which its caller proved exactly on m.data, as its kept verdict."""
+    m._verdict = (m.data, cert)
+    return m
 
 
 def is_orthogonal(c: SignedMatrix) -> OrthogonalityCertificate | None:
@@ -613,10 +636,20 @@ def is_orthogonal(c: SignedMatrix) -> OrthogonalityCertificate | None:
     is checked (by _gram_is, on and above the diagonal): for square C with
     alpha >= 1 it makes C invertible with C^-1 = C^t / alpha, and a one-sided
     inverse of a square matrix is two-sided, so C^tC = alpha I follows.
+
+    The verdict, a rejection too, is proven once and kept on c, as is a
+    construction's certificate (_keep_verdict). A later call returns it while
+    c.data is the array it was proven on and is read-only: the exact identity
+    on the same bytes, unchanged by the invariant that _trusted and
+    validate-once rest on. A reassigned or writeable c.data is proven again,
+    and no verdict passes between two objects that hold equal arrays.
     """
     if not c.is_square:
         raise ValueError(f"orthogonality is defined for square matrices, got {c.rows}x{c.cols}")
-    return _orthogonality(c.data)
+    memo = _stored_verdict(c)
+    if memo is None:
+        memo = c._verdict = (c.data, _orthogonality(c.data))
+    return memo[1]
 
 
 def _orthogonality(c: np.ndarray) -> OrthogonalityCertificate | None:

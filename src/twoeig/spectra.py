@@ -24,7 +24,9 @@ from .core import (
     _gram_is,
     _is_symmetric,
     _orthogonality,
+    _star_source,
     ground,
+    is_orthogonal,
 )
 
 __all__ = [
@@ -193,15 +195,17 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
     most n, and enough because both are symmetric. Returns None when no such
     quadratic annihilates A.
 
-    When n is even and both diagonal n/2 x n/2 blocks are zero, A is
-    star(C) = [[O, C], [C^t, O]] and A^2 + aA + bI = [[CC^t + bI, aC],
+    When sg is star(C) = [[O, C], [C^t, O]], A^2 + aA + bI = [[CC^t + bI, aC],
     [aC^t, C^tC + bI]]. C is nonzero, so the identity holds iff a = 0 and
     CC^t = C^tC = -bI, which is is_orthogonal(C) with alpha = -b: the same
-    verdict from a product of half the order, 1/8 of the flops. C is a
-    block of the validated sg, so it goes to the kernel without a copy.
+    verdict from a product of half the order, 1/8 of the flops (_star_half
+    says how the route finds C). For a graph that core.star built it is C's
+    kept verdict, proven at most once per C: it stays exact because it is
+    that integer identity on C's bytes, which core.star copied into A, and
+    both arrays are still the read-only ones it read and wrote
+    (core._star_source, core.is_orthogonal).
     """
     data = sg.matrix.data
-    n = sg.n
     row = data[0]
     degree = int(np.count_nonzero(row))
     if not degree:
@@ -209,18 +213,15 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
             raise ValueError("signed graph has no edges")
         # every degree equals -b = deg(v0) = 0 under the identity
         return None
-    c = _star_block(data)
+    c = _star_half(sg)
     if c is not None:
-        cert = _orthogonality(c)
-        if cert is None:
-            return None
-        a, b = 0, -cert.alpha
-    else:
-        j = int(row.nonzero()[0][0])
-        a = -int(data[j].astype(np.float32) @ row) * int(row[j])
-        b = -degree
-        if not _gram_is(data, -a, -b):
-            return None
+        return _star_certificate(is_orthogonal(c), sg.n)
+    n = sg.n
+    j = int(row.nonzero()[0][0])
+    a = -int(data[j].astype(np.float32) @ row) * int(row[j])
+    b = -degree
+    if not _gram_is(data, -a, -b):
+        return None
     disc = a * a - 4 * b
     if disc <= 0:
         return None
@@ -246,6 +247,25 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
     return TwoEigCertificate(a, b, float(lam), float(mu), mult_lam, mult_mu)
 
 
+def _star_certificate(orth: OrthogonalityCertificate | None, n: int) -> TwoEigCertificate | None:
+    """The certificate of the order-n star(C) from C's verdict: A^2 = alpha I, so a = 0,
+    b = -alpha, and the zero trace splits the roots +-sqrt(alpha) n/2 and n/2."""
+    if orth is None:
+        return None
+    root = math.sqrt(orth.alpha)
+    return TwoEigCertificate(0, -orth.alpha, root, -root, n // 2, n // 2)
+
+
+def _star_half(sg: SignedGraph) -> SignedMatrix | None:
+    """C when sg is star(C), else None: for a graph that core.star built, C itself, with
+    its kept verdict (core._star_source), with no scan; else the view a[:h, h:] when
+    both diagonal h x h blocks are zero."""
+    c = _star_source(sg)
+    if c is None and (block := _star_block(sg.matrix.data)) is not None:
+        c = SignedMatrix._trusted(block)
+    return c
+
+
 def _star_block(a: np.ndarray) -> np.ndarray | None:
     """The view C = a[:h, h:] when a = [[O, C], [C^t, O]] with h = n / 2, else None."""
     h = len(a) // 2
@@ -264,22 +284,22 @@ def bipartite_two_eig_check(sg: SignedGraph) -> OrthogonalityCertificate | None:
     the vertices, and A^2 = alpha I iff CC^t = alpha I for its square block C
     (C^tC = alpha I follows), which holds exactly when sg has two distinct
     eigenvalues: the verdict of certify_two_eigenvalues, the same for every
-    balanced bipartition. When both diagonal n/2 x n/2 blocks are zero the
-    halves are one, and C goes to the kernel as a view, with no ground graph,
-    BFS or gather. Otherwise the BFS bipartition balances its components, so
-    it comes out unbalanced only when some component is, and then the verdict
-    is None: that component has eigenvalue 0, and any edge adds a pair
-    +-lambda (a signed bipartite spectrum is symmetric).
+    balanced bipartition. For star(C) the halves are one, and the verdict is
+    C's (_star_half), with no ground graph, BFS or gather. Otherwise the
+    BFS bipartition balances its components, so it comes out unbalanced only
+    when some component is, and then the verdict is None: that component has
+    eigenvalue 0, and any edge adds a pair +-lambda (a signed bipartite
+    spectrum is symmetric).
     """
-    c = _star_block(sg.matrix.data)
-    if c is None:
-        parts = ground(sg).bipartition()
-        if parts is None:
-            raise ValueError("ground graph is not bipartite")
-        if len(parts[0]) != len(parts[1]):
-            return None
-        c = sg.matrix.data[np.ix_(*parts)]
-    return _orthogonality(c)
+    c = _star_half(sg)
+    if c is not None:
+        return is_orthogonal(c)
+    parts = ground(sg).bipartition()
+    if parts is None:
+        raise ValueError("ground graph is not bipartite")
+    if len(parts[0]) != len(parts[1]):
+        return None
+    return _orthogonality(sg.matrix.data[np.ix_(*parts)])
 
 
 def spectrum_union(a: Spectrum, b: Spectrum, tol: float = DEFAULT_GROUP_TOL) -> Spectrum:

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from twoeig import Graph, SignedGraph, SignedMatrix, two_lift
+from twoeig import Graph, SignedGraph, SignedMatrix, core, two_lift
 from twoeig.core import PANEL_ROWS, _as_trit_array, _bfs_forest, _check_adjacency, _entries_within
 
 # The 6-vertex regular two-graph worked through in the docs: ten triples,
@@ -47,7 +47,23 @@ def _check_graph(arr: np.ndarray) -> None:
 def checked_trusted(request, monkeypatch):
     """Every _trusted construction in a test also runs the public constructor's checks on
     its array, so each derivation that skips them is still shown to give a valid object.
-    An invalid array fails the test (pytest.fail is not an exception the code catches)."""
+    Every kept orthogonality verdict that is_orthogonal returns is also proven afresh by
+    core._orthogonality on the matrix's array, with the unpatched Gram kernel (a test may
+    count its calls), so a kept verdict is held to the exact route. An invalid array or a
+    differing verdict fails the test (pytest.fail is not an exception the code catches)."""
+    gram_is, stored = core._gram_is, core._stored_verdict
+
+    def checked_verdict(m):
+        memo = stored(m)
+        if memo is not None:
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "_gram_is", gram_is)
+                fresh = core._orthogonality(m.data)
+            if fresh != memo[1]:
+                pytest.fail(f"kept verdict {memo[1]} differs from the exact route's {fresh}")
+        return memo
+
+    monkeypatch.setattr(core, "_stored_verdict", checked_verdict)
     if request.node.get_closest_marker("unchecked_trusted"):
         return
     for cls, check in ((SignedMatrix, _as_trit_array), (SignedGraph, _check_signed),
@@ -65,6 +81,13 @@ def checked_trusted(request, monkeypatch):
             return bare(klass, arr)
 
         monkeypatch.setattr(cls, "_trusted", classmethod(trusted))
+
+
+def edge_signs(sg: SignedGraph) -> dict[tuple[int, int], int]:
+    """Map (u, v) with u < v to the sign of each edge of sg, as Python ints."""
+    a = sg.matrix.data
+    iu, iv = np.nonzero(np.triu(a, 1))
+    return dict(zip(zip(iu.tolist(), iv.tolist()), a[iu, iv].tolist()))
 
 
 def wide(m: SignedMatrix) -> np.ndarray:
@@ -289,7 +312,7 @@ def parse_signed_graph_oracle(text: str) -> SignedGraph:
 
 
 def format_signed_graph_oracle(sg: SignedGraph) -> str:
-    signs = sg.edge_signs()
+    signs = edge_signs(sg)
     lines = [f"{sg.n} {len(signs)}"]
     for (u, v), s in sorted(signs.items()):
         lines.append(f"{u + 1} {v + 1} {s:d}")

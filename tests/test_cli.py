@@ -14,13 +14,14 @@ from twoeig import (
     Graph,
     SignedGraph,
     SignedMatrix,
+    certify_two_eigenvalues,
     enumerate_switching_classes,
     eigenvalues_symmetric,
     is_orthogonal,
     paley_conference,
     sylvester_hadamard,
 )
-from twoeig.cli import _build_parser, main
+from twoeig.cli import _build_parser, _render, main
 from twoeig.io import format_matrix, format_signed_graph, format_triples, parse_matrix
 
 from conftest import K6_MATRIX, K6_TRIPLES
@@ -77,21 +78,21 @@ def test_gen_kron_and_williamson(tmp_path, capsys):
 
 
 def test_gen_certify_reuses_the_construction_certificate(tmp_path, capsys, monkeypatch):
-    """Every gen kind returns its certificate, so --certify reports it with no second
-    Gram check. Kronecker-shaped outputs are certified by their block structure: kron
-    makes Gram calls only for its two factors, conference-block and the nonsymmetric
-    Williamson preset for their input, and hadamard none. double and conference check
-    their output (and double its input) by a Gram product."""
-    from twoeig import constructions, core
+    """Every gen kind keeps its certificate on the matrix, so --certify reports it with no
+    second Gram product. Kronecker-shaped outputs are certified by their block structure:
+    kron makes Gram products only for its two factors, conference-block and the
+    nonsymmetric Williamson preset for their input, and hadamard none. double and
+    conference check their output (and double its input) by a Gram product."""
+    from twoeig import core
 
     calls = []
+    gram_is = core._gram_is
 
-    def counted(c):
-        calls.append(c)
-        return is_orthogonal(c)
+    def counted(x, scale, shift):
+        calls.append(x)
+        return gram_is(x, scale, shift)
 
-    monkeypatch.setattr(core, "is_orthogonal", counted)
-    monkeypatch.setattr(constructions, "is_orthogonal", counted)
+    monkeypatch.setattr(core, "_gram_is", counted)
     h, c = tmp_path / "h.txt", tmp_path / "c.txt"
     h.write_text(format_matrix(sylvester_hadamard(2)))
     c.write_text(format_matrix(paley_conference(5)))
@@ -254,6 +255,39 @@ def test_verify_eigensolves_only_uncertified_inputs(tmp_path, capsys, monkeypatc
     f.write_text("2 2\n1 1\n1 1\n")
     code, out, _ = run(capsys, "verify", str(f))
     assert code == 1 and len(calls) == 1
+
+
+def test_verify_builds_the_star_only_for_eigvalsh(tmp_path, capsys, monkeypatch):
+    """A non-symmetric input is certified by is_orthogonal(M), so star(M), of twice the
+    order, is built only for the eigvalsh of an uncertified input, and the report is the
+    one the star's own certificate gives."""
+    from twoeig import core
+
+    calls = []
+    build = core.star
+
+    def counted(c):
+        calls.append(c)
+        return build(c)
+
+    monkeypatch.setattr(core, "star", counted)
+    flipped = sylvester_hadamard(3).data.copy()
+    flipped[0, 5] *= -1
+    f = tmp_path / "m.txt"
+    for m, stars in ((sylvester_hadamard(3), 0), (SignedMatrix(flipped), 1)):
+        f.write_text(format_matrix(m))
+        calls.clear()
+        code, out, _ = run(capsys, "verify", str(f))
+        assert len(calls) == stars and code == stars  # exit 1: uncertified, so eigvalsh
+        assert "certified object: star\n" in out
+        cert = certify_two_eigenvalues(build(SignedMatrix(m.data)))
+        assert f"two-eigenvalue certificate: {_render(cert)[0]}\n" in out
+    f.write_text(format_matrix(sylvester_hadamard(3)))
+    assert run(capsys, "verify", str(f))[1] == (
+        f"command: verify\ninput file: {f}\northogonal: alpha = 8\n"
+        "certified object: star\ntwo-eigenvalue certificate: a = 0, b = -8, "
+        "lambda = 2.828427 (x8), mu = -2.828427 (x8)\nground degree: 8\n"
+        "spectrum: {2.828427: 8, -2.828427: 8}\nstatus: pass\n")
 
 
 def test_verify_certified_input_rejects_bad_tolerance(tmp_path, capsys):

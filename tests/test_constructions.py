@@ -208,21 +208,22 @@ KRONECKER_INPUTS = [sylvester_hadamard(1), sylvester_hadamard(3), paley_conferen
 
 def test_kronecker_routes_return_the_gram_certificate():
     """The four Kronecker-shaped constructions certify their output by its block
-    structure; the alpha they return is the one the exact Gram check finds."""
+    structure and keep that certificate on it: is_orthogonal returns it, and it is the
+    one the exact Gram check (core._orthogonality) finds."""
     for k in range(12):
-        h, cert = constructions._sylvester_hadamard(k)
-        assert cert == is_orthogonal(h) and cert.alpha == 2**k
-        assert h == sylvester_hadamard(k)
+        h = sylvester_hadamard(k)
+        assert is_orthogonal(h) == core._orthogonality(h.data) and is_orthogonal(h).alpha == 2**k
     for a in KRONECKER_INPUTS:
         for b in KRONECKER_INPUTS:
             m, cert = kronecker_orthogonal(a, b)
-            assert cert == is_orthogonal(m) and m == kronecker(a, b)
-        m, cert = constructions._williamson_preset(a, "nonsymmetric-all-c")
-        assert cert == is_orthogonal(m) and cert.alpha == 4 * is_orthogonal(a).alpha
-        assert m == williamson_preset(a, "nonsymmetric-all-c")
+            assert cert == is_orthogonal(m) == core._orthogonality(m.data)
+            assert m == kronecker(a, b)
+        m = williamson_preset(a, "nonsymmetric-all-c")
+        assert is_orthogonal(m) == core._orthogonality(m.data)
+        assert is_orthogonal(m).alpha == 4 * is_orthogonal(a).alpha
     for c in (SWAP, *(paley_conference(q) for q in (5, 13, 29, 61))):
-        m, cert = constructions._conference_block(c)
-        assert cert == is_orthogonal(m) and m == conference_block(c)
+        m = conference_block(c)
+        assert is_orthogonal(m) == core._orthogonality(m.data)
         assert np.array_equal(wide(m), np.block([[wide(c), wide(c)], [-wide(c), wide(c)]]))
 
 
@@ -245,7 +246,8 @@ def test_kronecker_certificate_rejects_every_single_entry_change():
 
 def test_sylvester_hadamard_makes_no_gram_call(monkeypatch):
     """Each doubling is certified against the last by its block structure, so no order
-    2^k Gram product is formed (the counter does see is_orthogonal's)."""
+    2^k Gram product is formed, nor by is_orthogonal of the result, which returns the
+    kept certificate (the counter does see is_orthogonal's of a fresh matrix)."""
     orders = []
     gram_is = core._gram_is
 
@@ -257,5 +259,6 @@ def test_sylvester_hadamard_makes_no_gram_call(monkeypatch):
     for k in range(constructions.MAX_HADAMARD_EXPONENT + 1):
         assert sylvester_hadamard(k).rows == 2**k
     assert orders == []
-    is_orthogonal(sylvester_hadamard(2))
+    assert is_orthogonal(sylvester_hadamard(2)).alpha == 4 and orders == []
+    is_orthogonal(SignedMatrix(sylvester_hadamard(2).data))
     assert orders == [4]

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from twoeig import (
+    OrthogonalityCertificate,
     SignedGraph,
     SignedMatrix,
     WilliamsonQuadruple,
+    bipartite_two_eig_check,
     certify_two_eigenvalues,
     conference_block,
     is_orthogonal,
@@ -388,11 +390,102 @@ def test_star_writes_one_array_and_checks_nothing(monkeypatch):
 
 
 def test_certificate_memory_stays_within_a_few_bytes_per_entry():
-    sg = star(sylvester_hadamard(10))
+    # a fresh matrix, so that the star's certificate forms its Gram product rather
+    # than return the one the construction keeps
+    sg = star(SignedMatrix(sylvester_hadamard(10).data))
     assert sg.n == 2048
     assert traced_peak(certify_two_eigenvalues, sg) <= 3 * sg.n**2
     sg = SignedGraph(paley_conference(1021))
     assert traced_peak(certify_two_eigenvalues, sg) <= 8 * sg.n**2
+
+
+# Kept verdicts: is_orthogonal proves a matrix's verdict once and keeps it on the
+# object, and star passes its C on to both star routes of the certificate.
+
+
+def counted_grams(monkeypatch) -> list[int]:
+    """The orders of the Gram products that core._gram_is forms from here on."""
+    orders, gram_is = [], core._gram_is
+
+    def counted(x, scale, shift):
+        orders.append(x.shape[0])
+        return gram_is(x, scale, shift)
+
+    monkeypatch.setattr(core, "_gram_is", counted)
+    return orders
+
+
+def test_a_verdict_is_proven_once_for_a_matrix_and_its_star(monkeypatch):
+    c = SignedMatrix(paley_conference(13).data)
+    grams = counted_grams(monkeypatch)
+    assert is_orthogonal(c) == OrthogonalityCertificate(13) and grams == [14]
+    assert is_orthogonal(c) == OrthogonalityCertificate(13) and grams == [14]
+    sg = star(c)
+    cert = certify_two_eigenvalues(sg)
+    assert (cert.a, cert.b, cert.mult_lam, cert.mult_mu) == (0, -13, 14, 14)
+    assert bipartite_two_eig_check(sg) == is_orthogonal(c) and grams == [14]
+    # a graph with the same entries that star did not build takes the block scan
+    plain = SignedGraph(sg.matrix.data)
+    assert certify_two_eigenvalues(plain) == cert and grams == [14, 14]
+    assert bipartite_two_eig_check(plain) == is_orthogonal(c) and grams == [14, 14, 14]
+
+
+def test_a_rejection_is_kept_on_every_route(monkeypatch):
+    bad = paley_conference(13).data.copy()
+    bad[1, 2] *= -1
+    c = SignedMatrix(bad)
+    grams = counted_grams(monkeypatch)
+    sg = star(c)
+    assert certify_two_eigenvalues(sg) is None
+    assert bipartite_two_eig_check(sg) is None
+    assert is_orthogonal(c) is None
+    assert grams == [14]
+
+
+def test_equal_arrays_each_prove_their_own_verdict(monkeypatch):
+    h = sylvester_hadamard(3).data
+    grams = counted_grams(monkeypatch)
+    assert is_orthogonal(SignedMatrix(h)) == is_orthogonal(SignedMatrix(h))
+    assert grams == [8, 8]
+    shared = h.copy()
+    a, b = SignedMatrix._trusted(shared), SignedMatrix._trusted(shared)
+    assert is_orthogonal(a) == is_orthogonal(b) == OrthogonalityCertificate(8)
+    assert is_orthogonal(a) == OrthogonalityCertificate(8) and grams == [8] * 4
+
+
+def test_a_changed_array_is_proven_again(monkeypatch):
+    h = sylvester_hadamard(3).data
+    c = SignedMatrix(h)
+    sg = star(c)
+    grams = counted_grams(monkeypatch)
+    assert is_orthogonal(c).alpha == 8 and grams == [8]
+    with pytest.raises(ValueError, match="read-only"):
+        c.data[0, 0] = 0
+    assert is_orthogonal(c).alpha == 8 and grams == [8]
+    # a reassigned array: C and its star part ways, and sg keeps its own entries
+    flipped = h.copy()
+    flipped[0, 0] = -1
+    flipped.setflags(write=False)
+    c.data = flipped
+    assert is_orthogonal(c) is None and grams == [8, 8]
+    assert certify_two_eigenvalues(sg).b == -8 and grams == [8, 8, 8]
+    assert is_orthogonal(c) is None and grams == [8, 8, 8]
+    # an array made writeable again is proven at every call, whatever it holds
+    c.data.setflags(write=True)
+    c.data[0, 0] = 1
+    assert is_orthogonal(c).alpha == 8 and grams == [8] * 4
+    assert is_orthogonal(c).alpha == 8 and grams == [8] * 5
+    # the same for the star's own array
+    sg.matrix.data.setflags(write=True)
+    sg.matrix.data[0, 8] = -sg.matrix.data[0, 8]
+    assert certify_two_eigenvalues(sg) is None and grams == [8] * 6
+
+
+def test_a_forged_kept_verdict_fails_the_test():
+    """The autouse fixture proves every kept verdict again, so a wrong one cannot pass."""
+    m = core._keep_verdict(SignedMatrix(sylvester_hadamard(2).data), OrthogonalityCertificate(3))
+    with pytest.raises(pytest.fail.Exception, match="kept verdict"):
+        is_orthogonal(m)
 
 
 @pytest.mark.parametrize(

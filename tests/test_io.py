@@ -22,6 +22,7 @@ from twoeig.io import (
 from conftest import (
     K6_MATRIX,
     K6_TRIPLES,
+    edge_signs,
     format_lift_oracle,
     format_matrix_oracle,
     format_signed_graph_oracle,
@@ -70,7 +71,7 @@ def test_signed_graph_round_trip():
 
 def test_signed_graph_default_sign():
     sg = parse_signed_graph("3 2\n1 2\n2 3 -1\n")
-    assert sg.edge_signs() == {(0, 1): 1, (1, 2): -1}
+    assert edge_signs(sg) == {(0, 1): 1, (1, 2): -1}
 
 
 def test_signed_graph_parse_errors():

@@ -23,6 +23,7 @@ from twoeig import (
 
 from conftest import (
     K6_TRIPLES,
+    edge_signs,
     odd_product_triples,
     pair_count_oracle,
     random_signed_graph,
@@ -108,7 +109,7 @@ def test_twograph_invariant_under_resigning(k6_signing, rng):
 def test_signed_complete_from_graph_signs():
     g = Graph(3, [(0, 1)])
     sg = signed_complete_from_graph(g)
-    signs = sg.edge_signs()
+    signs = edge_signs(sg)
     assert signs[(0, 1)] == -1
     assert signs[(0, 2)] == 1 and signs[(1, 2)] == 1
     with pytest.raises(ValueError, match="at least 1x1"):
