@@ -170,8 +170,7 @@ def cmd_verify(args) -> RunReport:
         sg, obj = core.SignedGraph(m), "matrix"
     except ValueError:
         sg, obj = None, "star"
-    cert = (spectra._star_certificate(core.is_orthogonal(m), 2 * m.rows) if sg is None
-            else spectra.certify_two_eigenvalues(sg))
+    cert = spectra.star_certificate(m) if sg is None else spectra.certify_two_eigenvalues(sg)
     orthogonal = cert is not None and cert.a == 0
     report.add("orthogonal", core.OrthogonalityCertificate(-cert.b) if orthogonal else None)
     report.add("certified object", obj)
@@ -196,18 +195,11 @@ def cmd_spectrum(args) -> RunReport:
     return report
 
 
-def _format_lift(lift: lifts_ramanujan.LiftedGraph) -> str:
-    """The lift's edge list in the graph format, signs left out (+1)."""
-    g = lift.graph
-    iu, iv = np.nonzero(np.triu(g.adjacency(), 1))
-    return io._write_rows(f"{g.n} {iu.size}", np.column_stack((iu + 1, iv + 1)))
-
-
 def cmd_lift(args) -> RunReport:
     report = RunReport("lift", {"file": args.file})
     sg = io.parse_signed_graph(_read_text(args.file))
     lift = lifts_ramanujan.two_lift(sg)
-    _deliver(report, args, "lift", _format_lift(lift))
+    _deliver(report, args, "lift", io.format_graph(lift.graph))
     verdict = lift.is_lift_of(sg)
     report.add("base vertices", sg.n)
     report.add("lift vertices", lift.graph.n)
@@ -255,20 +247,20 @@ def cmd_switch_classes(args) -> RunReport:
     g = core.ground(io.parse_signed_graph(_read_text(args.file)))
     components = len(g.components())
     formula = core.count_switching_classes(g, components)
-    # the representatives as sign strings straight from their codes: no
+    # the representatives as sign strings straight from their edge signs: no
     # (classes, n, n) block of adjacencies, whose memory would grow with n
-    codes = core._switching_class_codes(g)
+    signs = core.switching_class_signs(g)
     m = g.m
-    text = np.where(core._code_signs(codes, m) > 0, b"+", b"-").tobytes().decode("ascii")
+    text = np.where(signs > 0, b"+", b"-").tobytes().decode("ascii")
     report.add("vertices", g.n)
     report.add("edges", m)
     report.add("components", components)
     report.add("formula count", formula)
-    report.add("enumerated count", len(codes))
+    report.add("enumerated count", len(signs))
     report.add("edge order", " ".join(f"{u + 1}-{v + 1}" for u, v in g.sorted_edges()))
-    for i in range(len(codes)):
+    for i in range(len(signs)):
         report.add(f"representative {i + 1}", text[i * m : (i + 1) * m])
-    agree = formula == len(codes)
+    agree = formula == len(signs)
     report.add("counts agree", agree)
     report.status = "pass" if agree else "fail"
     return report

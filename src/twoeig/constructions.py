@@ -19,7 +19,7 @@ gen --certify, or in a certificate of its star) proves nothing again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -214,8 +214,8 @@ def _row_count(m: SignedMatrix, name: str) -> int:
 class WilliamsonQuadruple:
     """Four same-order blocks with row-constant supports, pairwise commuting.
 
-    k1..k4 hold the per-row support size of each block; they are computed
-    and the commuting invariant is verified exactly at construction, one
+    k1..k4 hold the per-row support size of each block; they are computed,
+    never passed, and the commuting invariant is verified exactly at construction, one
     product per pair: [A_i | -A_j] @ [A_j ; A_i] = A_i A_j - A_j A_i must be
     0. Both factors hold {-1, 0, 1} entries and the inner dimension is 2n,
     so every entry is an integer of magnitude at most 2n, and
@@ -227,10 +227,10 @@ class WilliamsonQuadruple:
     a2: SignedMatrix
     a3: SignedMatrix
     a4: SignedMatrix
-    k1: int = 0
-    k2: int = 0
-    k3: int = 0
-    k4: int = 0
+    k1: int = field(init=False)
+    k2: int = field(init=False)
+    k3: int = field(init=False)
+    k4: int = field(init=False)
 
     def __post_init__(self):
         mats = self.blocks()

@@ -13,7 +13,9 @@ its fresh array with the private _trusted constructor, with no check or copy.
 Edges and triples are held as (m, 2 or 3) integer arrays (_int_rows), checked
 by array expressions: _edge_array for edges, _lex_order for every duplicate.
 A matrix keeps its orthogonality verdict once proven (is_orthogonal), and a
-graph that star built keeps its C, whose verdict certifies it.
+star-shaped graph [[O, C], [C^t, O]] keeps its C (_star_half), whose verdict
+certifies it: star keeps the C it read, and the fixed-halves scan and the
+bipartite check's BFS gather keep the C they find (_keep_half).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "switching_equivalent",
     "count_switching_classes",
     "enumerate_switching_classes",
+    "switching_class_signs",
     "is_regular",
     "disjoint_union",
 ]
@@ -227,7 +230,10 @@ class SignedMatrix:
 
     @classmethod
     def _trusted(cls, arr: np.ndarray) -> "SignedMatrix":
-        """Own a fresh 2-D int8 array of {-1, 0, 1} entries, made read-only: no check, no copy."""
+        """Own a fresh 2-D int8 array of {-1, 0, 1} entries, made read-only: no check, no copy.
+        Only an empty array is refused, with the public constructor's message."""
+        if 0 in arr.shape:
+            raise ValueError(f"matrix must be at least 1x1, got shape {arr.shape}")
         arr.setflags(write=False)
         m = cls.__new__(cls)
         m.data = arr
@@ -374,7 +380,7 @@ class Graph:
     """Simple labeled graph on vertices 0..n-1: the 0/1 case of a signed adjacency.
 
     It is one read-only, symmetric, zero-diagonal int8 adjacency array; edge
-    lists, degrees, components and bipartitions are views computed from it.
+    lists, components and bipartitions are views computed from it.
     """
 
     __slots__ = ("_adj",)
@@ -418,13 +424,6 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         iu, iv = np.nonzero(np.triu(self._adj, 1))
         return list(zip(iu.tolist(), iv.tolist()))
-
-    def degrees(self) -> list[int]:
-        return self._adj.sum(axis=1).tolist()
-
-    def neighbors(self) -> list[list[int]]:
-        """Adjacency lists, each sorted ascending."""
-        return [np.flatnonzero(row).tolist() for row in self._adj]
 
     def adjacency(self) -> np.ndarray:
         """The read-only int8 adjacency array."""
@@ -541,22 +540,22 @@ def _bfs_components(a: np.ndarray):
 
 
 class SignedGraph:
-    """Symmetric zero-diagonal signed matrix viewed as a graph plus signature; _star: see star."""
+    """Symmetric zero-diagonal signed matrix: a graph plus signature; _half: see _star_half."""
 
-    __slots__ = ("matrix", "_star")
+    __slots__ = ("matrix", "_half")
 
     def __init__(self, matrix):
         sm = matrix if isinstance(matrix, SignedMatrix) else SignedMatrix(matrix)
         _check_adjacency(sm.data)
         self.matrix = sm
-        self._star = None
+        self._half = None
 
     @classmethod
     def _trusted(cls, arr: np.ndarray) -> "SignedGraph":
         """As SignedMatrix._trusted, for a symmetric, zero-diagonal array."""
         sg = cls.__new__(cls)
         sg.matrix = SignedMatrix._trusted(arr)
-        sg._star = None
+        sg._half = None
         return sg
 
     @property
@@ -566,9 +565,8 @@ class SignedGraph:
     @classmethod
     def from_edges(cls, n: int, signed_edges) -> "SignedGraph":
         """Build from (u, v, sign) rows, sign +1 or -1, as an (m, 3) integer array or an
-        iterable; _edge_array validates them, so for n >= 1 it is not checked again."""
-        a = _edge_array(n, signed_edges, 3)
-        return cls._trusted(a) if n else cls(a)
+        iterable; _edge_array validates them, so they are not checked again."""
+        return cls._trusted(_edge_array(n, signed_edges, 3))
 
     @classmethod
     def all_positive(cls, g: Graph) -> "SignedGraph":
@@ -593,7 +591,7 @@ def ground(sg: SignedGraph) -> Graph:
 
 def star(c: SignedMatrix) -> SignedGraph:
     """The bipartite signed graph [[O, C], [C^t, O]], symmetric and zero on the diagonal,
-    which keeps c, whose orthogonality verdict certifies it (_star_source)."""
+    which keeps c, whose orthogonality verdict certifies it (_star_half)."""
     if not c.is_square:
         raise ValueError(f"star operator needs a square matrix, got {c.rows}x{c.cols}")
     n = c.rows
@@ -605,16 +603,34 @@ def star(c: SignedMatrix) -> SignedGraph:
         r1 = min(r0 + PANEL_ROWS, n)
         a[n:, r0:r1] = c.data[r0:r1].T
     sg = SignedGraph._trusted(a)
-    sg._star = (a, c, c.data)
+    _keep_half(sg, c)
     return sg
 
 
-def _star_source(sg: SignedGraph) -> SignedMatrix | None:
-    """The C that star(C) built sg from, while sg holds the array star wrote and C the one
-    star read, both still read-only: then sg is [[O, C], [C^t, O]] on C's entries."""
-    a, c, block = sg._star or (None, None, None)
-    fresh = a is sg.matrix.data and block is c.data
-    return c if fresh and not (a.flags.writeable or block.flags.writeable) else None
+def _keep_half(sg: SignedGraph, c: SignedMatrix) -> SignedMatrix:
+    """c, kept on sg as its half: its caller found that sg's current array is
+    [[O, C], [C^t, O]] on c's entries, up to the order of the vertices."""
+    sg._half = (sg.matrix.data, c, c.data)
+    return c
+
+
+def _star_half(sg: SignedGraph) -> SignedMatrix | None:
+    """The C of sg = [[O, C], [C^t, O]] up to vertex order, or None.
+
+    That is the C kept on sg, by star, by an earlier scan or by the bipartite
+    check's BFS gather (_keep_half), while sg holds the array it was found on
+    and C the array it held then, both still read-only: the same bytes, as for
+    a kept verdict (is_orthogonal). Else, when both diagonal h x h blocks of
+    sg's order-2h array are zero, it is the view a[:h, h:], kept; else None.
+    A kept C keeps its own verdict, so each C is proven at most once."""
+    a = sg.matrix.data
+    held, c, block = sg._half or (None, None, None)
+    if held is a and block is c.data and not (a.flags.writeable or block.flags.writeable):
+        return c
+    h = len(a) // 2
+    if len(a) % 2 or a[:h, :h].any() or a[h:, h:].any():
+        return None
+    return _keep_half(sg, SignedMatrix._trusted(a[:h, h:]))
 
 
 def _stored_verdict(m: SignedMatrix) -> tuple | None:
@@ -724,36 +740,35 @@ def enumerate_switching_classes(g: Graph) -> list[SignedGraph]:
     order of their sign tuples over the sorted edges, -1 before +1. This is the
     oracle against the 2^(m-n+c) formula, so it deliberately maps every signature
     to its switching_canonical form and counts the distinct forms instead of
-    using the formula; _switching_class_codes says how. The representatives
+    using the formula; switching_class_signs says how. The representatives
     are k = 2^(m-n+c) arrays of n x n entries, so their memory grows with n
-    where the codes' does not. Signs written at the edges of a zero array are
-    valid adjacencies, so they are not checked (for n = 0 the public
-    constructor rejects the empty matrix).
+    where the signs' does not. Signs written at the edges of a zero array are
+    valid adjacencies, so they are not checked.
     """
-    codes = _switching_class_codes(g)
+    signs = switching_class_signs(g)
     iu, iv = np.nonzero(np.triu(g.adjacency(), 1))
-    a = np.zeros((len(codes), g.n, g.n), dtype=np.int8)
-    a[:, iu, iv] = a[:, iv, iu] = _code_signs(codes, g.m)
-    return [SignedGraph._trusted(rep) if g.n else SignedGraph(rep) for rep in a]
+    a = np.zeros((len(signs), g.n, g.n), dtype=np.int8)
+    a[:, iu, iv] = a[:, iv, iu] = signs
+    return [SignedGraph._trusted(rep) for rep in a]
 
 
-def _switching_class_codes(g: Graph) -> np.ndarray:
-    """The uint32 signature codes of the canonical switching-class
-    representatives, in descending order (enumerate_switching_classes' order).
+def switching_class_signs(g: Graph) -> np.ndarray:
+    """The (classes, m) int8 signs on g.sorted_edges() of the canonical
+    switching-class representatives, in enumerate_switching_classes' order.
 
     Signature `code` in 0..2^m - 1 has bit m-1-i set iff sorted edge i is
-    negative (_code_signs decodes it), so the sign-tuple order, -1 before
-    +1, is descending code. switching_canonical switches vertex v iff the
-    code bits on v's canonical BFS forest path from its root have odd
-    parity, so one Python walk of the forest (n - c steps) records each
-    switch as a mask of code bits. The key negates edge (u, v) iff its own
-    bit and the switches of u and v have odd parity, so every key bit is a
-    XOR of code bits and key(r + 2^j) = key(r) ^ key(2^j) for r < 2^j: m XOR
-    passes write the keys of all 2^m codes into one uint32 array, and a 2^m
-    boolean array marks those present. It is still brute force: every
-    signature gets its key, and the classes are the distinct keys, with no
-    count assumed. The memory is 2^m words whatever n is: at m =
-    MAX_ENUM_EDGES = 20 the keys take 4 MB and the marks 1 MB.
+    negative, so the sign-tuple order, -1 before +1, is descending code.
+    switching_canonical switches vertex v iff the code bits on v's canonical
+    BFS forest path from its root have odd parity, so one Python walk of the
+    forest (n - c steps) records each switch as a mask of code bits. The key
+    negates edge (u, v) iff its own bit and the switches of u and v have odd
+    parity, so every key bit is a XOR of code bits and key(r + 2^j) =
+    key(r) ^ key(2^j) for r < 2^j: m XOR passes write the keys of all 2^m
+    codes into one uint32 array, and a 2^m boolean array marks those present,
+    the representatives' codes, which are decoded into signs. It is still
+    brute force: every signature gets its key, and the classes are the
+    distinct keys, with no count assumed. The memory is 2^m words whatever n
+    is: at m = MAX_ENUM_EDGES = 20 the keys take 4 MB and the marks 1 MB.
     """
     m = g.m
     if m > MAX_ENUM_EDGES:
@@ -771,12 +786,7 @@ def _switching_class_codes(g: Graph) -> np.ndarray:
         np.bitwise_xor(keys[:b], key, out=keys[b : 2 * b])
     present = np.zeros(2**m, dtype=bool)
     present[keys] = True
-    return np.flatnonzero(present)[::-1].astype(np.uint32)
-
-
-def _code_signs(codes: np.ndarray, m: int) -> np.ndarray:
-    """The (len(codes), m) int8 signs over the sorted edges of each signature code:
-    -1 where bit m-1-i of the code is set, else +1."""
+    codes = np.flatnonzero(present)[::-1].astype(np.uint32)
     negative = (codes[:, None] >> np.arange(m - 1, -1, -1, dtype=np.uint32)) & 1
     return 1 - 2 * negative.astype(np.int8)
 

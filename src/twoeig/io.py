@@ -6,7 +6,8 @@ whitespace-separated entries from {-1, 0, 1}. After the data lines only
 `twoeig gen --certify` writes); they are skipped, any other line is an error.
 
 Graph format: a header line "n m", then exactly m lines "u v" or "u v sign"
-with 1-based vertex labels; a missing sign means +1.
+with 1-based vertex labels; a missing sign means +1. format_signed_graph
+writes every sign, format_graph (an unsigned Graph) none.
 
 Triple format: a header line "n t", then exactly t lines "a b c" with
 1-based labels. Blank lines are skipped; missing or extra lines raise ValueError.
@@ -36,14 +37,15 @@ import itertools
 
 import numpy as np
 
-from .core import (SignedGraph, SignedMatrix, _edge_array, _entries_within, _first, _int_rows,
-                   _lex_order)
+from .core import (Graph, SignedGraph, SignedMatrix, _edge_array, _entries_within, _first,
+                   _int_rows, _lex_order)
 
 __all__ = [
     "parse_matrix",
     "format_matrix",
     "parse_signed_graph",
     "format_signed_graph",
+    "format_graph",
     "parse_triples",
     "format_triples",
 ]
@@ -272,8 +274,8 @@ def format_matrix(m: SignedMatrix) -> str:
 
 
 def parse_signed_graph(text: str) -> SignedGraph:
-    """Read a signed graph: core._edge_array validates its edges, so for n >= 1 it is not
-    checked again. The array saturates, so a faulty edge's message reads its line's text."""
+    """Read a signed graph: core._edge_array validates its edges, so they are not checked
+    again. The array saturates, so a faulty edge's message reads its line's text."""
     lines = _Lines(text)
     if not len(lines):
         raise ValueError("empty graph text")
@@ -306,6 +308,12 @@ def format_signed_graph(sg: SignedGraph) -> str:
     a = sg.matrix.data
     iu, iv = np.nonzero(np.triu(a, 1))
     return _write_rows(f"{sg.n} {iu.size}", np.column_stack((iu + 1, iv + 1, a[iu, iv])))
+
+
+def format_graph(g: Graph) -> str:
+    """An unsigned graph's edge list in the graph format, signs left out (+1)."""
+    iu, iv = np.nonzero(np.triu(g.adjacency(), 1))
+    return _write_rows(f"{g.n} {iu.size}", np.column_stack((iu + 1, iv + 1)))
 
 
 def parse_triples(text: str) -> tuple[int, np.ndarray]:

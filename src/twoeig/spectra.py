@@ -8,6 +8,9 @@ only to signed graphs whose adjacency satisfies a quadratic
 A^2 + aA + bI = 0 with integer a, b: such a certificate is verified entry by
 entry with exact integer sums, so it is a proof that the spectrum is exactly
 {lambda, mu} with the stated multiplicities, not a numerical estimate.
+A star-shaped graph [[O, C], [C^t, O]], up to the order of its vertices, is
+certified by its half C alone (star_certificate): the half that core keeps
+on the graph (core._star_half), with C's own kept verdict.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .core import (
     SignedMatrix,
     _gram_is,
     _is_symmetric,
-    _orthogonality,
-    _star_source,
+    _keep_half,
+    _star_half,
     ground,
     is_orthogonal,
 )
@@ -34,6 +37,7 @@ __all__ = [
     "TwoEigCertificate",
     "eigenvalues_symmetric",
     "certify_two_eigenvalues",
+    "star_certificate",
     "degree_from_certificate",
     "bipartite_two_eig_check",
     "spectrum_union",
@@ -193,17 +197,18 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
     float32 row panels per product (see core._gram_is), which is exact
     because every entry of A^2 and of -aA - bI is an integer of magnitude at
     most n, and enough because both are symmetric. Returns None when no such
-    quadratic annihilates A.
+    quadratic annihilates A. deg(v0) >= 1 here, so the discriminant
+    a^2 - 4b = a^2 + 4 deg(v0) of the roots is at least 4.
 
-    When sg is star(C) = [[O, C], [C^t, O]], A^2 + aA + bI = [[CC^t + bI, aC],
-    [aC^t, C^tC + bI]]. C is nonzero, so the identity holds iff a = 0 and
-    CC^t = C^tC = -bI, which is is_orthogonal(C) with alpha = -b: the same
-    verdict from a product of half the order, 1/8 of the flops (_star_half
-    says how the route finds C). For a graph that core.star built it is C's
-    kept verdict, proven at most once per C: it stays exact because it is
-    that integer identity on C's bytes, which core.star copied into A, and
-    both arrays are still the read-only ones it read and wrote
-    (core._star_source, core.is_orthogonal).
+    When sg is star(C) = [[O, C], [C^t, O]] up to the order of its vertices,
+    A^2 + aA + bI = [[CC^t + bI, aC], [aC^t, C^tC + bI]] in that order. C is
+    nonzero, so the identity holds iff a = 0 and CC^t = C^tC = -bI, which is
+    is_orthogonal(C) with alpha = -b: the same verdict from a product of half
+    the order, 1/8 of the flops (star_certificate). C is the half kept on sg
+    (core._star_half), with its own kept verdict, proven at most once per C:
+    it stays exact because it is that integer identity on C's bytes, which
+    are sg's, and both arrays are still the read-only ones it was found on
+    (core._star_half, core.is_orthogonal).
     """
     data = sg.matrix.data
     row = data[0]
@@ -215,7 +220,7 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
         return None
     c = _star_half(sg)
     if c is not None:
-        return _star_certificate(is_orthogonal(c), sg.n)
+        return star_certificate(c)
     n = sg.n
     j = int(row.nonzero()[0][0])
     a = -int(data[j].astype(np.float32) @ row) * int(row[j])
@@ -223,8 +228,6 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
     if not _gram_is(data, -a, -b):
         return None
     disc = a * a - 4 * b
-    if disc <= 0:
-        return None
     r = math.isqrt(disc)
     if r * r == disc:
         lam = (-a + r) / 2
@@ -247,29 +250,15 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
     return TwoEigCertificate(a, b, float(lam), float(mu), mult_lam, mult_mu)
 
 
-def _star_certificate(orth: OrthogonalityCertificate | None, n: int) -> TwoEigCertificate | None:
-    """The certificate of the order-n star(C) from C's verdict: A^2 = alpha I, so a = 0,
-    b = -alpha, and the zero trace splits the roots +-sqrt(alpha) n/2 and n/2."""
+def star_certificate(c: SignedMatrix) -> TwoEigCertificate | None:
+    """The certificate of star(C), of order 2n, from C's kept verdict (is_orthogonal),
+    without building star(C): A^2 = alpha I, so a = 0, b = -alpha, and the zero trace
+    gives the roots +-sqrt(alpha) multiplicity n each."""
+    orth = is_orthogonal(c)
     if orth is None:
         return None
     root = math.sqrt(orth.alpha)
-    return TwoEigCertificate(0, -orth.alpha, root, -root, n // 2, n // 2)
-
-
-def _star_half(sg: SignedGraph) -> SignedMatrix | None:
-    """C when sg is star(C), else None: for a graph that core.star built, C itself, with
-    its kept verdict (core._star_source), with no scan; else the view a[:h, h:] when
-    both diagonal h x h blocks are zero."""
-    c = _star_source(sg)
-    if c is None and (block := _star_block(sg.matrix.data)) is not None:
-        c = SignedMatrix._trusted(block)
-    return c
-
-
-def _star_block(a: np.ndarray) -> np.ndarray | None:
-    """The view C = a[:h, h:] when a = [[O, C], [C^t, O]] with h = n / 2, else None."""
-    h = len(a) // 2
-    return None if len(a) % 2 or a[:h, :h].any() or a[h:, h:].any() else a[:h, h:]
+    return TwoEigCertificate(0, -orth.alpha, root, -root, c.rows, c.rows)
 
 
 def degree_from_certificate(cert: TwoEigCertificate) -> int:
@@ -284,22 +273,23 @@ def bipartite_two_eig_check(sg: SignedGraph) -> OrthogonalityCertificate | None:
     the vertices, and A^2 = alpha I iff CC^t = alpha I for its square block C
     (C^tC = alpha I follows), which holds exactly when sg has two distinct
     eigenvalues: the verdict of certify_two_eigenvalues, the same for every
-    balanced bipartition. For star(C) the halves are one, and the verdict is
-    C's (_star_half), with no ground graph, BFS or gather. Otherwise the
+    balanced bipartition. The verdict is that of the half C kept on sg
+    (core._star_half), with no ground graph, BFS or gather. Otherwise the
     BFS bipartition balances its components, so it comes out unbalanced only
     when some component is, and then the verdict is None: that component has
     eigenvalue 0, and any edge adds a pair +-lambda (a signed bipartite
-    spectrum is symmetric).
+    spectrum is symmetric). A balanced one gives C, which is kept on sg for
+    the next call of either check (core._keep_half).
     """
     c = _star_half(sg)
-    if c is not None:
-        return is_orthogonal(c)
-    parts = ground(sg).bipartition()
-    if parts is None:
-        raise ValueError("ground graph is not bipartite")
-    if len(parts[0]) != len(parts[1]):
-        return None
-    return _orthogonality(sg.matrix.data[np.ix_(*parts)])
+    if c is None:
+        parts = ground(sg).bipartition()
+        if parts is None:
+            raise ValueError("ground graph is not bipartite")
+        if len(parts[0]) != len(parts[1]):
+            return None
+        c = _keep_half(sg, SignedMatrix._trusted(sg.matrix.data[np.ix_(*parts)]))
+    return is_orthogonal(c)
 
 
 def spectrum_union(a: Spectrum, b: Spectrum, tol: float = DEFAULT_GROUP_TOL) -> Spectrum:

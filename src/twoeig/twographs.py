@@ -70,8 +70,7 @@ def validate_twograph(n: int, triples) -> TwoGraph | None:
     """The TwoGraph on these triples (duplicates dropped), or None if they are not one.
 
     Each member must have product -1 in S, and S's odd set, counted by slab, the same size.
-    S is symmetric and +-1 off a zero diagonal by construction, so it is not checked again
-    (for n = 0 the public constructor still rejects the empty matrix).
+    S is symmetric and +-1 off a zero diagonal by construction, so it is not checked again.
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
@@ -85,7 +84,7 @@ def validate_twograph(n: int, triples) -> TwoGraph | None:
     s[y[x == 0], z[x == 0]] = s[z[x == 0], y[x == 0]] = -1
     if (s[x, y] * s[x, z] * s[y, z] != -1).any() or x.size != sum(map(len, _odd_slabs(s))):
         return None
-    return twograph_from_signed_complete(SignedGraph._trusted(s) if n else SignedGraph(s))
+    return twograph_from_signed_complete(SignedGraph._trusted(s))
 
 
 def is_regular_twograph(t: TwoGraph) -> int | None:
@@ -112,10 +111,8 @@ def descendant(t: TwoGraph, x: int) -> Graph:
 
 
 def signed_complete_from_graph(g: Graph) -> SignedGraph:
-    """Complete signed graph, -1 on edges of g and +1 elsewhere: J - I - 2A, valid as A is
-    when n >= 1 (the public constructor rejects the empty matrix of n = 0)."""
-    a = 1 - np.eye(g.n, dtype=np.int8) - 2 * g.adjacency()
-    return SignedGraph._trusted(a) if g.n else SignedGraph(a)
+    """Complete signed graph, -1 on edges of g and +1 elsewhere: J - I - 2A, valid as A is."""
+    return SignedGraph._trusted(1 - np.eye(g.n, dtype=np.int8) - 2 * g.adjacency())
 
 
 def twograph_from_signed_complete(sg: SignedGraph) -> TwoGraph:

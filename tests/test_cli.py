@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import os
@@ -693,3 +694,21 @@ def test_python_m_twoeig_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.startswith("usage: twoeig") and "switch-classes" in proc.stdout
+
+
+def test_cli_reads_only_public_names_of_other_twoeig_modules():
+    """The report layer uses the other twoeig modules through public names only, the ones
+    their __all__ lists: no `module._name` attribute and no `from ... import _name` out of
+    a twoeig module."""
+    tree = ast.parse(Path(twoeig.cli.__file__).read_text())
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("twoeig")):
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+            if node.module in (None, "twoeig"):
+                modules |= {alias.asname or alias.name for alias in node.names}
+    assert {"constructions", "core", "io", "lifts_ramanujan", "spectra", "twographs"} <= modules
+    private += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")]
+    assert private == []

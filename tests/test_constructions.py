@@ -135,6 +135,14 @@ def test_quadruple_records_row_counts():
     assert quad.order == 6
 
 
+def test_quadruple_row_counts_are_not_constructor_arguments():
+    c = paley_conference(5)
+    with pytest.raises(TypeError):
+        WilliamsonQuadruple(c, c, c, c, 99, 98, 97, 96)
+    with pytest.raises(TypeError):
+        WilliamsonQuadruple(c, c, c, c, k1=99)
+
+
 def test_quadruple_rejects_bad_blocks():
     with pytest.raises(ValueError, match="do not commute"):
         WilliamsonQuadruple(SWAP, SignedMatrix([[1, 0], [0, -1]]), SWAP, SWAP)

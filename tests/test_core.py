@@ -71,8 +71,8 @@ def test_graph_rejects_bad_edges():
 def test_graph_accessors():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert g.m == 3
-    assert g.degrees() == [1, 2, 2, 1]
-    assert g.neighbors() == [[1], [0, 2], [1, 3], [2]]
+    assert g.adjacency().sum(axis=1).tolist() == [1, 2, 2, 1]
+    assert [np.flatnonzero(row).tolist() for row in g.adjacency()] == [[1], [0, 2], [1, 3], [2]]
     assert g.adjacency().sum() == 6
     assert g.components() == [[0, 1, 2, 3]]
     assert g.sorted_edges() == [(0, 1), (1, 2), (2, 3)]
@@ -80,7 +80,7 @@ def test_graph_accessors():
 
 def test_graph_generators():
     assert Graph.complete(4).m == 6
-    assert Graph.cycle(5).degrees() == [2] * 5
+    assert Graph.cycle(5).adjacency().sum(axis=1).tolist() == [2] * 5
     assert Graph.path(4).m == 3
     assert Graph.complete_bipartite(2, 3).m == 6
     with pytest.raises(ValueError, match="at least 3"):

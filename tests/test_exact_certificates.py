@@ -21,7 +21,7 @@ from twoeig import (
     williamson,
     williamson_preset,
 )
-from twoeig import core
+from twoeig import core, spectra
 from twoeig.core import FLOAT32_EXACT_BOUND, PANEL_ROWS, _gram_is, _packing, _product_is
 
 from conftest import (
@@ -400,11 +400,12 @@ def test_certificate_memory_stays_within_a_few_bytes_per_entry():
 
 
 # Kept verdicts: is_orthogonal proves a matrix's verdict once and keeps it on the
-# object, and star passes its C on to both star routes of the certificate.
+# object, and a star-shaped graph keeps its half C for both star routes.
 
 
 def counted_grams(monkeypatch) -> list[int]:
-    """The orders of the Gram products that core._gram_is forms from here on."""
+    """The orders of the Gram products formed from here on, through core._gram_is and
+    through the name spectra imported it by (the dense certificate's route)."""
     orders, gram_is = [], core._gram_is
 
     def counted(x, scale, shift):
@@ -412,6 +413,7 @@ def counted_grams(monkeypatch) -> list[int]:
         return gram_is(x, scale, shift)
 
     monkeypatch.setattr(core, "_gram_is", counted)
+    monkeypatch.setattr(spectra, "_gram_is", counted)
     return orders
 
 
@@ -424,10 +426,42 @@ def test_a_verdict_is_proven_once_for_a_matrix_and_its_star(monkeypatch):
     cert = certify_two_eigenvalues(sg)
     assert (cert.a, cert.b, cert.mult_lam, cert.mult_mu) == (0, -13, 14, 14)
     assert bipartite_two_eig_check(sg) == is_orthogonal(c) and grams == [14]
-    # a graph with the same entries that star did not build takes the block scan
+    # a graph with the same entries that star did not build keeps the half its scan finds
     plain = SignedGraph(sg.matrix.data)
     assert certify_two_eigenvalues(plain) == cert and grams == [14, 14]
-    assert bipartite_two_eig_check(plain) == is_orthogonal(c) and grams == [14, 14, 14]
+    assert bipartite_two_eig_check(plain) == is_orthogonal(c) and grams == [14, 14]
+
+
+def test_a_star_that_star_did_not_build_is_proven_once(monkeypatch):
+    plain = SignedGraph(star(paley_conference(13)).matrix.data)
+    grams = counted_grams(monkeypatch)
+    for _ in range(2):
+        cert = certify_two_eigenvalues(plain)
+        assert (cert.a, cert.b, cert.mult_lam, cert.mult_mu) == (0, -13, 14, 14)
+        assert bipartite_two_eig_check(plain) == OrthogonalityCertificate(13)
+    assert grams == [14]
+
+
+def test_a_permuted_star_keeps_the_half_its_bfs_gathers(monkeypatch):
+    """Interleaving the two sides puts edges in both diagonal half-blocks, so the first
+    bipartite check gathers C over the BFS bipartition; the certificate takes that C."""
+    mixed = np.arange(28).reshape(2, 14).T.ravel()
+    a = star(paley_conference(13)).matrix.data
+    sg = SignedGraph(a[np.ix_(mixed, mixed)])
+    assert sg.matrix.data[:14, :14].any() and sg.matrix.data[14:, 14:].any()
+    grams = counted_grams(monkeypatch)
+    for _ in range(2):
+        assert bipartite_two_eig_check(sg) == OrthogonalityCertificate(13)
+        cert = certify_two_eigenvalues(sg)
+        assert (cert.a, cert.b, cert.mult_lam, cert.mult_mu) == (0, -13, 14, 14)
+    assert grams == [14]
+    # a rejected half is kept as well
+    bad = a.copy()
+    bad[0, 15] = bad[15, 0] = -a[0, 15]
+    sg = SignedGraph(bad[np.ix_(mixed, mixed)])
+    grams.clear()
+    assert bipartite_two_eig_check(sg) is None and certify_two_eigenvalues(sg) is None
+    assert grams == [14]
 
 
 def test_a_rejection_is_kept_on_every_route(monkeypatch):

@@ -9,8 +9,9 @@ import pytest
 
 import twoeig
 from twoeig import SignedGraph, SignedMatrix, constructions, star, two_lift
-from twoeig.cli import _format_lift, main
+from twoeig.cli import main
 from twoeig.io import (
+    format_graph,
     format_matrix,
     format_signed_graph,
     format_triples,
@@ -355,7 +356,7 @@ def test_signed_graph_and_lift_writers_match_the_per_edge_oracles(rng):
         assert parse_signed_graph(text) == sg == parse_signed_graph_oracle(text)
         assert format_signed_graph(parse_signed_graph(text)) == text
         lift = two_lift(sg)
-        lifted = _format_lift(lift)
+        lifted = format_graph(lift.graph)
         assert lifted == format_lift_oracle(lift)
         assert parse_signed_graph(lifted) == SignedGraph(lift.graph.adjacency())
 
@@ -465,13 +466,13 @@ def test_text_io_loads_no_module():
     (np.unique, for one, would pull in numpy.ma)."""
     script = """
 import sys
-from twoeig import cli, constructions, io, lifts_ramanujan, star
+from twoeig import constructions, io, lifts_ramanujan, star
 m = constructions.sylvester_hadamard(3)
 before = set(sys.modules)
 io.parse_matrix(io.format_matrix(m))
 sg = star(m)
 io.parse_signed_graph(io.format_signed_graph(sg))
-cli._format_lift(lifts_ramanujan.two_lift(sg))
+io.format_graph(lifts_ramanujan.two_lift(sg).graph)
 io.parse_triples(io.format_triples(5, [(0, 1, 2), (1, 2, 3)]))
 for parse, text in [(io.parse_matrix, "1 2\\n1 x\\n"), (io.parse_signed_graph, "3 2\\n1 2\\n2 1\\n"),
                     (io.parse_triples, "4 2\\n1 2 3\\n3 2 1\\n")]:

@@ -161,7 +161,7 @@ def test_complement_basics(rng):
     assert complement(Graph.complete(4)).m == 0
     assert complement(Graph(3)).edges == Graph.complete(3).edges
     c5 = Graph.cycle(5)
-    assert sorted(complement(c5).degrees()) == [2] * 5
+    assert complement(c5).adjacency().sum(axis=1).tolist() == [2] * 5
     for _ in range(10):
         n = int(rng.integers(1, 9))
         g = ground(random_signed_graph(rng, n)) if n > 1 else Graph(1)
@@ -234,7 +234,7 @@ def test_k_c4_complement_spectra():
     for k in range(2, 7):
         comp, spec = k_c4_complement(k)
         assert comp.n == 4 * k
-        assert sorted(comp.degrees()) == [2 * k - 2] * (4 * k)
+        assert comp.adjacency().sum(axis=1).tolist() == [2 * k - 2] * (4 * k)
         assert eigenvalues_symmetric(comp).close_to(spec.pairs)
     with pytest.raises(ValueError, match="at least 2"):
         k_c4_complement(1)

@@ -21,8 +21,7 @@ from twoeig import (
     star,
     sylvester_hadamard,
 )
-from twoeig.core import _bfs_forest
-from twoeig.spectra import _star_block
+from twoeig.core import _bfs_forest, _star_half
 
 from conftest import bipartite_bfs_oracle, random_signed_graph, wide
 
@@ -255,7 +254,7 @@ def test_bipartite_check_matches_the_bfs_route_on_every_5_and_6_vertex_graph():
         grounds = list(bipartite_grounds(n))
         assert len(grounds) == count
         for g in grounds:
-            split_grounds += _star_block(g.adjacency()) is not None
+            split_grounds += _star_half(SignedGraph(g.adjacency())) is not None
             forest = {tuple(sorted(e)) for e in _bfs_forest(g)}
             free = np.array([e for e in g.sorted_edges() if e not in forest], dtype=int)
             signings = np.repeat(g.adjacency()[None], 2 ** len(free), axis=0)
@@ -283,7 +282,7 @@ def test_bipartite_check_matches_the_bfs_route_on_permuted_stars(rng):
         side = np.arange(n1, n)  # C2's rows; its columns are the vertices n later
         swap = np.arange(2 * n)
         swap[side], swap[side + n] = side + n, side
-        assert _star_block(a[np.ix_(swap, swap)]) is not None
+        assert _star_half(SignedGraph(a[np.ix_(swap, swap)])) is not None
         for p in (swap, rng.permutation(2 * n)):
             permuted = a[np.ix_(p, p)]
             assert [alpha_of(SignedGraph(permuted))] == bipartite_bfs_oracle(permuted[None]), p
