@@ -4,7 +4,9 @@ A 2-lift doubles the vertex set of a signed graph, lifting positive edges
 as parallel pairs and negative edges crossed. Its spectrum is the multiset
 union of the spectra of the ground graph and the signed adjacency, which is
 what makes signatures with small largest eigenvalue (good signatures) the
-engine for building regular Ramanujan graphs of twice the order.
+engine for building regular Ramanujan graphs of twice the order. A certified
+signing is not eigensolved: its spectrum, largest eigenvalue included, is read
+from its certificate (table_row, ground_ramanujan_from_symmetric).
 
 Graphs are dense 0/1 adjacency arrays (core.Graph), so every operation here
 is an array expression: the lift is [[P, N], [N, P]] for the positive and
@@ -32,6 +34,7 @@ from .spectra import (
     Spectrum,
     eigenvalues_symmetric,
     spectrum_union,
+    star_certificate,
 )
 
 __all__ = [
@@ -227,7 +230,8 @@ def ground_ramanujan_from_symmetric(c) -> GroundRamanujanReport:
 
     Requires the complement degree k = n - 1 - alpha to satisfy
     (k-1)^2/4 + k + 2 <= n; then the alpha-regular ground graph is verified
-    Ramanujan and C is verified a good signature of it (lambda1 = sqrt(alpha)).
+    Ramanujan (lemma_ram_check on its complement), and C is a good signature
+    of it: C^2 = alpha I proves lambda1 = sqrt(alpha), with no eigensolve.
     """
     sg = SignedGraph(c)
     cert = is_orthogonal(sg.matrix)
@@ -236,23 +240,13 @@ def ground_ramanujan_from_symmetric(c) -> GroundRamanujanReport:
     alpha, n = cert.alpha, sg.n
     if alpha < 2:
         raise ValueError(f"alpha must be at least 2, got {alpha}")
-    k = n - 1 - alpha
-    if (k - 1) ** 2 + 4 * k + 8 > 4 * n:
-        raise ValueError(
-            f"precondition failed: (1/4)({k}-1)^2 + {k} + 2 = "
-            f"{(k - 1) ** 2 / 4 + k + 2} > {n}"
-        )
-    lam1 = eigenvalues_symmetric(sg).expand()[0]
-    if abs(lam1 - math.sqrt(alpha)) > DEFAULT_GROUP_TOL:
-        raise AssertionError("largest eigenvalue of an alpha-orthogonal matrix must be sqrt(alpha)")
-    base = ground(sg)
-    if is_regular(base) != alpha:
-        raise AssertionError("ground graph of an alpha-orthogonal signing must be alpha-regular")
-    good = _is_good(lam1, alpha)  # lambda1 is the top signed eigenvalue, alpha the ground degree
-    report = is_ramanujan(base, "paper_literal")
-    if not report.verdict:
-        raise AssertionError("ground graph must be Ramanujan under the degree bound")
-    return GroundRamanujanReport(alpha, n, k, lam1, good, report)
+    lemma = lemma_ram_check(complement(ground(sg)))
+    k = lemma.k
+    if not lemma.inequality_holds:
+        raise ValueError(f"precondition failed: (1/4)({k}-1)^2 + {k} + 2 = "
+                         f"{(k - 1) ** 2 / 4 + k + 2} > {n}")
+    lam1 = math.sqrt(alpha)
+    return GroundRamanujanReport(alpha, n, k, lam1, _is_good(lam1, alpha), lemma.complement_report)
 
 
 def _k_c4(k: int) -> tuple[Graph, tuple[list[int], list[int]]]:
@@ -261,6 +255,13 @@ def _k_c4(k: int) -> tuple[Graph, tuple[list[int], list[int]]]:
     b = np.kron(np.eye(k, dtype=np.int8), np.ones((2, 2), dtype=np.int8))
     a = np.block([[np.zeros_like(b), b], [b, np.zeros_like(b)]])
     return Graph._trusted(a), (list(range(2 * k)), list(range(2 * k, 4 * k)))
+
+
+def _k_c4_spectrum(k: int) -> Spectrum:
+    """The spectrum of the bipartite complement of k disjoint 4-cycles."""
+    return Spectrum.from_pairs(
+        [(2 * k - 2, 1), (2, k - 1), (0, 2 * k), (-2, k - 1), (-(2 * k - 2), 1)]
+    )
 
 
 def k_c4_complement(k: int) -> tuple[Graph, Spectrum]:
@@ -273,9 +274,7 @@ def k_c4_complement(k: int) -> tuple[Graph, Spectrum]:
         raise ValueError(f"k must be at least 2, got {k}")
     cycles, parts = _k_c4(k)
     comp = bipartite_complement(cycles, parts)
-    expected = Spectrum.from_pairs(
-        [(2 * k - 2, 1), (2, k - 1), (0, 2 * k), (-2, k - 1), (-(2 * k - 2), 1)]
-    )
+    expected = _k_c4_spectrum(k)
     if not eigenvalues_symmetric(comp).close_to(expected.pairs):
         raise AssertionError(f"complement of {k} disjoint 4-cycles missed its closed-form spectrum")
     return comp, expected
@@ -294,30 +293,6 @@ class TableRowReport:
     note: str | None = None
 
 
-def _expected_knn(n: int) -> Spectrum:
-    root = math.sqrt(n)
-    return Spectrum.from_pairs(
-        [(n, 1), (root, n), (0, 2 * n - 2), (-root, n), (-n, 1)]
-    )
-
-
-def _expected_knn_minus_m(n: int) -> Spectrum:
-    root = math.sqrt(n - 1)
-    return Spectrum.from_pairs(
-        [(n - 1, 1), (root, n), (1, n - 1), (-1, n - 1), (-root, n), (-(n - 1), 1)]
-    )
-
-
-def _expected_nc4(n: int) -> tuple[Spectrum, Spectrum]:
-    """Base-graph spectrum of the doubled conference signing, and its lift union."""
-    base = Spectrum.from_pairs(
-        [(2 * n - 2, 1), (2, n - 1), (0, 2 * n), (-2, n - 1), (-(2 * n - 2), 1)]
-    )
-    root = math.sqrt(2 * n - 2)
-    union = spectrum_union(base, Spectrum.from_pairs([(root, 2 * n), (-root, 2 * n)]))
-    return base, union
-
-
 def _conference_order(n: int, family: str) -> int:
     q = n - 1
     if not _is_prime(q) or q % 4 != 1:
@@ -333,8 +308,10 @@ def table_row(family: str, n: int, tol: float = DEFAULT_GROUP_TOL) -> TableRowRe
     matrix of order n (a power of two, at least 2); "knn-minus-m" signs the
     matching-deleted complete bipartite graph with a conference matrix of
     order n; "nc4-complement" signs the bipartite complement of n disjoint
-    4-cycles with the doubled conference block. The computed lift spectrum
-    is compared against the closed-form values within tol.
+    4-cycles with the doubled conference block. Goodness and the expected
+    lift spectrum, the ground's closed form union spec(star(C)) (is_lift_of),
+    come from C's kept certificate (star_certificate), with no eigensolve;
+    the computed lift spectrum is compared against it within tol.
     """
     if family not in TABLE_FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {TABLE_FAMILIES}")
@@ -344,22 +321,24 @@ def table_row(family: str, n: int, tol: float = DEFAULT_GROUP_TOL) -> TableRowRe
         if n < 2 or n != 2**k:
             raise ValueError(f"unsupported order {n} for family 'knn': "
                              "need a power of two at least 2")
-        sg = star(sylvester_hadamard(k))
-        expected = _expected_knn(n)
+        c = sylvester_hadamard(k)
+        base = Spectrum.from_pairs([(n, 1), (0, 2 * n - 2), (-n, 1)])
     elif family == "knn-minus-m":
-        sg = star(paley_conference(_conference_order(n, family)))
-        expected = _expected_knn_minus_m(n)
+        c = paley_conference(_conference_order(n, family))
+        base = Spectrum.from_pairs([(n - 1, 1), (1, n - 1), (-1, n - 1), (-(n - 1), 1)])
     else:
-        sg = star(conference_block(paley_conference(_conference_order(n, family))))
-        base, expected = _expected_nc4(n)
+        c = conference_block(paley_conference(_conference_order(n, family)))
+        base = _k_c4_spectrum(n)
         note = (
             f"the commonly quoted spectrum for this family lists only the {4 * n} "
             f"base-graph values {base}; the lift has {8 * n} vertices and the "
             f"multiset-union rule restores +-sqrt({2 * n - 2}) with multiplicity "
             f"{2 * n} each, which the expected column includes"
         )
-    good = is_good_signature(sg)
+    cert = star_certificate(c)
+    good = _is_good(cert.lam, -cert.b)
     if not good:
         raise AssertionError(f"constructed signature for family {family!r} must be good")
-    computed = eigenvalues_symmetric(two_lift(sg).graph, tol)
+    expected = spectrum_union(base, cert.spectrum())
+    computed = eigenvalues_symmetric(two_lift(star(c)).graph, tol)
     return TableRowReport(family, n, good, expected, computed, computed.close_to(expected.pairs, tol), note)

@@ -10,7 +10,9 @@ entry with exact integer sums, so it is a proof that the spectrum is exactly
 {lambda, mu} with the stated multiplicities, not a numerical estimate.
 A star-shaped graph [[O, C], [C^t, O]], up to the order of its vertices, is
 certified by its half C alone (star_certificate): the half that core keeps
-on the graph (core._star_half), with C's own kept verdict.
+on the graph (core._star_half), with C's own kept verdict. Both routes end
+in one solver, _solved(n, a, b): the whole certified spectrum follows from
+the order and the proven identity, so it is derived in that one place.
 """
 
 from __future__ import annotations
@@ -221,44 +223,42 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
     c = _star_half(sg)
     if c is not None:
         return star_certificate(c)
-    n = sg.n
     j = int(row.nonzero()[0][0])
     a = -int(data[j].astype(np.float32) @ row) * int(row[j])
     b = -degree
     if not _gram_is(data, -a, -b):
         return None
+    return _solved(sg.n, a, b)
+
+
+def _solved(n: int, a: int, b: int) -> TwoEigCertificate:
+    """The certificate of an order-n signed adjacency A with A^2 + aA + bI = 0 proven,
+    b < 0: every TwoEigCertificate is built here.
+
+    A is nonzero with zero diagonal, so it is not a multiple of I, and x^2 + ax + b,
+    whose discriminant a^2 - 4b is positive, is its minimal polynomial: both roots
+    lam > mu are eigenvalues, with multiplicities m_lam, m_mu >= 1 summing to n. With
+    r = sqrt(a^2 - 4b), the zero trace reads m_lam lam + m_mu mu =
+    (r (m_lam - m_mu) - a n) / 2 = 0. For integer r this gives m_lam = n (a + r) / (2r),
+    an integer because it is a multiplicity. For irrational r, r (m_lam - m_mu) = a n
+    forces m_lam = m_mu and a = 0: the roots are +-sqrt(-b), n / 2 times each.
+    """
     disc = a * a - 4 * b
     r = math.isqrt(disc)
     if r * r == disc:
-        lam = (-a + r) / 2
-        mu = (-a - r) / 2
-        num = n * (a + r)
-        if num % (2 * r):
-            return None
-        mult_lam = num // (2 * r)
+        lam, mu = (-a + r) / 2, (-a - r) / 2
+        mult_lam = n * (a + r) // (2 * r)
     else:
-        # Irrational roots come in a conjugate pair, forcing equal
-        # multiplicities, which with zero trace forces a = 0.
-        if a != 0 or n % 2:
-            return None
-        root = math.sqrt(-b)
-        lam, mu = root, -root
-        mult_lam = n // 2
-    mult_mu = n - mult_lam
-    if mult_lam < 1 or mult_mu < 1:
-        return None
-    return TwoEigCertificate(a, b, float(lam), float(mu), mult_lam, mult_mu)
+        lam = math.sqrt(-b)
+        mu, mult_lam = -lam, n // 2
+    return TwoEigCertificate(a, b, float(lam), float(mu), mult_lam, n - mult_lam)
 
 
 def star_certificate(c: SignedMatrix) -> TwoEigCertificate | None:
     """The certificate of star(C), of order 2n, from C's kept verdict (is_orthogonal),
-    without building star(C): A^2 = alpha I, so a = 0, b = -alpha, and the zero trace
-    gives the roots +-sqrt(alpha) multiplicity n each."""
+    without building star(C): A^2 = alpha I, so it is _solved(2n, 0, -alpha)."""
     orth = is_orthogonal(c)
-    if orth is None:
-        return None
-    root = math.sqrt(orth.alpha)
-    return TwoEigCertificate(0, -orth.alpha, root, -root, c.rows, c.rows)
+    return None if orth is None else _solved(2 * c.rows, 0, -orth.alpha)
 
 
 def degree_from_certificate(cert: TwoEigCertificate) -> int:

@@ -85,6 +85,19 @@ def checked_trusted(request, monkeypatch):
         monkeypatch.setattr(cls, "_trusted", classmethod(trusted))
 
 
+@pytest.fixture
+def count_eigvalsh(monkeypatch) -> list[tuple[int, ...]]:
+    """The operand shapes of the np.linalg.eigvalsh calls made while the test runs, in order."""
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return shapes
+
+
 def edge_signs(sg: SignedGraph) -> dict[tuple[int, int], int]:
     """Map (u, v) with u < v to the sign of each edge of sg, as Python ints."""
     a = sg.matrix.data

@@ -464,6 +464,24 @@ def test_a_permuted_star_keeps_the_half_its_bfs_gathers(monkeypatch):
     assert grams == [14]
 
 
+@pytest.mark.parametrize("c", [*(sylvester_hadamard(k) for k in range(1, 6)),
+                               *(paley_conference(q) for q in (5, 13, 29)),
+                               conference_block(paley_conference(5))],
+                         ids=[*(f"H{k}" for k in range(1, 6)), "P5", "P13", "P29", "block-P5"])
+def test_the_dense_route_and_star_certificate_agree(monkeypatch, c):
+    """Interleaving the two sides of star(C) puts edges in both fixed diagonal half-blocks,
+    so the graph is certified by the dense route's Gram product of its own order; its
+    certificate equals star_certificate(C) in every field, floats included. alpha is a
+    square for H2 and H4 and not for the rest, so both branches of spectra._solved run."""
+    n = c.rows
+    mixed = np.arange(2 * n).reshape(2, n).T.ravel()
+    sg = SignedGraph(star(c).matrix.data[np.ix_(mixed, mixed)])
+    grams = counted_grams(monkeypatch)
+    cert = certify_two_eigenvalues(sg)
+    assert grams == [2 * n]
+    assert cert == spectra.star_certificate(c) and grams == [2 * n]
+
+
 def test_a_rejection_is_kept_on_every_route(monkeypatch):
     bad = paley_conference(13).data.copy()
     bad[1, 2] *= -1

@@ -140,19 +140,16 @@ def test_good_signature(k6_signing, rng):
         is_good_signature(SignedGraph.from_edges(2, [(0, 1, -1)]))
 
 
-def test_ground_ramanujan_eigensolves_the_signed_matrix_once(monkeypatch):
-    """lambda1 also decides the good-signature verdict: two eigvalsh calls on Paley 197,
-    one for C and one for its ground graph, where solving C again made three. The report
-    is what is_good_signature and is_ramanujan give on their own."""
+def test_ground_ramanujan_eigensolves_the_signed_matrix_once(count_eigvalsh):
+    """C^2 = alpha I proves lambda1 = sqrt(alpha), so Paley 197 takes one eigvalsh call,
+    for its ground graph, and none for C. The report is what is_good_signature and
+    is_ramanujan give on their own."""
     c = paley_conference(197)
-    sg = SignedGraph(c)
-    expected = (is_good_signature(sg), is_ramanujan(ground(sg), "paper_literal"))
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
     report = ground_ramanujan_from_symmetric(c)
-    assert shapes == [(198, 198)] * 2
-    assert (report.signature_good, report.ground_report) == expected
+    assert count_eigvalsh == [(198, 198)]
+    sg = SignedGraph(c)
+    assert (report.signature_good, report.ground_report) == (
+        is_good_signature(sg), is_ramanujan(ground(sg), "paper_literal"))
     assert (report.alpha, report.n, report.k) == (197, 198, 0)
     assert abs(report.lambda1 - math.sqrt(197)) < 1e-9
 
@@ -256,6 +253,16 @@ def test_table_rows():
     assert row.match and row.signature_good
     assert "multiset-union" in row.note
     assert row.computed.order == 48
+
+
+@pytest.mark.parametrize("family, n, lift_order", [
+    ("knn", 8, 32), ("knn-minus-m", 6, 24), ("nc4-complement", 6, 48)])
+def test_table_row_eigensolves_only_the_lift(count_eigvalsh, family, n, lift_order):
+    """The signing's goodness and spectrum come from its certificate, so the one
+    eigvalsh call is the lift's: order 4n, or 8n for the doubled conference block."""
+    row = table_row(family, n)
+    assert count_eigvalsh == [(lift_order, lift_order)]
+    assert row.match and row.signature_good and row.computed.order == lift_order
 
 
 def test_table_row_rejections():

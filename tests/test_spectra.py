@@ -1,9 +1,12 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twoeig
 from twoeig import (
     Graph,
     SignedGraph,
@@ -296,3 +299,21 @@ def test_numeric_spectrum_invariant_under_resigning(rng):
         a = eigenvalues_symmetric(sg, tol=1e-10).expand()
         b = eigenvalues_symmetric(resigned, tol=1e-10).expand()
         assert np.allclose(a, b, atol=1e-9)
+
+
+def test_only_spectra_solved_builds_a_two_eigenvalue_certificate():
+    """Every certified spectrum is derived once: no source file calls TwoEigCertificate(...)
+    anywhere but inside spectra._solved."""
+    builders = []
+    for path in sorted(Path(twoeig.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {}
+        for node in ast.walk(tree):  # breadth first, so a node's scope is set before its children's
+            is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            for child in ast.iter_child_nodes(node):
+                scope[child] = getattr(node, "name", "<lambda>") if is_def else scope.get(node)
+        builders += [(path.stem, scope.get(node)) for node in ast.walk(tree)
+                     if isinstance(node, ast.Call)
+                     and "TwoEigCertificate" in (getattr(node.func, "id", None),
+                                                 getattr(node.func, "attr", None))]
+    assert builders == [("spectra", "_solved")]
