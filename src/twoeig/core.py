@@ -138,6 +138,11 @@ def _product_is(left: np.ndarray, right: np.ndarray, shift: int) -> bool:
     is compared, because a general product need not be symmetric; the
     callers are the Williamson checks (constructions). A Gram product x x^t
     goes to _gram_is, which forms half of it.
+    A panel matches when y.any() is False. That is the test a nonzero count
+    makes: any also compares each entry with 0, so -0.0 is zero to both, and
+    the entries are exact integers. On a 256 x 2048 panel any took 0.09 ms
+    and np.count_nonzero 0.42 ms (2-vCPU host); below about 40 x 40 the count
+    is the faster, by at most 1 us.
     """
     n, k = left.shape
     base, width = _packing(k)
@@ -148,7 +153,7 @@ def _product_is(left: np.ndarray, right: np.ndarray, shift: int) -> bool:
         rows, m, packed = _packed_panel(left, r0, base, width, pack)
         y = packed @ right32
         _add_packed_identity(y, r0, rows, m, base, -shift)
-        if np.count_nonzero(y):
+        if y.any():
             return False
     return True
 
@@ -179,7 +184,8 @@ def _gram_is(x: np.ndarray, scale: int, shift: int) -> bool:
     0.31 n^2 k multiplications, against 0.56 n^2 k unpacked and n^2 k for
     the full product. Only one float32 copy of x and one packed panel are
     alive at a time: the target is built in place in the packed panel, or,
-    when scale is 0, subtracted from the product's two diagonals.
+    when scale is 0, subtracted from the product's two diagonals. A panel
+    matches when y.any() is False, the same zero test as _product_is's.
     """
     n, k = x.shape
     base, width = _packing(k)
@@ -196,7 +202,7 @@ def _gram_is(x: np.ndarray, scale: int, shift: int) -> bool:
             y -= target
         else:
             _add_packed_identity(y, 0, rows, m, base, -shift)
-        if np.count_nonzero(y):
+        if y.any():
             return False
     return True
 
@@ -791,9 +797,23 @@ def switching_class_signs(g: Graph) -> np.ndarray:
     return 1 - 2 * negative.astype(np.int8)
 
 
+def _row_nonzeros(a: np.ndarray) -> np.ndarray:
+    """The number of nonzero entries in each row of the 0/1 int8 array a (a
+    graph adjacency, or a support mask viewed as int8): its row sums,
+    accumulated in np.min_scalar_type(a.shape[1]).
+
+    That is exact: a row of w entries has at most w nonzeros, so its sum is
+    at most w, which the dtype holds, and cannot wrap. A uint16 sum reads
+    the int8 array in place; an int64 one widens every entry, and a
+    count_nonzero with an axis sums a bool copy into intp. At order 2048 the
+    row sums took 0.38 ms in uint16 and 1.7-1.9 ms in int64 (2-vCPU host).
+    """
+    return a.sum(axis=1, dtype=np.min_scalar_type(a.shape[1]))
+
+
 def is_regular(g: Graph) -> int | None:
     """The common vertex degree, or None if degrees differ."""
-    degrees = g.adjacency().sum(axis=1)
+    degrees = _row_nonzeros(g.adjacency())
     if not degrees.size:
         return None
     return int(degrees[0]) if (degrees == degrees[0]).all() else None

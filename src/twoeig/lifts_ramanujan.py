@@ -28,7 +28,7 @@ from .constructions import (
     paley_conference,
     sylvester_hadamard,
 )
-from .core import Graph, SignedGraph, ground, is_orthogonal, is_regular, star
+from .core import Graph, SignedGraph, _row_nonzeros, ground, is_orthogonal, is_regular, star
 from .spectra import (
     DEFAULT_GROUP_TOL,
     Spectrum,
@@ -70,7 +70,7 @@ class LiftedGraph:
     def __post_init__(self):
         if self.graph.n != 2 * self.base_n:
             raise ValueError(f"lift of {self.base_n} vertices must have {2 * self.base_n}")
-        deg = self.graph.adjacency().sum(axis=1)
+        deg = _row_nonzeros(self.graph.adjacency())
         if not np.array_equal(deg[: self.base_n], deg[self.base_n :]):
             raise ValueError("lift layers have mismatched degrees")
 

@@ -80,10 +80,10 @@ def test_gen_kron_and_williamson(tmp_path, capsys):
 
 def test_gen_certify_reuses_the_construction_certificate(tmp_path, capsys, monkeypatch):
     """Every gen kind keeps its certificate on the matrix, so --certify reports it with no
-    second Gram product. Kronecker-shaped outputs are certified by their block structure:
-    kron makes Gram products only for its two factors, conference-block and the
-    nonsymmetric Williamson preset for their input, and hadamard none. double and
-    conference check their output (and double its input) by a Gram product."""
+    second Gram product. Outputs built in blocks are certified by their block structure:
+    kron makes Gram products only for its two factors, double, conference-block and the
+    nonsymmetric Williamson preset for their input, and hadamard none. conference checks
+    its output by a Gram product."""
     from twoeig import core
 
     calls = []
@@ -100,7 +100,7 @@ def test_gen_certify_reuses_the_construction_certificate(tmp_path, capsys, monke
     for argv, product, alpha, count in [
         (["kron", "--input", str(h), "--input", str(c)],
          twoeig.kronecker(sylvester_hadamard(2), paley_conference(5)), 20, 2),
-        (["double", "--input", str(c)], twoeig.double(paley_conference(5))[0], 12, 2),
+        (["double", "--input", str(c)], twoeig.double(paley_conference(5))[0], 12, 1),
         (["hadamard", "-k", "3"], sylvester_hadamard(3), 8, 0),
         (["conference", "-q", "5"], paley_conference(5), 5, 1),
         (["conference-block", "--input", str(c)],

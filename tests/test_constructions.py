@@ -78,6 +78,17 @@ def test_paley_conference_structure():
         assert is_orthogonal(c).alpha == q
 
 
+@pytest.mark.parametrize("q", [5, 13, 61, 113, 509])
+def test_paley_core_is_the_character_of_the_index_difference(q):
+    """c[1 + i, 1 + j] is the Legendre symbol of i - j by Euler's criterion, read
+    through an index table; the border is +1 around a zero corner."""
+    euler = np.array([0] + [1 if pow(x, (q - 1) // 2, q) == 1 else -1 for x in range(1, q)])
+    diff = (np.arange(q)[:, None] - np.arange(q)[None, :]) % q
+    c = paley_conference(q).data
+    assert np.array_equal(c[1:, 1:], euler[diff])
+    assert c[0, 0] == 0 and (c[0, 1:] == 1).all() and (c[1:, 0] == 1).all()
+
+
 def test_paley_conference_rejects_bad_q():
     with pytest.raises(ValueError, match="odd"):
         paley_conference(4)
@@ -96,6 +107,39 @@ def test_double_conference():
     assert np.array_equal(wide(b) @ wide(b), 12 * np.eye(12, dtype=np.int64))
     c, eye = wide(paley_conference(5)), np.eye(6, dtype=np.int64)
     assert np.array_equal(wide(b), np.block([[c + eye, c - eye], [c - eye, -c - eye]]))
+
+
+def test_double_is_certified_by_its_blocks_with_one_gram_product(monkeypatch):
+    """double proves its input by a Gram product and its output by block structure
+    only; the certificate it keeps on the output equals a fresh Gram proof."""
+    orders, gram_is = [], core._gram_is
+
+    def counted(x, scale, shift):
+        orders.append(x.shape[0])
+        return gram_is(x, scale, shift)
+
+    monkeypatch.setattr(core, "_gram_is", counted)
+    for q in (5, 13, 29, 61):
+        c = SignedMatrix(paley_conference(q).data)
+        orders.clear()
+        b, cert = double(c)
+        assert orders == [q + 1] and cert.alpha == 2 * q + 2
+        assert is_orthogonal(b) is cert and orders == [q + 1]
+        assert core._orthogonality(b.data) == cert and orders == [q + 1, 2 * q + 2]
+
+
+def test_double_certificate_rejects_every_single_entry_change():
+    d = paley_conference(5).data
+    b = double(paley_conference(5))[0].data
+    assert constructions._double_certificate(b, d, 5).alpha == 12
+    for i, j in np.ndindex(b.shape):
+        bad = b.copy()
+        bad[i, j] = -b[i, j] if b[i, j] else 1
+        with pytest.raises(AssertionError, match="not the doubling"):
+            constructions._double_certificate(bad, d, 5)
+    for out in (b[:, :11], b[:10, :10], np.kron(np.ones((2, 2), np.int8), d)):
+        with pytest.raises(AssertionError, match="not the doubling"):
+            constructions._double_certificate(out, d, 5)
 
 
 def test_double_rejects_bad_inputs():
@@ -151,6 +195,21 @@ def test_quadruple_rejects_bad_blocks():
         WilliamsonQuadruple(ragged, ragged, ragged, ragged)
     with pytest.raises(ValueError, match="expected 2x2"):
         WilliamsonQuadruple(SWAP, SWAP, SWAP, SignedMatrix([[1]]))
+
+
+def test_quadruple_row_counts_past_uint8():
+    """Blocks of order 258 have supports of 257 and 258, which uint8 would wrap to 1
+    and 2; the counts are summed in np.min_scalar_type(258), uint16."""
+    c = paley_conference(257)
+    eye = np.eye(258, dtype=np.int8)
+    minus, plus = SignedMatrix(c.data - eye), SignedMatrix(c.data + eye)
+    assert WilliamsonQuadruple(c, c, minus, plus).row_counts() == (257, 257, 258, 258)
+    # row 0 has 257 nonzeros, the other rows one: equal modulo 256, not equal
+    ragged = np.eye(258, dtype=np.int8)
+    ragged[0, :257] = -1
+    ragged = SignedMatrix(ragged)
+    with pytest.raises(ValueError, match="constant number"):
+        WilliamsonQuadruple(ragged, ragged, ragged, ragged)
 
 
 def test_williamson_square_sum_gate():

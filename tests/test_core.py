@@ -1,9 +1,12 @@
+import ast
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twoeig
 from twoeig import (
     Graph,
     SignedGraph,
@@ -490,3 +493,69 @@ def test_is_regular():
     assert is_regular(Graph.path(3)) is None
     assert is_regular(Graph(3)) == 0
     assert is_regular(Graph(0)) is None
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_is_regular_where_the_degree_accumulator_widens(n):
+    """Degrees are summed in np.min_scalar_type(n): uint8 up to n = 255, uint16 from 256.
+    Cycles and paths on either side agree with int64 row sums."""
+    for g in (Graph.cycle(n), Graph.path(n)):
+        degrees = g.adjacency().sum(axis=1, dtype=np.int64)
+        want = int(degrees[0]) if (degrees == degrees[0]).all() else None
+        assert is_regular(g) == want
+    assert is_regular(Graph.cycle(n)) == 2 and is_regular(Graph.path(n)) is None
+
+
+def test_is_regular_of_a_star_past_uint8():
+    """K_{1,257}: the centre's degree 257 is 1 modulo 256, the leaves' degree, so a
+    uint8 accumulator would call the star 1-regular."""
+    g = Graph.complete_bipartite(1, 257)
+    assert g.adjacency()[0].sum(dtype=np.uint8) == 1
+    assert is_regular(g) is None
+
+
+def _widened_reductions(source: str) -> list[str]:
+    """The calls in source that reduce along an axis at numpy's default width: a sum,
+    reduce or reduceat given an axis (by keyword or position) but no dtype=, and a
+    count_nonzero given an axis. functools.reduce and the builtin sum take no axis."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            continue
+        name, owner = node.func.attr, node.func.value
+        keywords = {k.arg for k in node.keywords}
+        on_module = isinstance(owner, ast.Name) and owner.id in ("np", "numpy")
+        if name == "sum":
+            axis_at = 1 if on_module else 0
+        elif name in ("reduce", "reduceat") and isinstance(owner, ast.Attribute):
+            axis_at = 1 if name == "reduce" else 2
+        elif name == "count_nonzero":
+            axis_at = 1
+        else:
+            continue
+        has_axis = "axis" in keywords or len(node.args) > axis_at
+        if has_axis and (name == "count_nonzero" or "dtype" not in keywords):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_widened_reduction_detector():
+    flagged = ["a.sum(axis=1)", "a.sum(1)", "np.sum(a, 0)", "np.add.reduce(a, axis=0)",
+               "np.add.reduce(a, 1)", "np.add.reduceat(a, i, 1)", "np.count_nonzero(a, axis=1)",
+               "np.count_nonzero(a, 1)", "np.count_nonzero(a, axis=1, keepdims=True)"]
+    passed = ["a.sum()", "a.sum(axis=1, dtype=np.uint16)", "np.sum(a, 0, dtype=np.int64)",
+              "np.add.reduceat(a, i, dtype=np.uint32)", "np.count_nonzero(a)", "sum(a, 1)",
+              "functools.reduce(f, xs, 0)"]
+    for line in flagged:
+        assert _widened_reductions(line), line
+    for line in passed:
+        assert not _widened_reductions(line), line
+
+
+def test_no_source_reduces_along_an_axis_at_default_width():
+    """Every sum, reduce or reduceat along an axis names its accumulator dtype, and no
+    count_nonzero takes an axis: numpy's defaults widen an int8 reduction to int64 or
+    intp (is_regular took 1.9 ms at order 2048 in int64, 0.38 ms in uint16)."""
+    found = {path.name: _widened_reductions(path.read_text())
+             for path in sorted(Path(twoeig.__file__).parent.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -330,6 +330,22 @@ def test_gram_kernel_at_the_packing_bound(k):
     assert g[PANEL_ROWS + 1] == -k and g[2 * PANEL_ROWS + 1] == k
 
 
+def test_zero_test_rejects_one_flip_in_the_last_panel_pair():
+    """At order 1024 the loop takes two packed pairs of panels. x = I_256 (x) H_4 has
+    x x^t = 4I; one flipped entry in the last 4 x 4 block, in the last pair's second
+    panel, makes nonzeros only in that pair's rows and columns, which only its
+    product's zero test can see."""
+    assert _packing(1024)[1] == 2 and 1024 == 4 * PANEL_ROWS
+    x = np.kron(np.eye(256, dtype=np.int8), sylvester_hadamard(2).data)
+    flipped = x.copy()
+    flipped[1023, 1020] *= -1
+    diff = flipped.astype(np.int64) @ flipped.T.astype(np.int64) - 4 * np.eye(1024, dtype=np.int64)
+    rows, cols = np.nonzero(diff)
+    assert rows.size and rows.min() >= 3 * PANEL_ROWS and cols.min() >= 3 * PANEL_ROWS
+    assert _gram_is(x, 0, 4) and _product_is(x, x.T, 4)
+    assert not _gram_is(flipped, 0, 4) and not _product_is(flipped, flipped.T, 4)
+
+
 def test_nonsymmetric_orthogonal_matrices_keep_their_alpha():
     block = conference_block(paley_conference(37))
     spun = williamson_preset(block, "nonsymmetric-all-c")

@@ -62,6 +62,21 @@ def test_lifted_graph_validation():
         LiftedGraph(2, Graph(4, [(0, 1)]))
 
 
+def test_lifted_graph_degrees_past_uint8():
+    """At base order 300 the lift has 600 vertices and its degrees are summed in uint16.
+    Here vertex 0 has degree 1 and its copy 300 degree 257, equal modulo 256; every
+    other vertex matches its copy."""
+    assert LiftedGraph(300, two_lift(SignedGraph.all_positive(Graph.cycle(300))).graph).base_n == 300
+    edges = [(300, v) for v in range(301, 558)] + [(0, 1)]
+    edges += [(v, v + 1) for v in range(2, 258, 2)]
+    g = Graph(600, edges)
+    degrees = g.adjacency().sum(axis=1, dtype=np.int64)
+    assert (degrees[0], degrees[300]) == (1, 257)
+    assert np.array_equal(np.delete(degrees[:300], 0), np.delete(degrees[300:], 0))
+    with pytest.raises(ValueError, match="mismatched degrees"):
+        LiftedGraph(300, g)
+
+
 def test_lift_spectrum_union_rule(k6_signing, rng):
     assert lift_spectrum_check(k6_signing) and lift_union_oracle(k6_signing)
     assert lift_spectrum_check(one_negative_cycle(5)) and lift_union_oracle(one_negative_cycle(5))
