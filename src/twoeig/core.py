@@ -675,9 +675,9 @@ def is_orthogonal(c: SignedMatrix) -> OrthogonalityCertificate | None:
 
 
 def _orthogonality(c: np.ndarray) -> OrthogonalityCertificate | None:
-    """is_orthogonal on a square array of {-1, 0, 1} entries, which is not checked
-    again: the routes of the two-eigenvalue certificate pass blocks of an
-    already validated signed graph, so they need no SignedMatrix copy."""
+    """is_orthogonal's exact Gram proof on a square array of {-1, 0, 1} entries.
+    Only is_orthogonal calls it, and the tests, as the route that every kept
+    verdict must agree with."""
     alpha = int(np.count_nonzero(c[0]))
     if alpha < 1 or not _gram_is(c, 0, alpha):
         return None

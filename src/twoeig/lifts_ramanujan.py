@@ -81,7 +81,7 @@ class LiftedGraph:
         a, n = sg.matrix.data, sg.n
         lift = self.graph.adjacency()
         pos, neg = lift[:n, :n], lift[:n, n:]
-        return bool(np.array_equal(lift, np.block([[pos, neg], [neg, pos]]))
+        return bool(np.array_equal(lift[n:, n:], pos) and np.array_equal(lift[n:, :n], neg)
                     and np.array_equal(pos - neg, a) and np.array_equal(pos + neg, np.abs(a)))
 
 
@@ -106,9 +106,11 @@ class RamanujanReport:
 def two_lift(sg: SignedGraph) -> LiftedGraph:
     """Double cover [[P, N], [N, P]]: positive edges (P) lift parallel, negative (N) crossed.
     P and N are 0/1, symmetric and zero-diagonal as A is, so the lift is not checked."""
-    a = sg.matrix.data
-    pos, neg = (a > 0).view(np.int8), (a < 0).view(np.int8)
-    return LiftedGraph(sg.n, Graph._trusted(np.block([[pos, neg], [neg, pos]])))
+    a, n = sg.matrix.data, sg.n
+    lift = np.empty((2 * n, 2 * n), dtype=np.int8)
+    lift[:n, :n] = lift[n:, n:] = a > 0
+    lift[:n, n:] = lift[n:, :n] = a < 0
+    return LiftedGraph(n, Graph._trusted(lift))
 
 
 def lift_spectrum_check(sg: SignedGraph) -> bool:
@@ -253,7 +255,8 @@ def _k_c4(k: int) -> tuple[Graph, tuple[list[int], list[int]]]:
     """k disjoint 4-cycles drawn bipartite: parts 0..2k-1 and 2k..4k-1 joined by
     B = I_k (x) J_2. B is symmetric and 0/1, so [[O, B], [B, O]] is not checked."""
     b = np.kron(np.eye(k, dtype=np.int8), np.ones((2, 2), dtype=np.int8))
-    a = np.block([[np.zeros_like(b), b], [b, np.zeros_like(b)]])
+    a = np.zeros((4 * k, 4 * k), dtype=np.int8)
+    a[: 2 * k, 2 * k :] = a[2 * k :, : 2 * k] = b
     return Graph._trusted(a), (list(range(2 * k)), list(range(2 * k, 4 * k)))
 
 

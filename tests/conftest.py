@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from twoeig import Graph, SignedGraph, SignedMatrix, core, two_lift
+from twoeig import Graph, SignedGraph, SignedMatrix, core, spectra, two_lift
 from twoeig.core import PANEL_ROWS, _as_trit_array, _bfs_forest, _check_adjacency, _entries_within
 
 # The 6-vertex regular two-graph worked through in the docs: ten triples,
@@ -96,6 +96,20 @@ def count_eigvalsh(monkeypatch) -> list[tuple[int, ...]]:
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     return shapes
+
+
+def counted_grams(monkeypatch) -> list[int]:
+    """The orders of the Gram products formed from here on, through core._gram_is and
+    through the name spectra imported it by (the dense certificate's route)."""
+    orders, gram_is = [], core._gram_is
+
+    def counted(x, scale, shift):
+        orders.append(x.shape[0])
+        return gram_is(x, scale, shift)
+
+    monkeypatch.setattr(core, "_gram_is", counted)
+    monkeypatch.setattr(spectra, "_gram_is", counted)
+    return orders
 
 
 def edge_signs(sg: SignedGraph) -> dict[tuple[int, int], int]:

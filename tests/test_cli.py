@@ -81,8 +81,8 @@ def test_gen_kron_and_williamson(tmp_path, capsys):
 def test_gen_certify_reuses_the_construction_certificate(tmp_path, capsys, monkeypatch):
     """Every gen kind keeps its certificate on the matrix, so --certify reports it with no
     second Gram product. Outputs built in blocks are certified by their block structure:
-    kron makes Gram products only for its two factors, double, conference-block and the
-    nonsymmetric Williamson preset for their input, and hadamard none. conference checks
+    kron makes Gram products only for its two factors, double, conference-block and
+    every Williamson preset for their input, and hadamard none. Only conference checks
     its output by a Gram product."""
     from twoeig import core
 
@@ -107,6 +107,9 @@ def test_gen_certify_reuses_the_construction_certificate(tmp_path, capsys, monke
          twoeig.conference_block(paley_conference(5)), 10, 1),
         (["williamson", "--preset", "nonsymmetric-all-c", "--input", str(h)],
          twoeig.williamson_preset(sylvester_hadamard(2), "nonsymmetric-all-c"), 16, 1),
+        *((["williamson", "--preset", preset, "--input", str(c)],
+           twoeig.williamson_preset(paley_conference(5), preset), alpha, 1)
+          for preset, alpha in (("all-c", 20), ("two-shifted", 22), ("four-shifted", 24))),
     ]:
         calls.clear()
         code, out, err = run(capsys, "gen", *argv, "--certify")

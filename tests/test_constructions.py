@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from twoeig import (
     williamson_preset,
 )
 
-from conftest import wide
+from conftest import counted_grams, wide
 
 ROTATION = SignedMatrix([[0, 1], [-1, 0]])
 SWAP = SignedMatrix([[0, 1], [1, 0]])
@@ -112,13 +113,7 @@ def test_double_conference():
 def test_double_is_certified_by_its_blocks_with_one_gram_product(monkeypatch):
     """double proves its input by a Gram product and its output by block structure
     only; the certificate it keeps on the output equals a fresh Gram proof."""
-    orders, gram_is = [], core._gram_is
-
-    def counted(x, scale, shift):
-        orders.append(x.shape[0])
-        return gram_is(x, scale, shift)
-
-    monkeypatch.setattr(core, "_gram_is", counted)
+    orders = counted_grams(monkeypatch)
     for q in (5, 13, 29, 61):
         c = SignedMatrix(paley_conference(q).data)
         orders.clear()
@@ -126,20 +121,6 @@ def test_double_is_certified_by_its_blocks_with_one_gram_product(monkeypatch):
         assert orders == [q + 1] and cert.alpha == 2 * q + 2
         assert is_orthogonal(b) is cert and orders == [q + 1]
         assert core._orthogonality(b.data) == cert and orders == [q + 1, 2 * q + 2]
-
-
-def test_double_certificate_rejects_every_single_entry_change():
-    d = paley_conference(5).data
-    b = double(paley_conference(5))[0].data
-    assert constructions._double_certificate(b, d, 5).alpha == 12
-    for i, j in np.ndindex(b.shape):
-        bad = b.copy()
-        bad[i, j] = -b[i, j] if b[i, j] else 1
-        with pytest.raises(AssertionError, match="not the doubling"):
-            constructions._double_certificate(bad, d, 5)
-    for out in (b[:, :11], b[:10, :10], np.kron(np.ones((2, 2), np.int8), d)):
-        with pytest.raises(AssertionError, match="not the doubling"):
-            constructions._double_certificate(out, d, 5)
 
 
 def test_double_rejects_bad_inputs():
@@ -159,6 +140,38 @@ def test_shift_antisymmetric():
     shifted, cert = shift_antisymmetric(block)
     assert cert.alpha == 2
     assert shifted.rows == 6
+
+
+ROTATED_H3 = kronecker(sylvester_hadamard(3), ROTATION)  # antisymmetric: H_3 is symmetric
+P5, P13 = paley_conference(5), paley_conference(13)
+# kind: (inputs, construction, orders of the Gram products it forms, alpha of its output)
+CONSTRUCTIONS = {
+    "kronecker": ((sylvester_hadamard(2), P5), lambda a, b: kronecker_orthogonal(a, b)[0],
+                  [4, 6], 20),
+    "sylvester": ((), lambda: sylvester_hadamard(6), [], 64),
+    "conference-block": ((P13,), conference_block, [14], 26),
+    "double": ((P13,), lambda c: double(c)[0], [14], 28),
+    "shift": ((ROTATED_H3,), lambda c: shift_antisymmetric(c)[0], [16], 9),
+    "paley": ((), lambda: paley_conference(13), [14], 13),
+    "quadruple": ((P5,), lambda c: williamson(WilliamsonQuadruple(c, c, c, c)), [], 20),
+    **{preset: ((P13,), lambda c, preset=preset: williamson_preset(c, preset), [14], alpha)
+       for preset, alpha in (("all-c", 52), ("two-shifted", 54), ("four-shifted", 56),
+                             ("nonsymmetric-all-c", 52))},
+}
+
+
+@pytest.mark.parametrize("kind", CONSTRUCTIONS)
+def test_only_paley_forms_a_gram_product_of_its_output(kind, monkeypatch):
+    """Each construction forms Gram products only for its inputs, which hold no kept
+    verdict here (paley_conference, which has none, for its output), and is_orthogonal
+    of the output returns the kept certificate with none; the fixture holds that
+    certificate to the Gram route."""
+    inputs, build, want, alpha = CONSTRUCTIONS[kind]
+    inputs = [SignedMatrix(m.data) for m in inputs]
+    orders = counted_grams(monkeypatch)
+    m = build(*inputs)
+    assert orders == want
+    assert is_orthogonal(m).alpha == alpha and orders == want
 
 
 def test_shift_rejects_bad_inputs():
@@ -210,6 +223,45 @@ def test_quadruple_row_counts_past_uint8():
     ragged = SignedMatrix(ragged)
     with pytest.raises(ValueError, match="constant number"):
         WilliamsonQuadruple(ragged, ragged, ragged, ragged)
+
+
+def test_williamson_of_the_zero_quadruple_is_none():
+    """Zero blocks commute and pass the square sum with s = 0, and no orthogonal matrix
+    has alpha 0: williamson returns None, as for a failed square sum."""
+    for zero in (SignedMatrix([[0]]), SignedMatrix([[0, 0], [0, 0]])):
+        assert williamson(WilliamsonQuadruple(zero, zero, zero, zero)) is None
+
+
+FLIP = SignedMatrix([[1, 0], [0, -1]])
+
+
+def test_williamson_checks_a_reassigned_block_again():
+    """A block array reassigned after the quadruple was built is checked again: -I
+    commutes with I and is assembled; diag(1, -1) and the swap square to I but
+    anticommute, so with the old checks' verdicts W W^t would not be 4 I."""
+    blocks = [SignedMatrix.identity(2) for _ in range(4)]
+    quad = WilliamsonQuadruple(*blocks)
+    blocks[0].data = SignedMatrix(-np.eye(2, dtype=np.int8)).data
+    w = williamson(quad)
+    assert np.array_equal(w.data[:2, :2], -np.eye(2)) and is_orthogonal(w).alpha == 4
+    blocks[0].data, blocks[1].data = FLIP.data, SWAP.data
+    with pytest.raises(ValueError, match="blocks 1 and 2 do not commute"):
+        williamson(quad)
+
+
+def test_williamson_checks_a_writeable_block_again():
+    """A block array made writeable is checked again, whether it was changed or not."""
+    blocks = [SignedMatrix.identity(2) for _ in range(4)]
+    quad = WilliamsonQuadruple(*blocks)
+    blocks[0].data.setflags(write=True)
+    blocks[0].data[...] = -np.eye(2, dtype=np.int8)
+    w = williamson(quad)
+    assert np.array_equal(w.data[:2, :2], -np.eye(2)) and is_orthogonal(w).alpha == 4
+    for m, new in zip(blocks, (FLIP, SWAP)):
+        m.data.setflags(write=True)
+        m.data[...] = new.data
+    with pytest.raises(ValueError, match="blocks 1 and 2 do not commute"):
+        williamson(quad)
 
 
 def test_williamson_square_sum_gate():
@@ -294,38 +346,118 @@ def test_kronecker_routes_return_the_gram_certificate():
         assert np.array_equal(wide(m), np.block([[wide(c), wide(c)], [-wide(c), wide(c)]]))
 
 
-def test_kronecker_certificate_rejects_every_single_entry_change():
-    a, b = sylvester_hadamard(1).data, paley_conference(5).data
-    m = np.kron(a, b)
-    assert constructions._kronecker_certificate(m, a, 2, b, 5).alpha == 10
-    for i, j in np.ndindex(m.shape):
-        bad = m.copy()
-        bad[i, j] = -m[i, j] if m[i, j] else 1
-        with pytest.raises(AssertionError, match="not the Kronecker product"):
-            constructions._kronecker_certificate(bad, a, 2, b, 5)
-    with pytest.raises(AssertionError, match="not the Kronecker product"):
-        constructions._kronecker_certificate(np.kron(b, a), a, 2, b, 5)
-    for out, left, right in ((m, a, a), (m, b, b), (m[:, :11], a, b), (m, a, b[:, :5]),
-                             (m, a[:1], b)):
-        with pytest.raises(AssertionError, match="Kronecker shape"):
-            constructions._kronecker_certificate(out, left, 1, right, 1)
-
-
 def test_sylvester_hadamard_makes_no_gram_call(monkeypatch):
     """Each doubling is certified against the last by its block structure, so no order
     2^k Gram product is formed, nor by is_orthogonal of the result, which returns the
     kept certificate (the counter does see is_orthogonal's of a fresh matrix)."""
-    orders = []
-    gram_is = core._gram_is
-
-    def counted(x, scale, shift):
-        orders.append(x.shape[0])
-        return gram_is(x, scale, shift)
-
-    monkeypatch.setattr(core, "_gram_is", counted)
+    orders = counted_grams(monkeypatch)
     for k in range(constructions.MAX_HADAMARD_EXPONENT + 1):
         assert sylvester_hadamard(k).rows == 2**k
     assert orders == []
     assert is_orthogonal(sylvester_hadamard(2)).alpha == 4 and orders == []
     is_orthogonal(SignedMatrix(sylvester_hadamard(2).data))
     assert orders == [4]
+
+
+def _block_case(kind):
+    """(output, terms, alpha, what, decoy) of each construction that _certify_blocks
+    certifies, on a small input; the decoy has the output's shape and other entries."""
+    c = paley_conference(5)
+    eye = np.eye(6, dtype=np.int8)
+    if kind == "kronecker":
+        a, b = sylvester_hadamard(1).data, c.data
+        return np.kron(a, b), [(a, b)], 10, "the Kronecker product", np.kron(b, a)
+    if kind == "double":
+        return (double(c)[0].data, [(constructions._DOUBLE_SIGNS, c.data),
+                                    (constructions._DOUBLE_SHIFTS, eye)], 12,
+                "the doubling", np.kron(np.ones((2, 2), np.int8), c.data))
+    if kind == "shift":
+        r = kronecker(SignedMatrix.identity(3), ROTATION).data
+        return (shift_antisymmetric(SignedMatrix(r))[0].data,
+                [(constructions._ONE, r), (constructions._ONE, eye)], 2, "the shift", r - eye)
+    quad = WilliamsonQuadruple(c, c, SignedMatrix(c.data - eye), SignedMatrix(c.data + eye))
+    return (williamson(quad).data, list(zip(constructions._WILLIAMSON_TERMS, quad._arrays)), 22,
+            "the Williamson array", williamson_preset(c, "four-shifted").data)
+
+
+@pytest.mark.parametrize("kind", ["kronecker", "double", "shift", "williamson"])
+def test_certify_blocks_rejects_every_single_entry_change(kind):
+    """The one structure certificate keeps alpha on the output it was built for, and
+    raises on every single-entry change of it, on another output of its shape, and on
+    every shape that is not sum_t S_t (x) B_t."""
+    out, terms, alpha, what, decoy = _block_case(kind)
+    m = constructions._certify_blocks(SignedMatrix(out), terms, alpha, what)
+    assert is_orthogonal(m).alpha == alpha
+    for i, j in np.ndindex(out.shape):
+        bad = out.copy()
+        bad[i, j] = -out[i, j] if out[i, j] else 1
+        with pytest.raises(AssertionError, match=f"not {what}"):
+            constructions._certify_blocks(SignedMatrix(bad), terms, alpha, what)
+    with pytest.raises(AssertionError, match=f"not {what}"):
+        constructions._certify_blocks(SignedMatrix(decoy), terms, alpha, what)
+    (s, b), rest = terms[0], terms[1:]
+    for wrong, wrong_terms in ((out[:, :-1], terms), (out[:-1, :-1], terms),
+                               (out, [(s, b[:, :-1]), *rest]), (out, [(np.vstack((s, s)), b), *rest]),
+                               (out, [*terms, (s, b[:-1, :-1])])):
+        with pytest.raises(AssertionError, match="block shape"):
+            constructions._certify_blocks(SignedMatrix(wrong), wrong_terms, alpha, what)
+
+
+def test_williamson_sign_patterns_satisfy_the_array_identities():
+    """williamson's proof uses S_i S_i^t = I_4 and S_i S_j^t antisymmetric for i != j, and
+    the patterns place each block once: sum_i |S_i| = J_4 and sum_i S_i = _WILLIAMSON_SIGNS."""
+    terms = [t.astype(np.int64) for t in constructions._WILLIAMSON_TERMS]
+    for (i, s), (j, t) in itertools.product(enumerate(terms), repeat=2):
+        product = s @ t.T
+        assert np.array_equal(product, np.eye(4)) if i == j else np.array_equal(product, -product.T)
+    assert np.array_equal(sum(np.abs(t) for t in terms), np.ones((4, 4)))
+    assert np.array_equal(sum(terms), constructions._WILLIAMSON_SIGNS.data)
+
+
+def _passing_quadruples(n):
+    """The blocks, and per index quadruple (i, j, k, l) of them its sum of supports s and
+    whether it passes: every n x n trit block with constant row support, each quadruple
+    passing when its blocks commute pairwise and their squares sum to s I. int64
+    products over all of them, independent of WilliamsonQuadruple."""
+    trits = np.array(list(itertools.product((-1, 0, 1), repeat=n * n))).reshape(-1, n, n)
+    support = (trits != 0).sum(axis=2, dtype=np.int64)
+    keep = (support == support[:, :1]).all(axis=1)
+    blocks, k = trits[keep], support[keep, 0]
+    products = np.einsum("iab,jbc->ijac", blocks, blocks)
+    commute = (products == products.transpose(1, 0, 2, 3)).all(axis=(2, 3))
+    squares = np.einsum("iab,ibc->iac", blocks, blocks).astype(np.int8)
+    grid = np.ix_(*[np.arange(len(blocks))] * 4)
+    s = sum(k[g] for g in grid)
+    square_sum = sum(squares[g] for g in grid)
+    passes = (square_sum == s[..., None, None] * np.eye(n, dtype=np.int8)).all(axis=(-2, -1))
+    for a, b in itertools.combinations(range(4), 2):
+        passes &= commute[grid[a], grid[b]]
+    return blocks, s, passes
+
+
+def test_williamson_agrees_with_the_gram_route_on_every_small_quadruple():
+    """Every quadruple of 1 x 1 or 2 x 2 blocks with constant row support that passes the
+    commute and square-sum tests (81 and 3,553 of them) gives W with the kept alpha s,
+    which the exact Gram route finds too, but for the all-zero quadruple (s = 0), where
+    williamson returns None. A sample of the failing quadruples is refused."""
+    rng = np.random.default_rng(0)
+    passed = 0
+    for n in (1, 2):
+        blocks, s, passes = _passing_quadruples(n)
+        mats = [SignedMatrix(b) for b in blocks]
+        for idx in zip(*np.nonzero(passes)):
+            w = williamson(WilliamsonQuadruple(*(mats[i] for i in idx)))
+            if s[idx] == 0:
+                assert w is None
+            else:
+                assert is_orthogonal(w).alpha == s[idx] == core._orthogonality(w.data).alpha
+            passed += 1
+        failing = np.argwhere(~passes)  # none for n = 1
+        for idx in failing[rng.choice(len(failing), 200 if len(failing) else 0)]:
+            try:
+                quad = WilliamsonQuadruple(*(mats[i] for i in idx))
+            except ValueError as exc:
+                assert "do not commute" in str(exc)
+                continue
+            assert williamson(quad) is None
+    assert passed == 81 + 3553

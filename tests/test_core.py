@@ -539,6 +539,24 @@ def _widened_reductions(source: str) -> list[str]:
     return found
 
 
+def _block_calls(source: str) -> list[str]:
+    """The np.block calls in source, by attribute (np.block, numpy.block) or bare name."""
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and "block" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_no_source_builds_an_array_with_np_block():
+    """Block arrays are written into one preallocated int8 array or concatenated:
+    np.block's depth checks and dispatch took 15.5 us on four 6 x 6 blocks, where
+    np.concatenate took 5.4 us. The detector finds both spellings of the call."""
+    assert _block_calls("np.block([[a, b]])") and _block_calls("block([[a]])")
+    assert not _block_calls("np.concatenate((a, b))") and not _block_calls("x = np.block")
+    found = {path.name: _block_calls(path.read_text())
+             for path in sorted(Path(twoeig.__file__).parent.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
 def test_widened_reduction_detector():
     flagged = ["a.sum(axis=1)", "a.sum(1)", "np.sum(a, 0)", "np.add.reduce(a, axis=0)",
                "np.add.reduce(a, 1)", "np.add.reduceat(a, i, 1)", "np.count_nonzero(a, axis=1)",

@@ -26,6 +26,7 @@ from twoeig.core import FLOAT32_EXACT_BOUND, PANEL_ROWS, _gram_is, _packing, _pr
 
 from conftest import (
     annihilated_oracle,
+    counted_grams,
     full_panel_gram_oracle,
     orthogonal_oracle,
     random_signed_graph,
@@ -417,20 +418,6 @@ def test_certificate_memory_stays_within_a_few_bytes_per_entry():
 
 # Kept verdicts: is_orthogonal proves a matrix's verdict once and keeps it on the
 # object, and a star-shaped graph keeps its half C for both star routes.
-
-
-def counted_grams(monkeypatch) -> list[int]:
-    """The orders of the Gram products formed from here on, through core._gram_is and
-    through the name spectra imported it by (the dense certificate's route)."""
-    orders, gram_is = [], core._gram_is
-
-    def counted(x, scale, shift):
-        orders.append(x.shape[0])
-        return gram_is(x, scale, shift)
-
-    monkeypatch.setattr(core, "_gram_is", counted)
-    monkeypatch.setattr(spectra, "_gram_is", counted)
-    return orders
 
 
 def test_a_verdict_is_proven_once_for_a_matrix_and_its_star(monkeypatch):
