@@ -9,7 +9,9 @@ an artifact (gen's matrix, lift's edge list) goes to -o FILE, into the --json
 report, or to stdout through `_deliver`. File formats:
 `verify` and `spectrum` read matrix files, `lift`, `ramanujan` and
 `switch-classes` read signed-graph files, `twograph` reads triple files.
-Passing "-" reads the input from stdin.
+Passing "-" reads the input from stdin. A command takes one parser pass: argv that
+names a subcommand goes to that subcommand's parser alone (`_parse_args`), and
+only argv it cannot take whole goes through the full parser, for its usage and errors.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ def _emit(report: RunReport, as_json: bool, stream=None) -> None:
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text()
+    with open(path) as f:
+        return f.read()
 
 
 def _deliver(report: RunReport, args, label: str, text: str) -> bool:
@@ -285,8 +288,9 @@ def cmd_twograph(args) -> RunReport:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args keeps no state in it."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subcommand parsers by name, built once per process:
+    parse_args keeps no state in them."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the run report as JSON")
@@ -349,12 +353,26 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="validate a triple file and test the regularity correspondence")
     p.add_argument("file")
     p.set_defaults(func=cmd_twograph)
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The full parser's Namespace for argv, in one parser pass when argv[0] names a
+    subcommand: the full parser hands argv[1:] to that subcommand's parser, sets command
+    and adds nothing else. Any other argv, or one that leaves extras, goes through the
+    full parser, so usage and error text are its own."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         report = args.func(args)
     except (ValueError, OSError, RuntimeError, AssertionError, MemoryError) as exc:

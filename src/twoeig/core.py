@@ -11,7 +11,9 @@ Arrays are validated once, by the public constructors: a derivation whose
 validity follows from its validated input (star, ground, a switching) wraps
 its fresh array with the private _trusted constructor, with no check or copy.
 Edges and triples are held as (m, 2 or 3) integer arrays (_int_rows), checked
-by array expressions: _edge_array for edges, _lex_order for every duplicate.
+by array expressions: _edge_array finds a repeated edge by counting the
+nonzero entries of the adjacency it builds, and _lex_order finds repeated
+rows (triples, and the first faulty edge of a list that fails).
 A matrix keeps its orthogonality verdict once proven (is_orthogonal), and a
 star-shaped graph [[O, C], [C^t, O]] keeps its C (_star_half), whose verdict
 certifies it: star keeps the C it read, and the fixed-halves scan and the
@@ -352,7 +354,14 @@ def _edge_array(n: int, edges, width: int, exact=None) -> np.ndarray:
     of its first failing check (sign +-1, no loop, vertices in 0..n-1, a new pair), worded
     from Python ints: exact(j) for row j if given (a reader's text: its array saturates).
     So is a list of rows of Python ints past int64: it is read clamped, and every row
-    holding such an int is faulty, as it is unclamped."""
+    holding such an int is faulty, as it is unclamped.
+
+    Rows that pass the sign, loop and range checks are written straight into the array,
+    and they hold no repeated pair iff it has 2m nonzero entries: with no loop and a
+    nonzero sign, each row writes two distinct nonzero entries, (u, v) and (v, u), and
+    two rows write the same entries iff they name the same pair, so k distinct pairs
+    leave exactly 2k. Only a faulty list is sorted (_lex_order), to name its first
+    faulty row."""
     what = "(u, v, sign)" if width == 3 else "(u, v)"
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
@@ -367,19 +376,20 @@ def _edge_array(n: int, edges, width: int, exact=None) -> np.ndarray:
     s = rows[:, 2] if width == 3 else 1
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     bad = ((s != 1) & (s != -1)) | (lo == hi) | (lo < 0) | (hi >= n)
+    if not bad.any():
+        a = np.zeros((n, n), dtype=np.int8)
+        a[u, v] = a[v, u] = s
+        if np.count_nonzero(a) == 2 * len(rows):
+            return a
     j = _first(bad | _lex_order(np.column_stack((lo, hi)))[1])
-    if j < len(rows):
-        x, y, sign = [*(exact(j) if exact else rows[j].tolist()), 1][:3]  # no sign: +1
-        if sign not in (1, -1):
-            raise ValueError(f"edge ({x}, {y}) has sign {sign}, expected +1 or -1")
-        if x == y:
-            raise ValueError(f"loop at vertex {x} not allowed")
-        if not (0 <= x < n and 0 <= y < n):
-            raise ValueError(f"edge ({x}, {y}) out of range [0, {n})")
-        raise ValueError(f"duplicate edge ({min(x, y)}, {max(x, y)})")
-    a = np.zeros((n, n), dtype=np.int8)
-    a[u, v] = a[v, u] = s
-    return a
+    x, y, sign = [*(exact(j) if exact else rows[j].tolist()), 1][:3]  # no sign: +1
+    if sign not in (1, -1):
+        raise ValueError(f"edge ({x}, {y}) has sign {sign}, expected +1 or -1")
+    if x == y:
+        raise ValueError(f"loop at vertex {x} not allowed")
+    if not (0 <= x < n and 0 <= y < n):
+        raise ValueError(f"edge ({x}, {y}) out of range [0, {n})")
+    raise ValueError(f"duplicate edge ({min(x, y)}, {max(x, y)})")
 
 
 class Graph:

@@ -9,11 +9,14 @@ is the odd-product set of that S. A pair {y, z} lies in ((n - 2) - S_yz
 (S^2)_yz) / 2 triples, so the two-graph is regular, with (n - 2 + a) / 2 per
 pair, iff S^2 + aS - (n - 1)I = 0, iff S has two eigenvalues (Seidel, "A
 survey of two-graphs", 1976; Taylor, "Regular 2-graphs", 1977).
+S's odd set is counted without listing it: the diagonal is zero, so tr(S^3) =
+6 * sum over x < y < z of S_xy S_xz S_yz, and C(n, 3) - 2 * odd is that sum.
 Triples come and go as (t, 3) integer arrays; any iterable of triples is read as rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,16 @@ __all__ = [
     "signed_complete_from_graph",
     "twograph_from_signed_complete",
 ]
+
+
+def _odd_count(s: np.ndarray) -> int:
+    """The number of x < y < z with S_xy S_xz S_yz = -1, for S symmetric with a zero
+    diagonal: (C(n, 3) - tr(S^3) / 6) / 2, both products exact (validate_twograph)."""
+    n = s.shape[0]
+    assert n**3 < 2**53, f"order {n} is past the exact float64 trace"
+    f = s.astype(np.float32)
+    trace = int(np.sum(f * (f @ f), dtype=np.float64))
+    return (math.comb(n, 3) - trace // 6) // 2
 
 
 def _odd_slabs(s: np.ndarray):
@@ -69,7 +82,10 @@ class TwoGraph:
 def validate_twograph(n: int, triples) -> TwoGraph | None:
     """The TwoGraph on these triples (duplicates dropped), or None if they are not one.
 
-    Each member must have product -1 in S, and S's odd set, counted by slab, the same size.
+    Each member must have product -1 in S, and S's odd set the same size. That set holds
+    (C(n, 3) - tr(S^3) / 6) / 2 triples (_odd_count), and the trace is exact: S^2 is a
+    float32 product whose partial sums are integers of size at most n - 1 < 2^24, and
+    tr(S^3), the sum of S o S^2, a float64 sum of integers of size below n^3 < 2^53.
     S is symmetric and +-1 off a zero diagonal by construction, so it is not checked again.
     """
     if n < 0:
@@ -82,7 +98,7 @@ def validate_twograph(n: int, triples) -> TwoGraph | None:
     x, y, z = t[~_lex_order(t)[1]].T
     s = 1 - np.eye(n, dtype=np.int8)
     s[y[x == 0], z[x == 0]] = s[z[x == 0], y[x == 0]] = -1
-    if (s[x, y] * s[x, z] * s[y, z] != -1).any() or x.size != sum(map(len, _odd_slabs(s))):
+    if (s[x, y] * s[x, z] * s[y, z] != -1).any() or x.size != _odd_count(s):
         return None
     return twograph_from_signed_complete(SignedGraph._trusted(s))
 

@@ -1,7 +1,9 @@
+import argparse
 import ast
 import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -20,12 +22,13 @@ from twoeig import (
     eigenvalues_symmetric,
     is_orthogonal,
     paley_conference,
+    star,
     sylvester_hadamard,
 )
 from twoeig.cli import _build_parser, _render, main
 from twoeig.io import format_matrix, format_signed_graph, format_triples, parse_matrix
 
-from conftest import K6_MATRIX, K6_TRIPLES
+from conftest import K6_MATRIX, K6_TRIPLES, odd_product_triples
 
 ONE_NEGATIVE_C4 = "4 4\n1 2 1\n2 3 1\n3 4 1\n1 4 -1\n"
 ALL_POSITIVE_C4 = "4 4\n1 2\n2 3\n3 4\n1 4\n"
@@ -715,3 +718,143 @@ def test_cli_reads_only_public_names_of_other_twoeig_modules():
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules and node.attr.startswith("_")]
     assert private == []
+
+
+SUBCOMMANDS = ("gen", "verify", "spectrum", "lift", "ramanujan", "table", "switch-classes",
+               "twograph")
+
+
+def _session_argv(d: Path) -> list[list[str]]:
+    """Small input files under d with the names the cli-session benchmark reads, and the
+    argv of its 40 commands; -o writes into d / "out"."""
+    rng = np.random.default_rng(20261020)
+    h8, h32, p30 = sylvester_hadamard(3), sylvester_hadamard(5), paley_conference(29)
+    f32, fs30 = h32.data.copy(), p30.data.copy()
+    f32[3, 5] *= -1
+    fs30[2, 7] = fs30[7, 2] = -fs30[2, 7]
+    upper = np.triu(rng.choice((-1, 1), size=(20, 20)), 1)
+    matrices = {"h4": sylvester_hadamard(2), "h8": h8, "h16": sylvester_hadamard(4),
+                "p6": paley_conference(5), "p14": paley_conference(13), "v32": h32,
+                "f32": SignedMatrix(f32), "s30": p30, "fs30": SignedMatrix(fs30),
+                "r16": SignedMatrix(rng.choice((-1, 1), size=(16, 16))),
+                "y20": SignedMatrix(upper + upper.T), "x8": SignedMatrix(h8.data[::-1])}
+    for name, m in matrices.items():
+        (d / f"{name}.txt").write_text(format_matrix(m))
+    (d / "bad.txt").write_text(format_matrix(sylvester_hadamard(2))[:-3] + "\n")
+    k4 = list(itertools.combinations(range(4), 2))
+    graphs = {"g12": star(paley_conference(5)),
+              "g16": SignedGraph(np.abs(star(h8).matrix.data)),
+              "g8": SignedGraph.from_edges(8, [(u + o, v + o, int(s)) for (u, v), o, s in zip(
+                  k4 * 2, [0] * 6 + [4] * 6, rng.choice((-1, 1), size=12))]),
+              "e7": SignedGraph.from_edges(7, [(i, (i + 1) % 7, 1) for i in range(7)]
+                                           + [(0, 3, -1), (2, 5, 1), (4, 6, -1)]),
+              "e8": SignedGraph.from_edges(8, [(i, (i + 1) % 8, 1) for i in range(8)]
+                                           + [(0, 4, 1), (1, 5, -1), (2, 6, 1), (3, 7, 1)])}
+    for name, sg in graphs.items():
+        (d / f"{name}.graph").write_text(format_signed_graph(sg))
+    seven = 1 - np.eye(7, dtype=np.int8) - 2 * Graph.path(7).adjacency()
+    triples = {"t6": K6_TRIPLES, "t7": odd_product_triples(seven), "t6bad": K6_TRIPLES[:7]}
+    for name, t in triples.items():
+        (d / f"{name}.triples").write_text(format_triples(6 if name != "t7" else 7, t))
+    f, o = (lambda name: str(d / name)), (lambda name: str(d / "out" / name))
+    return [
+        ["gen", "hadamard", "-k", "5"],
+        ["gen", "hadamard", "-k", "6", "-o", o("out_h64.txt"), "--certify"],
+        ["gen", "conference", "-q", "13"],
+        ["gen", "conference", "-q", "29", "-o", o("out_p30.txt"), "--certify"],
+        ["gen", "williamson", "--preset", "all-c", "--input", f("h8.txt")],
+        ["gen", "williamson", "--preset", "two-shifted", "--input", f("p14.txt"), "--certify"],
+        ["gen", "williamson", "--preset", "four-shifted", "--input", f("p6.txt"), "--json"],
+        ["gen", "williamson", "--preset", "nonsymmetric-all-c", "--input", f("x8.txt")],
+        ["gen", "double", "--input", f("p14.txt"), "--certify"],
+        ["gen", "kron", "--input", f("h4.txt"), "--input", f("p6.txt"), "--certify"],
+        ["gen", "kron", "--input", f("h8.txt"), "--input", f("h4.txt"), "-o", o("out_kron.txt")],
+        ["gen", "conference-block", "--input", f("p14.txt"), "--json"],
+        ["verify", f("h16.txt")],
+        ["verify", f("v32.txt")],
+        ["verify", f("f32.txt")],
+        ["verify", f("s30.txt"), "--json"],
+        ["verify", f("fs30.txt")],
+        ["verify", f("r16.txt"), "--json"],
+        ["verify", f("p14.txt")],
+        ["verify", f("bad.txt")],
+        ["spectrum", f("p14.txt")],
+        ["spectrum", f("h16.txt"), "--json"],
+        ["spectrum", f("y20.txt")],
+        ["spectrum", f("s30.txt")],
+        ["lift", f("g12.graph")],
+        ["lift", f("g12.graph"), "-o", o("out_lift.graph")],
+        ["lift", f("g16.graph"), "--json"],
+        ["ramanujan", f("g12.graph")],
+        ["ramanujan", f("g12.graph"), "--mode", "bipartite-strict"],
+        ["ramanujan", f("g16.graph"), "--json"],
+        ["ramanujan", f("g8.graph")],
+        ["table", "--family", "knn", "-n", "8"],
+        ["table", "--family", "knn-minus-m", "-n", "14"],
+        ["table", "--family", "nc4-complement", "-n", "6", "--json"],
+        ["switch-classes", f("e7.graph")],
+        ["switch-classes", f("e8.graph"), "--json"],
+        ["twograph", f("t6.triples")],
+        ["twograph", f("t7.triples")],
+        ["twograph", f("t6bad.triples")],
+        ["verify", f("v32.txt"), "--json"],
+    ]
+
+
+def test_each_subcommand_takes_one_parser_pass(tmp_path, capsys, monkeypatch):
+    """argv that names a subcommand is parsed by that subcommand's parser alone."""
+    session = _session_argv(tmp_path)
+    (tmp_path / "out").mkdir()
+    calls, parse = [], argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for command in SUBCOMMANDS:
+        argv = next(a for a in session if a[0] == command)
+        calls.clear()
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1) and err == "", argv
+        assert calls == [f"twoeig {command}"], argv
+
+
+def test_one_pass_dispatch_matches_the_full_parser(tmp_path, capsys, monkeypatch):
+    """Every cli-session command, each subcommand's -h, no argv, and argv the full parser
+    rejects give the same stdout, stderr, exit code, written files and Namespace as the
+    full parser's parse_args with the same handler."""
+    f = str(tmp_path / "h16.txt")
+    table = _session_argv(tmp_path) + [[command, "-h"] for command in SUBCOMMANDS] + [
+        [], ["-h"], ["frobnicate", f], ["gen", "bogus"], ["verify"],
+        ["table", "--family", "knn"], ["verify", f, "--frob"], ["verify", f, "extra"],
+        ["--json", "verify", f], ["verify", "--", f], ["verify", f, "--js"],
+        ["gen", "kron", "-o"], ["lift", f, "--", "extra"],
+    ]
+    out_dir = tmp_path / "out"
+
+    def outcome(argv, parse):
+        namespaces = []
+
+        def recorded(argv):
+            namespaces.append(vars(parse(argv)))
+            return argparse.Namespace(**namespaces[-1])
+
+        shutil.rmtree(out_dir, ignore_errors=True)
+        out_dir.mkdir()
+        monkeypatch.setattr(twoeig.cli, "_parse_args", recorded)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        return code, captured.out, captured.err, written, namespaces
+
+    one_pass, full = twoeig.cli._parse_args, lambda argv: _build_parser()[0].parse_args(argv)
+    codes = set()
+    for argv in table:
+        got = outcome(argv, one_pass)
+        assert got == outcome(argv, full), argv
+        codes.add(got[0])
+    assert codes == {0, 1, 2}

@@ -30,7 +30,7 @@ from twoeig import (
     williamson_preset,
 )
 from twoeig.core import MAX_ENUM_EDGES, PANEL_ROWS, _bfs_forest, _is_symmetric
-from twoeig.io import format_triples
+from twoeig.io import format_triples, parse_signed_graph
 
 from conftest import (K6_TRIPLES, edge_array_oracle, edge_signs, enumerate_switching_classes_oracle,
                       petersen, random_signed_graph, wide)
@@ -204,6 +204,79 @@ def test_edge_validation_matches_the_per_edge_oracle(rng):
                      if past and k in str(signed)}
     assert verdicts == {"has sign", "loop", "out of range", "duplicate", "ok",
                         "past int64: has sign", "past int64: out of range"}
+
+
+@pytest.mark.parametrize("n, rows", [
+    (4, [(0, 1, 1), (2, 3, -1), (0, 1, 1)]),
+    (4, [(0, 1, 1), (2, 3, -1), (0, 1, -1)]),
+    (4, [(0, 1, 1), (1, 2, 1), (1, 0, -1), (2, 3, 1)]),
+    (5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 3, 1)]),
+    (4, [(0, 1, 1), (1, 0, 1), (2, 2, 1), (0, 1, 1)]),
+    (4, [(0, 1, 1), (2, 3, 5), (1, 0, 1), (3, 2, 1)]),
+    (4, [(0, 1, 1), (1, 2, 1), (0, 4, 1), (2, 1, 1)]),
+    (4, [(0, 1, 1), (1, 2, 2**63), (1, 0, 1)]),
+    (4, [(0, 1, 1), (0, 1, 1), (1, -(2**64), 1)]),
+    (4, [(0, 1, 1), (2, 2**70, 1), (0, 1, 1)]),
+    (4, [(0, 1, 1), (1, 2, -1), (2, 3, 1), (3, 0, -1)]),
+    (0, []),
+], ids=["same-sign", "opposite-sign", "reversed", "last-row", "duplicate-before-loop",
+        "duplicate-after-bad-sign", "duplicate-after-out-of-range", "past-int64-before",
+        "past-int64-after", "past-int64-vertex", "valid", "empty"])
+def test_edge_array_duplicates_and_precedence_match_the_oracle(n, rows):
+    """Duplicates in either orientation and sign, in the last row, and beside a faulty
+    row, for (u, v, sign) rows, (u, v) rows through Graph(n, edges), and lists holding
+    Python ints past int64: the per-edge oracle's array or its first message."""
+    past = any(not -(2**63) <= x < 2**63 for row in rows for x in row)
+    arrays = [] if past else [np.array(rows, dtype=np.int64).reshape(-1, 3)]
+    signed = _built(lambda: SignedGraph(edge_array_oracle(n, rows)).matrix.data)
+    for edges in (rows, *arrays):
+        assert _built(lambda: SignedGraph.from_edges(n, edges).matrix.data) == signed
+    unsigned = _built(lambda: edge_array_oracle(n, [(u, v, 1) for u, v, _ in rows]))
+    for edges in ([(u, v) for u, v, _ in rows], *(a[:, :2] for a in arrays)):
+        assert _built(lambda: Graph(n, edges)) == unsigned
+
+
+def test_edge_array_finds_one_planted_duplicate_among_many_edges():
+    """200,000 distinct edges on 2,000 vertices, then one of them again in reverse, placed
+    after a random later row: the oracle's message, and the valid list's array."""
+    rng = np.random.default_rng(2026)
+    n, m = 2000, 200_000
+    iu, iv = np.triu_indices(n, 1)
+    pick = rng.choice(iu.size, size=m, replace=False)
+    rows = np.column_stack((iu[pick], iv[pick], rng.choice((-1, 1), size=m)))
+    assert np.array_equal(SignedGraph.from_edges(n, rows).matrix.data,
+                          edge_array_oracle(n, rows.tolist()))
+    k = int(rng.integers(m))
+    twin = rows[k, [1, 0, 2]]
+    planted = np.insert(rows, int(rng.integers(k + 1, m + 1)), twin, axis=0)
+    with pytest.raises(ValueError) as caught:
+        edge_array_oracle(n, planted.tolist())
+    want = str(caught.value)
+    assert want == f"duplicate edge ({min(twin[:2])}, {max(twin[:2])})"
+    for make in (lambda: SignedGraph.from_edges(n, planted), lambda: Graph(n, planted[:, :2])):
+        with pytest.raises(ValueError) as caught:
+            make()
+        assert str(caught.value) == want
+
+
+def test_a_valid_edge_list_is_never_sorted(monkeypatch):
+    """Valid edges are checked by their adjacency's nonzero count alone; _lex_order runs
+    only to name the first faulty row of a list that fails."""
+    calls, lex_order = [], twoeig.core._lex_order
+
+    def counted(rows):
+        calls.append(len(rows))
+        return lex_order(rows)
+
+    monkeypatch.setattr(twoeig.core, "_lex_order", counted)
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+    assert Graph(4, edges).m == 5
+    assert SignedGraph.from_edges(4, [(u, v, -1) for u, v in edges]).matrix.data.sum() == -10
+    assert parse_signed_graph("4 2\n1 2 -1\n3 4\n").matrix.data[0, 1] == -1
+    assert calls == []
+    with pytest.raises(ValueError, match="duplicate edge"):
+        Graph(4, [*edges, (2, 0)])
+    assert calls == [6]
 
 
 class _RowsWithoutIteration(np.ndarray):

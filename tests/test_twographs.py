@@ -20,6 +20,8 @@ from twoeig import (
     twograph_from_signed_complete,
     validate_twograph,
 )
+from twoeig import twographs
+from twoeig.twographs import _odd_count, _odd_slabs
 
 from conftest import (
     K6_TRIPLES,
@@ -173,6 +175,44 @@ def test_validate_matches_brute_force_on_random_sets(rng):
             for triples in (good, flipped, chosen):
                 verdicts.add(check_against_oracles(n, triples))
     assert verdicts == {True, False}
+
+
+def test_odd_count_from_the_trace_matches_the_slab_listing(rng):
+    """(C(n, 3) - tr(S^3) / 6) / 2 is the number of odd triples: on every signing of K_5
+    and 200 seeded signings of each K_n for n = 6..40, against a product over all C(n, 3)
+    triples of each stack of signings, and against _odd_slabs' listing on K_5 and the first
+    20 of each stack; and 0 below n = 3."""
+    pairs = np.array(list(itertools.combinations(range(5), 2)))
+    bits = (np.arange(2 ** len(pairs))[:, None] >> np.arange(len(pairs))) & 1
+    k5 = np.ones((len(bits), 5, 5), dtype=np.int8)
+    k5[:, pairs[:, 0], pairs[:, 1]] = k5[:, pairs[:, 1], pairs[:, 0]] = 1 - 2 * bits
+    k5[:, range(5), range(5)] = 0
+    stacks = [k5]
+    for n in range(6, 41):
+        upper = np.triu(rng.choice((-1, 1), size=(200, n, n)), 1).astype(np.int8)
+        stacks.append(upper + upper.transpose(0, 2, 1))
+    for stack in stacks:
+        x, y, z = np.array(list(itertools.combinations(range(stack.shape[1]), 3))).T
+        odd = np.count_nonzero(stack[:, x, y] * stack[:, x, z] * stack[:, y, z] < 0, axis=1)
+        assert [_odd_count(s) for s in stack] == odd.tolist()
+        listed = stack if stack is k5 else stack[:20]
+        assert [sum(map(len, _odd_slabs(s))) for s in listed] == odd[: len(listed)].tolist()
+    for n in range(3):
+        for sign in (1, -1):
+            assert _odd_count(sign * (1 - np.eye(n, dtype=np.int8))) == 0
+
+
+def test_validate_twograph_counts_without_listing(monkeypatch):
+    """validate_twograph compares sizes by the trace count; the slab listing is only
+    for sorted_triples."""
+    def listed(s):
+        raise AssertionError("validate_twograph listed the odd triples")
+
+    monkeypatch.setattr(twographs, "_odd_slabs", listed)
+    assert validate_twograph(6, K6_TRIPLES) is not None
+    short = [t for t in K6_TRIPLES if t != (1, 2, 5)]  # every member still odd in S
+    assert validate_twograph(6, short) is None
+    assert validate_twograph(6, K6_TRIPLES + [(1, 2, 3)]) is None
 
 
 def test_twograph_rejects_a_set_that_is_not_a_twograph():
