@@ -19,14 +19,17 @@ entry out of range is rejected, never wrapped into range.
 
 No Python loop runs over entries, edges or triples. The reader (_Lines) finds
 the lines, counts their tokens and checks the token grammar on the text's
-bytes, then reads all data integers in one pass. When every token has one
-digit, as in every trit matrix, each is decoded from its digit byte and the
-byte before it, into int8; otherwise (a label of two or more digits, or a
-short text) one np.fromstring call reads them into int64, which saturates
-instead of wrapping. Every check is an array expression, an edge's in the one
-edge validator, core._edge_array; triples are returned as a (t, 3) array.
-Python reads only the header, the annotations, and on bad input the one line
-that the error message names. The writer (_write_rows) lays each entry into a
+bytes, then reads all data integers. It works on row blocks of about
+_BLOCK_BYTES (256 KB), each ending after a "\n": every pass over a block
+stays in cache, and a parse holds the text, its result and one block's
+scratch (at order 2048, 1.6 times the text's bytes). When every token has
+one digit, as in every trit matrix, each is decoded from its digit byte and
+the byte before it, block by block into one int8 array; otherwise (a label
+of two or more digits, or a short text) one np.fromstring call reads the
+whole range into int64, which saturates instead of wrapping. Every check is
+an array expression, an edge's in the one edge validator, core._edge_array;
+triples are returned as a (t, 3) array. Python reads only the header, the
+annotations, and on bad input the one line that the error message names. The writer (_write_rows) lays each entry into a
 fixed-width byte buffer by whole-column arithmetic and deletes the pad bytes
 with one bytes.translate pass.
 """
@@ -67,25 +70,38 @@ _FROMSTRING_SPACE = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
 # and on trit rows it overtakes np.fromstring between 0.9 and 1.5 KB (timeit,
 # 2-vCPU AVX-512 host)
 _DECODE_MIN_BYTES = 1536
+# text is classified and decoded one block of about this many bytes at a time
+# (_block_cuts): at order 1024 (2.1 MB of text) 256 KB blocks parse in 9.6-10.5 ms
+# and 1 MB blocks in 13.0-13.6 ms (timeit, 2-vCPU AVX-512 host)
+_BLOCK_BYTES = 2**18
 _UNSIGNED = {size: np.dtype(f"u{size}") for size in (1, 2, 4, 8)}
 
 
-def _window_tables() -> tuple[bytes, bytes]:
-    """Two byte-translation tables over the kinds (previous, byte, next), coded
-    25 p + 5 b + n: one gives 1 where a token begins, the other 1 where a token
-    byte breaks the grammar [+-]?[0-9]+."""
-    starts, bad = bytearray(256), bytearray(256)
+def _window_table() -> bytes:
+    """The byte-translation table over the kinds (previous, byte, next), coded
+    25 p + 5 b + n: bit 0 is set where a token begins, bit 1 where a token byte
+    breaks the grammar [+-]?[0-9]+."""
+    flags = bytearray(256)
     for prev, kind, after in itertools.product(range(5), repeat=3):
         if kind in (_SPACE, _BREAK):
             continue
         opens = prev in (_SPACE, _BREAK)
-        code = 25 * prev + 5 * kind + after
-        starts[code] = opens
-        bad[code] = kind == _OTHER or (kind == _SIGN and not (opens and after == _DIGIT))
-    return bytes(starts), bytes(bad)
+        bad = kind == _OTHER or (kind == _SIGN and not (opens and after == _DIGIT))
+        flags[25 * prev + 5 * kind + after] = opens | bad << 1
+    return bytes(flags)
 
 
-_TOKEN_STARTS, _BAD_BYTES = _window_tables()
+_WINDOW_FLAGS = _window_table()
+
+
+def _block_cuts(raw: bytes) -> list[int]:
+    """[0, ..., len(raw)]: block bounds, each block at least _BLOCK_BYTES long (but
+    the last) and ending just after a "\n", so that no line spans two blocks."""
+    cuts = [0]
+    while cut := raw.find(b"\n", cuts[-1] + _BLOCK_BYTES - 1, len(raw) - 1) + 1:
+        cuts.append(cut)
+    cuts.append(len(raw))
+    return cuts
 
 
 class _Lines:
@@ -95,6 +111,17 @@ class _Lines:
     whole text, the positions of bytes that break the token grammar. Non-ASCII
     whitespace is first mapped to ASCII, so lines and tokens are those of
     str.splitlines and str.split; other non-ASCII bytes break the grammar.
+
+    The bytes are classified one block at a time (_block_cuts), so every pass
+    stays in cache and holds a few bytes per block byte. A block ends just
+    after a "\n", which no multi-byte UTF-8 sequence contains, so no line spans
+    two blocks. Its kinds are padded with a space at each end, which flags as
+    the text does: a space opens a token as the "\n" before the block does, and
+    a "\n", the block's last byte, is no token byte whatever follows it. One
+    translation of the window codes (_WINDOW_FLAGS) gives token starts in bit 0
+    and grammar breaks in bit 1; one max finds that no byte has bit 1, as in
+    any valid text, and the line counts are then sums of the flags themselves.
+    Every array holds text positions, as a one-block read's would.
     """
 
     def __init__(self, text: str):
@@ -104,24 +131,36 @@ class _Lines:
             text = text.translate(_ASCII_WHITESPACE)
         self.raw = text.encode("utf-8", "surrogatepass")
         self.bytes = np.frombuffer(self.raw, dtype=np.uint8)
-        size = self.bytes.size
+        self.cuts = _block_cuts(self.raw)
+        parts = [self._classify(lo, hi) for lo, hi in zip(self.cuts, self.cuts[1:])]
+        begin, count, self.bad = (np.concatenate(p) if len(p) > 1 else p[0] for p in zip(*parts))
+        end = np.append(begin[1:] - 1, self.bytes.size)[: begin.size]
+        count = count.astype(np.intp)
+        blank = count == 0
+        self.begin, self.end, self.count = begin[~blank], end[~blank], count[~blank]
+
+    def _classify(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Of block [lo, hi): its line starts, their token counts, and its bytes that
+        break the grammar, as text positions."""
         # byte kinds, padded with a space at each end, and the window code of each byte
-        kind = np.frombuffer(b"".join((b"\0", self.raw.translate(_BYTE_KIND), b"\0")), np.uint8)
+        kind = np.frombuffer(b"".join((b"\0", self.raw[lo:hi].translate(_BYTE_KIND), b"\0")),
+                             np.uint8)
         code = kind[:-2] * np.uint8(25)
         code += kind[1:-1] * np.uint8(5)
         code += kind[2:]
-        code = code.tobytes()
         begin = np.concatenate(([0], np.flatnonzero(kind[1:-1] == _BREAK) + 1))
         del kind
-        self.bad = np.flatnonzero(np.frombuffer(code.translate(_BAD_BYTES), np.uint8))
-        starts = np.frombuffer(code.translate(_TOKEN_STARTS), np.uint8)
+        flags = np.frombuffer(code.tobytes().translate(_WINDOW_FLAGS), np.uint8)
         del code
-        begin = begin[begin < size]
-        end = np.append(begin[1:] - 1, size)[: begin.size]
-        # uint32 holds any line's count; a wider sum would copy the text as wider integers
-        count = np.add.reduceat(starts, begin, dtype=np.uint32).astype(np.intp)
-        blank = count == 0
-        self.begin, self.end, self.count = begin[~blank], end[~blank], count[~blank]
+        begin = begin[begin < hi - lo]
+        if flags.max(initial=0) < 2:
+            bad = np.zeros(0, dtype=np.intp)
+        else:
+            bad = np.flatnonzero(flags >> 1) + lo
+            flags = flags & 1
+        # uint32 holds any line's count; a wider sum would copy the block as wider integers
+        count = np.add.reduceat(flags, begin, dtype=np.uint32)
+        return begin + lo, count, bad
 
     def __len__(self) -> int:
         return self.count.size
@@ -152,28 +191,42 @@ class _Lines:
         when the digit bytes are as many as the tokens. Each is then its digit,
         negated when the byte before it is "-": "+1", "-0" and "01" read as
         Python int reads them ("01" has two digits and goes to np.fromstring).
+        The digits are decoded one block at a time into the one int8 result, so
+        beside it a decode holds a few bytes per block byte; a block with more
+        digit bytes than the tokens left sends the whole range to np.fromstring.
         """
         if k0 >= k1:
             return np.zeros(0, dtype=np.int64)
         lo, hi = int(self.begin[k0]), int(self.end[k1 - 1])
-        body = self.bytes[lo:hi]
         if hi - lo >= _DECODE_MIN_BYTES:
-            is_digit = body - ord("0") < 10
-            if np.count_nonzero(is_digit) == self.count[k0:k1].sum():
-                at = np.flatnonzero(is_digit)
-                del is_digit
-                values = body.take(at)
-                values -= ord("0")
-                at += lo - 1  # the byte before each digit; the header line precedes lo
-                negative = (self.bytes.take(at) == ord("-")).view(np.int8)
-                del at
-                values = values.view(np.int8)
-                values *= 1 - 2 * negative
+            values = self._digits(lo, hi, int(self.count[k0:k1].sum()))
+            if values is not None:
                 return values
-            del is_digit
+        body = self.bytes[lo:hi]
         if any(c in self.raw for c in b"\x1c\x1d\x1e\x1f"):
             body = np.frombuffer(self.raw[lo:hi].translate(_FROMSTRING_SPACE), dtype=np.uint8)
         return np.fromstring(body, dtype=np.int64, sep=" ")
+
+    def _digits(self, lo: int, hi: int, tokens: int) -> np.ndarray | None:
+        """The tokens of bytes [lo, hi), lo >= 1, as int8 when the digit bytes are
+        as many as the tokens, else None."""
+        values = np.empty(tokens, dtype=np.int8)
+        done = 0
+        for a, b in zip(self.cuts, self.cuts[1:]):
+            a, b = max(a, lo), min(b, hi)
+            if a >= b:
+                continue
+            # each byte as a digit, negated after a "-"; the header line precedes lo
+            digits = self.bytes[a:b] - np.uint8(ord("0"))
+            at = np.flatnonzero(digits < 10)
+            if done + at.size > tokens:
+                return None
+            digits = digits.view(np.int8)
+            digits *= 1 - 2 * (self.bytes[a - 1 : b - 1] == ord("-")).view(np.int8)
+            # every position is in range, and "clip" writes out without a buffer
+            digits.take(at, out=values[done : done + at.size], mode="clip")
+            done += at.size
+        return values if done == tokens else None
 
 
 def _integer(token: str) -> int:

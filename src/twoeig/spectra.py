@@ -47,6 +47,10 @@ __all__ = [
 
 TRACE_CHECK_TOL = 1e-9
 DEFAULT_GROUP_TOL = 1e-6
+# the largest order eigenvalues_symmetric solves: its float64 copy is then 128 MB and
+# np.linalg.eigvalsh copies it once more, and the order-8192 star of an order-4096 C
+# would take 512 MB each and tens of seconds; larger orders are for certificates only
+_EIGVALSH_MAX_ORDER = 4096
 
 
 def text_float(v: float) -> str:
@@ -160,6 +164,10 @@ def _to_symmetric_float(m) -> np.ndarray:
         a = m.data
     else:
         a = np.asarray(m)
+    if a.ndim == 2 and a.shape[0] == a.shape[1] > _EIGVALSH_MAX_ORDER:
+        raise ValueError(f"order {a.shape[0]} is above {_EIGVALSH_MAX_ORDER}, the largest "
+                         "that eigvalsh solves; at this order only the exact certificate "
+                         "route (certify_two_eigenvalues, star_certificate) decides")
     out = np.array(a, dtype=np.float64)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ValueError(f"matrix must be square, got shape {out.shape}")
@@ -177,7 +185,8 @@ def eigenvalues_symmetric(m, tol: float = DEFAULT_GROUP_TOL) -> Spectrum:
 
     The eigenvalues come from LAPACK's symmetric eigensolver
     (np.linalg.eigvalsh). Their sum is checked against the trace to 1e-9
-    before grouping.
+    before grouping. An order above _EIGVALSH_MAX_ORDER (4096) raises
+    ValueError before any float64 copy is made.
     """
     if tol <= 0:
         raise ValueError(f"grouping tolerance must be positive, got {tol}")

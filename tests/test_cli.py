@@ -194,6 +194,17 @@ def test_verify_rejects_nonsquare(tmp_path, capsys):
     assert code == 2 and "square" in err
 
 
+def test_verify_refuses_eigvalsh_past_order_4096(tmp_path, capsys, count_eigvalsh):
+    """An uncertified order-2049 matrix would be shown by the eigvalsh of its
+    order-4098 star: exit 2 instead, with the message naming the certificate route."""
+    c = np.random.default_rng(2049).integers(-1, 2, size=(2049, 2049))
+    f = tmp_path / "c.txt"
+    f.write_text(format_matrix(SignedMatrix(c)))
+    code, out, err = run(capsys, "verify", str(f))
+    assert code == 2 and out == "" and count_eigvalsh == []
+    assert "order 4098 is above 4096" in err and "certificate route" in err
+
+
 def _verify_corpus():
     """Every symmetric zero-diagonal matrix of order 1 to 4, seeded random square
     matrices of order 1 to 8, and Hadamard and Paley matrices with and without

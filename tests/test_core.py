@@ -29,7 +29,8 @@ from twoeig import (
     validate_twograph,
     williamson_preset,
 )
-from twoeig.core import MAX_ENUM_EDGES, PANEL_ROWS, _bfs_forest, _is_symmetric
+from twoeig.core import (MAX_ENUM_EDGES, PANEL_ROWS, _STAR_STRIP_ROWS, _bfs_forest,
+                         _is_symmetric)
 from twoeig.io import format_triples, parse_signed_graph
 
 from conftest import (K6_TRIPLES, edge_array_oracle, edge_signs, enumerate_switching_classes_oracle,
@@ -317,8 +318,10 @@ def test_star_layout(rng):
     assert not a[:2, :2].any() and not a[2:, 2:].any()
     with pytest.raises(ValueError, match="square"):
         star(SignedMatrix([[1, 0, 1], [0, 1, 1]]))
-    # C^t is written one column strip at a time: orders around the strip width
-    for n in (PANEL_ROWS - 1, PANEL_ROWS, PANEL_ROWS + 1, 2 * PANEL_ROWS + 1):
+    # C^t is written one column strip at a time: orders around the strip height, and
+    # at 256 and 257 a last strip of 32 rows and one of a single row
+    for n in (_STAR_STRIP_ROWS - 1, _STAR_STRIP_ROWS, _STAR_STRIP_ROWS + 1,
+              2 * _STAR_STRIP_ROWS + 1, 256, 257):
         c = rng.integers(-1, 2, size=(n, n), dtype=np.int8)
         zero = np.zeros_like(c)
         assert np.array_equal(star(SignedMatrix(c)).matrix.data, np.block([[zero, c], [c.T, zero]]))

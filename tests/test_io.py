@@ -315,6 +315,144 @@ def test_long_texts_match_the_oracles_on_both_routes(fromstring_calls):
     assert len(fromstring_calls) == 4
 
 
+# Row blocks: _Lines classifies and decodes a text one block of about _BLOCK_BYTES
+# at a time, each ending just after a "\n". These texts span several blocks of a
+# small budget; each is read in blocks and as one block (a budget above its size),
+# and the two reads must agree array for array and with the per-line oracle.
+BLOCK = 256
+# text sizes k budgets and a few bytes, as PANEL_ORDERS are for the product panels
+BLOCK_SIZES = [k * BLOCK + d for k in (1, 2, 4) for d in (-2, -1, 0, 1, 2)]
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Read texts in BLOCK-byte blocks, each data region by the byte decode; the
+    returned function reads a text both ways and returns the blocked read's outcome
+    and its block bounds."""
+    monkeypatch.setattr(twoeig.io, "_DECODE_MIN_BYTES", 0)
+
+    def read(parse, text):
+        reads = []
+        for budget in (BLOCK, 4 * len(text) + 1):
+            monkeypatch.setattr(twoeig.io, "_BLOCK_BYTES", budget)
+            lines = twoeig.io._Lines(text)
+            reads.append((_outcome(parse, text), lines))
+        (blocked, lines), (whole, one) = reads
+        assert len(one.cuts) == 2 and blocked == whole, repr(text)
+        for name in ("begin", "end", "count", "bad"):
+            a, b = getattr(lines, name), getattr(one, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        monkeypatch.setattr(twoeig.io, "_BLOCK_BYTES", BLOCK)
+        return blocked, lines.cuts
+
+    return read
+
+
+def _trit_text(rng, size: int, sep: str = " ", end: str = "\n") -> str:
+    """A matrix text of rows of 12 trits and exactly size characters: the rows, then a
+    "pad = x..." annotation that fills what is left."""
+    rows = []
+    while len(end.join(rows)) < size - 60:
+        rows.append(sep.join(map(str, rng.integers(-1, 2, size=12))))
+    text = f"{len(rows)}{sep}12{end}" + "".join(row + end for row in rows)
+    pad = size - len(text) - len(f"pad{sep}={sep}{end}")
+    assert pad >= 1
+    return f"{text}pad{sep}={sep}{'x' * pad}{end}"
+
+
+def _changed(text: str, at: int, new: str, old_len: int = 1) -> str:
+    return text[:at] + new + text[at + old_len :]
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_block_edges_keep_every_verdict_and_message(rng, small_blocks, size):
+    """Valid texts in four layouts (CRLF, \x1f and \x1c, blank lines), then with a bad
+    byte first in the second block and last before it, and with one entry too few in
+    the second block's first row."""
+    for sep, end in [(" ", "\n"), ("\t", "\r\n"), ("\x1f", "\x1c\n"), (" ", " \n \n\t\n")]:
+        text = _trit_text(rng, size, sep, end)
+        got, cuts = small_blocks(parse_matrix, text)
+        assert got == _outcome(parse_matrix_oracle, text) and got[0] == "ok"
+        assert len(cuts) > 2 or size < 2 * BLOCK
+        if len(cuts) < 4:
+            continue
+        last = max(i for i in range(cuts[1]) if not text[i].isspace())
+        first = min(i for i in range(cuts[1], len(text)) if not text[i].isspace())
+        short = _changed(text, first, "", text.index(sep, first) + len(sep) - first)
+        for bad in [_changed(text, cuts[1], "x"), _changed(text, last, "x"), short]:
+            got = small_blocks(parse_matrix, bad)[0]
+            assert got == _outcome(parse_matrix_oracle, bad) and got[0] == "error", repr(bad)
+        assert "has 11 entries, expected 12" in got[1]
+
+
+UMLAUT = "\xfc"
+
+
+def test_block_edges_keep_non_ascii_breaks_and_annotations(rng, small_blocks):
+    """Non-ASCII line breaks and spaces at every block edge (lines and tokens as
+    str.splitlines and str.split see them), and annotations across block edges, one
+    of them bad, whose message quotes its line as written."""
+    for sep, end in [("\u2003", "\u2028"), ("\xa0", "\x85"), (" ", "\u2028\n")]:
+        text = _trit_text(rng, 4 * BLOCK, sep, end)
+        got, cuts = small_blocks(parse_matrix, text)
+        assert got == _outcome(parse_matrix_oracle, text) and got[0] == "ok" and len(cuts) > 3
+    m = SignedMatrix(rng.integers(-1, 2, size=(3, 3)))
+    notes = "".join(f"note_{k} = {UMLAUT * (k % 7)} {k}\n\n" for k in range(60))
+    text = format_matrix(m) + notes
+    got, cuts = small_blocks(parse_matrix, text)
+    assert got == ("ok", m.data.tolist()) and len(cuts) > 3
+    bad = text.replace("note_40 = ", "note 40 = ")
+    got = small_blocks(parse_matrix, bad)[0]
+    assert got == _outcome(parse_matrix_oracle, bad)
+    assert got[1].endswith(f"got 'note 40 = {UMLAUT * 5} 40'")
+
+
+def test_a_two_digit_token_in_the_last_block_reads_the_whole_range_by_fromstring(
+        rng, small_blocks, fromstring_calls):
+    """The byte decode counts digits block by block; a "01" in the last block sends
+    every data line to np.fromstring, which reads it as 1."""
+    text = _trit_text(rng, 4 * BLOCK)
+    got, cuts = small_blocks(parse_matrix, text)
+    assert got[0] == "ok" and not fromstring_calls
+    at = text.rindex(" 1 ", 0, text.index("pad")) + 1
+    assert at > cuts[-2]
+    changed = _changed(text, at, "01")
+    got = small_blocks(parse_matrix, changed)[0]
+    assert got == _outcome(parse_matrix_oracle, changed) == ("ok", parse_matrix(text).data.tolist())
+    assert len(fromstring_calls) == 2  # the blocked read and the one-block read
+
+
+def test_graph_and_triple_texts_span_blocks(small_blocks):
+    """Edge and triple files of several blocks, and a fault in a later block."""
+    edges = [(u, v, 1 - 2 * ((u + v) % 2)) for u in range(1, 21) for v in range(u + 1, 21)]
+    text = f"20 {len(edges)}\n" + "".join(f"{u} {v} {s}\n" for u, v, s in edges)
+    for graph in [text, text.replace(" 1\n", "\n"), text.replace("\n9 11 1\n", "\n9 21 1\n"),
+                  text.replace("\n9 11 1\n", "\n9 11 1 1\n"), text.replace("\n9 11", "\n9 x")]:
+        got, cuts = small_blocks(parse_signed_graph, graph)
+        assert got == _outcome(parse_signed_graph_oracle, graph) and len(cuts) > 3, got
+    triples = odd_product_triples(constructions.paley_conference(13).data)
+    text = format_triples(14, triples)
+    for system in [text, text.replace("\n5 ", "\n15 ", 1), text + "1 2 3\n"]:
+        got, cuts = small_blocks(parse_triples, system)
+        assert got == _outcome(parse_triples_oracle, system) and len(cuts) > 3, got
+
+
+def test_texts_of_several_default_blocks_match_the_oracle_and_one_block(monkeypatch):
+    """The order-510 Paley text (649 KB) is three default blocks, order 1024 (2.6 MB)
+    ten."""
+    for m in (constructions.sylvester_hadamard(10), constructions.paley_conference(509)):
+        text = format_matrix(m)
+        lines = twoeig.io._Lines(text)
+        assert len(lines.cuts) - 1 == -(-len(text) // twoeig.io._BLOCK_BYTES)
+        assert parse_matrix(text) == m
+        monkeypatch.setattr(twoeig.io, "_BLOCK_BYTES", len(text) + 1)
+        one = twoeig.io._Lines(text)
+        monkeypatch.undo()
+        for name in ("begin", "end", "count", "bad"):
+            assert np.array_equal(getattr(lines, name), getattr(one, name))
+    assert parse_matrix_oracle(text) == m
+
+
 def _constructed_matrices() -> list[SignedMatrix]:
     c = constructions.paley_conference(13)
     h = constructions.sylvester_hadamard(2)
@@ -442,9 +580,9 @@ def test_writers_match_the_per_entry_join_for_every_width(rng):
 def test_text_io_peak_memory_stays_below_the_per_entry_code():
     """tracemalloc peaks on an order-1024 Hadamard matrix, in bytes per entry: the
     per-entry writer peaked at 7.6 and the per-entry reader at 20.2. The reader that
-    read every entry with np.fromstring peaked at 15.02, in _Lines: its int64 array
-    took 8.03, and the byte decode that replaced it takes 11.0 (int64 positions and a
-    digit mask), so the peak is still _Lines' own, and no higher."""
+    read every entry with np.fromstring peaked at 15.02, and the whole-text byte decode
+    at 11.0 (int64 positions and a digit mask). Read in row blocks, the peak is the
+    text's bytes (2.5 per entry), the int8 result and one block's scratch: 5.64."""
     m = constructions.sylvester_hadamard(10)
     entries = m.rows * m.cols
     text = format_matrix(m)
@@ -458,7 +596,21 @@ def test_text_io_peak_memory_stays_below_the_per_entry_code():
     finally:
         tracemalloc.stop()
     assert format_peak <= 7.6 * entries
-    assert parse_peak <= 15.02 * entries
+    assert parse_peak <= 6.2 * entries
+
+
+def test_parse_peak_memory_stays_within_twice_the_text():
+    """At order 2048 (10.5 MB of text) a parse holds the text's bytes, the int8 result
+    (0.4 of the text) and one block's scratch: 1.62 times the text. The whole-text
+    passes peaked at 6.0 times it."""
+    text = format_matrix(constructions.sylvester_hadamard(11))
+    tracemalloc.start()
+    try:
+        parse_matrix(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(text)
 
 
 def test_text_io_loads_no_module():

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,25 @@ def test_eigenvalues_rejects_asymmetric():
         eigenvalues_symmetric([[0, 1, 0], [1, 0, 1]])
     with pytest.raises(ValueError, match="finite"):
         eigenvalues_symmetric([[0, np.inf], [np.inf, 0]])
+
+
+def test_eigenvalues_refuse_orders_above_4096_before_any_copy(count_eigvalsh):
+    """An order-4097 matrix is refused before its float64 copy (134 MB) or eigvalsh;
+    order 4096 is the largest solved, and only a certificate decides larger ones."""
+    a = np.zeros((4097, 4097), dtype=np.int8)
+    for m in (a, SignedGraph._trusted(a)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^order 4097 is above 4096, the largest that "
+                               "eigvalsh solves; .* certificate route"):
+                eigenvalues_symmetric(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    assert count_eigvalsh == []
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues_symmetric(np.zeros((4097, 3)))
 
 
 def test_spectrum_text_has_no_signed_zero():
