@@ -22,16 +22,17 @@ the lines, counts their tokens and checks the token grammar on the text's
 bytes, then reads all data integers. It works on row blocks of about
 _BLOCK_BYTES (256 KB), each ending after a "\n": every pass over a block
 stays in cache, and a parse holds the text, its result and one block's
-scratch (at order 2048, 1.6 times the text's bytes). When every token has
-one digit, as in every trit matrix, each is decoded from its digit byte and
-the byte before it, block by block into one int8 array; otherwise (a label
-of two or more digits, or a short text) one np.fromstring call reads the
-whole range into int64, which saturates instead of wrapping. Every check is
-an array expression, an edge's in the one edge validator, core._edge_array;
-triples are returned as a (t, 3) array. Python reads only the header, the
-annotations, and on bad input the one line that the error message names. The writer (_write_rows) lays each entry into a
-fixed-width byte buffer by whole-column arithmetic and deletes the pad bytes
-with one bytes.translate pass.
+working arrays (at order 2048, 1.6 times the text's bytes). When every token
+has one digit, as in every trit matrix, each is decoded from its digit byte
+and the byte before it, block by block into one int8 array; otherwise (a
+label of two or more digits, or a short text) one np.fromstring call reads
+the whole range into int64, which saturates instead of wrapping. Every check
+is an array expression, an edge's in the one edge validator,
+core._edge_array; triples are returned as a (t, 3) array. Python reads only
+the header, the annotations, and on bad input the one line that the error
+message names. The writer (_write_rows) lays each entry into a fixed-width
+byte buffer by whole-column arithmetic and deletes the pad bytes with one
+bytes.translate pass.
 """
 
 from __future__ import annotations

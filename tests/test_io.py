@@ -582,7 +582,7 @@ def test_text_io_peak_memory_stays_below_the_per_entry_code():
     per-entry writer peaked at 7.6 and the per-entry reader at 20.2. The reader that
     read every entry with np.fromstring peaked at 15.02, and the whole-text byte decode
     at 11.0 (int64 positions and a digit mask). Read in row blocks, the peak is the
-    text's bytes (2.5 per entry), the int8 result and one block's scratch: 5.64."""
+    text's bytes (2.5 per entry), the int8 result and one block's working arrays: 5.64."""
     m = constructions.sylvester_hadamard(10)
     entries = m.rows * m.cols
     text = format_matrix(m)
@@ -601,7 +601,7 @@ def test_text_io_peak_memory_stays_below_the_per_entry_code():
 
 def test_parse_peak_memory_stays_within_twice_the_text():
     """At order 2048 (10.5 MB of text) a parse holds the text's bytes, the int8 result
-    (0.4 of the text) and one block's scratch: 1.62 times the text. The whole-text
+    (0.4 of the text) and one block's working arrays: 1.62 times the text. The whole-text
     passes peaked at 6.0 times it."""
     text = format_matrix(constructions.sylvester_hadamard(11))
     tracemalloc.start()
