@@ -224,7 +224,7 @@ def cmd_ramanujan(args) -> RunReport:
     report.add("bound", rep.bound)
     report.add("ramanujan", rep.verdict)
     verdicts = [rep.verdict]
-    if (sg.matrix.data < 0).any():
+    if (sg.data < 0).any():
         good = lifts_ramanujan.is_good_signature(sg)
         report.add("good signature", good)
         verdicts.append(good)

@@ -5,8 +5,11 @@ int8), and a product identity such as C C^t = alpha I is checked on float32
 operands whose every partial sum is an integer below 2^24, two row panels
 packed into each product (_product_is says why that is the same integer
 identity, and _gram_is why half of a symmetric product decides it), so
-orthogonality is never a numerical judgement. A Graph is the 0/1 case of a
-signed adjacency, and its views are array operations on that matrix.
+orthogonality is never a numerical judgement. There is one matrix type: a
+SignedGraph is a SignedMatrix that is a signed adjacency (symmetric, zero
+diagonal), and a Graph is a SignedGraph with 0/1 entries, or none. Each level
+adds its own checks and views to the one read-only array, and equality and hash
+go by shape and entries across the three.
 Arrays are validated once, by the public constructors: a derivation whose
 validity follows from its validated input (star, ground, a switching) wraps
 its fresh array with the private _trusted constructor, with no check or copy.
@@ -235,12 +238,18 @@ def _is_symmetric(a: np.ndarray, sign: int = 1) -> bool:
 
 
 class SignedMatrix:
-    """Dense rectangular matrix over {-1, 0, +1}; _verdict is is_orthogonal's kept verdict."""
+    """Dense rectangular matrix over {-1, 0, +1}, one read-only int8 array (data), as are
+    its subclasses SignedGraph and Graph; _verdict is is_orthogonal's kept verdict."""
 
     __slots__ = ("data", "_verdict")
 
     def __init__(self, data):
-        self.data = _as_trit_array(data)
+        self._own(_as_trit_array(data))
+
+    def _own(self, arr: np.ndarray) -> None:
+        """Hold arr, made read-only, with no kept verdict (nor, in a subclass, kept half)."""
+        arr.setflags(write=False)
+        self.data = arr
         self._verdict = None
 
     @classmethod
@@ -249,10 +258,8 @@ class SignedMatrix:
         Only an empty array is refused, with the public constructor's message."""
         if 0 in arr.shape:
             raise ValueError(f"matrix must be at least 1x1, got shape {arr.shape}")
-        arr.setflags(write=False)
         m = cls.__new__(cls)
-        m.data = arr
-        m._verdict = None
+        m._own(arr)
         return m
 
     @property
@@ -283,8 +290,11 @@ class SignedMatrix:
     def __hash__(self):
         return hash((self.data.shape, self.data.tobytes()))
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.data, dtype=dtype, copy=copy)
+
     def __repr__(self):
-        return f"SignedMatrix({self.data.tolist()!r})"
+        return f"{type(self).__name__}({self.data.tolist()!r})"
 
 
 @dataclass(frozen=True)
@@ -311,6 +321,12 @@ def _check_adjacency(a: np.ndarray) -> None:
 def _first(mask: np.ndarray) -> int:
     """Index of the first True in mask, or len(mask)."""
     return int(mask.argmax()) if mask.any() else mask.size
+
+
+def _upper_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows u and columns v of a's nonzero entries with u < v, row by row: the one edge
+    order (Graph.sorted_edges) that switching_class_signs' codes and io's lists follow."""
+    return np.nonzero(np.triu(a, 1))
 
 
 def _lex_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -399,20 +415,63 @@ def _edge_array(n: int, edges, width: int, exact=None) -> np.ndarray:
     raise ValueError(f"duplicate edge ({min(x, y)}, {max(x, y)})")
 
 
-class Graph:
-    """Simple labeled graph on vertices 0..n-1: the 0/1 case of a signed adjacency.
+class SignedGraph(SignedMatrix):
+    """Symmetric zero-diagonal signed matrix: a graph plus signature on vertices 0..n-1.
 
-    It is one read-only, symmetric, zero-diagonal int8 adjacency array; edge
-    lists, components and bipartitions are views computed from it.
+    It adds the adjacency check to SignedMatrix's, n, the edge-list
+    constructors and _half, its kept C (_star_half).
     """
 
-    __slots__ = ("_adj",)
+    __slots__ = ("_half",)
+
+    def __init__(self, matrix):
+        # a SignedMatrix's read-only array is shared, so its kept verdict holds here too:
+        # _stored_verdict accepts one only on the very array it was proven on. An empty
+        # Graph goes to _as_trit_array, which refuses it with the public message.
+        shared = isinstance(matrix, SignedMatrix) and matrix.data.size
+        arr = matrix.data if shared else _as_trit_array(matrix)
+        _check_adjacency(arr)
+        memo = _stored_verdict(matrix) if shared else None
+        self._own(arr)
+        self._verdict = memo
+
+    def _own(self, arr: np.ndarray) -> None:
+        super()._own(arr)
+        self._half = None
+
+    @property
+    def matrix(self) -> "SignedGraph":
+        """The graph itself, which is its matrix (for callers that read sg.matrix.data)."""
+        return self
+
+    @property
+    def n(self) -> int:
+        return self.rows
+
+    @classmethod
+    def from_edges(cls, n: int, signed_edges) -> "SignedGraph":
+        """Build from (u, v, sign) rows, sign +1 or -1, as an (m, 3) integer array or an
+        iterable; _edge_array validates them, so they are not checked again."""
+        return cls._trusted(_edge_array(n, signed_edges, 3))
+
+    @classmethod
+    def all_positive(cls, g: Graph) -> "SignedGraph":
+        return cls(g.adjacency())
+
+
+class Graph(SignedGraph):
+    """Simple labeled graph on vertices 0..n-1: the all-positive SignedGraph.
+
+    It adds the 0/1 check, the graph on no vertices, and edge lists,
+    components and bipartitions, which are views computed from its array.
+    """
+
+    __slots__ = ()
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        self._adj = _edge_array(n, edges, 2)
-        self._adj.setflags(write=False)
+        self._own(_edge_array(n, edges, 2))
 
     @classmethod
     def from_adjacency(cls, a) -> "Graph":
@@ -426,39 +485,32 @@ class Graph:
 
     @classmethod
     def _trusted(cls, arr: np.ndarray) -> "Graph":
-        """As SignedMatrix._trusted, for a square, symmetric, zero-diagonal 0/1 int8 array."""
-        arr.setflags(write=False)
+        """As SignedMatrix._trusted, for a square, symmetric, zero-diagonal 0/1 int8 array,
+        which may be empty."""
         g = cls.__new__(cls)
-        g._adj = arr
+        g._own(arr)
         return g
 
     @property
-    def n(self) -> int:
-        return self._adj.shape[0]
-
-    @property
     def m(self) -> int:
-        return int(np.count_nonzero(self._adj)) // 2
+        return int(np.count_nonzero(self.data)) // 2
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.sorted_edges())
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        iu, iv = np.nonzero(np.triu(self._adj, 1))
+        iu, iv = _upper_pairs(self.data)
         return list(zip(iu.tolist(), iv.tolist()))
 
     def adjacency(self) -> np.ndarray:
         """The read-only int8 adjacency array."""
-        return self._adj
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self._adj, dtype=dtype, copy=copy)
+        return self.data
 
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest vertex."""
         return [np.sort(np.concatenate([layer for layer, _ in layers])).tolist()
-                for layers, _ in _bfs_components(self._adj)]
+                for layers, _ in _bfs_components(self.data)]
 
     def bipartition(self) -> tuple[list[int], list[int]] | None:
         """A 2-coloring (X, Y) of the vertices, or None if an odd cycle exists.
@@ -469,7 +521,7 @@ class Graph:
         """
         in_y = np.zeros(self.n, dtype=bool)
         sizes = [0, 0]
-        for layers, odd in _bfs_components(self._adj):
+        for layers, odd in _bfs_components(self.data):
             if odd:
                 return None
             count = [sum(layer.size for layer, _ in layers[c::2]) for c in (0, 1)]
@@ -498,14 +550,6 @@ class Graph:
     @classmethod
     def path(cls, n: int) -> "Graph":
         return cls(n, np.column_stack((np.arange(n - 1), np.arange(1, n))))
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return np.array_equal(self._adj, other._adj)
-
-    def __hash__(self):
-        return hash((self.n, self._adj.tobytes()))
 
     def __repr__(self):
         return f"Graph({self.n}, {self.sorted_edges()!r})"
@@ -562,54 +606,9 @@ def _bfs_components(a: np.ndarray):
             yield _bfs_layers(a, root, seen)
 
 
-class SignedGraph:
-    """Symmetric zero-diagonal signed matrix: a graph plus signature; _half: see _star_half."""
-
-    __slots__ = ("matrix", "_half")
-
-    def __init__(self, matrix):
-        sm = matrix if isinstance(matrix, SignedMatrix) else SignedMatrix(matrix)
-        _check_adjacency(sm.data)
-        self.matrix = sm
-        self._half = None
-
-    @classmethod
-    def _trusted(cls, arr: np.ndarray) -> "SignedGraph":
-        """As SignedMatrix._trusted, for a symmetric, zero-diagonal array."""
-        sg = cls.__new__(cls)
-        sg.matrix = SignedMatrix._trusted(arr)
-        sg._half = None
-        return sg
-
-    @property
-    def n(self) -> int:
-        return self.matrix.rows
-
-    @classmethod
-    def from_edges(cls, n: int, signed_edges) -> "SignedGraph":
-        """Build from (u, v, sign) rows, sign +1 or -1, as an (m, 3) integer array or an
-        iterable; _edge_array validates them, so they are not checked again."""
-        return cls._trusted(_edge_array(n, signed_edges, 3))
-
-    @classmethod
-    def all_positive(cls, g: Graph) -> "SignedGraph":
-        return cls(g.adjacency())
-
-    def __eq__(self, other):
-        if not isinstance(other, SignedGraph):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return f"SignedGraph({self.matrix.data.tolist()!r})"
-
-
 def ground(sg: SignedGraph) -> Graph:
     """The underlying unsigned graph |A|, unchecked: 0/1, symmetric, zero diagonal as A is."""
-    return Graph._trusted(np.abs(sg.matrix.data))
+    return Graph._trusted(np.abs(sg.data))
 
 
 def star(c: SignedMatrix) -> SignedGraph:
@@ -633,7 +632,7 @@ def star(c: SignedMatrix) -> SignedGraph:
 def _keep_half(sg: SignedGraph, c: SignedMatrix) -> SignedMatrix:
     """c, kept on sg as its half: its caller found that sg's current array is
     [[O, C], [C^t, O]] on c's entries, up to the order of the vertices."""
-    sg._half = (sg.matrix.data, c, c.data)
+    sg._half = (sg.data, c, c.data)
     return c
 
 
@@ -646,7 +645,7 @@ def _star_half(sg: SignedGraph) -> SignedMatrix | None:
     a kept verdict (is_orthogonal). Else, when both diagonal h x h blocks of
     sg's order-2h array are zero, it is the view a[:h, h:], kept; else None.
     A kept C keeps its own verdict, so each C is proven at most once."""
-    a = sg.matrix.data
+    a = sg.data
     held, c, block = sg._half or (None, None, None)
     if held is a and block is c.data and not (a.flags.writeable or block.flags.writeable):
         return c
@@ -705,7 +704,7 @@ def resign(sg: SignedGraph, v: int) -> SignedGraph:
     """Negate all edge signs at vertex v: D A D for a +-1 diagonal D, valid as A is, unchecked."""
     if not (0 <= v < sg.n):
         raise ValueError(f"vertex {v} out of range [0, {sg.n})")
-    a = sg.matrix.data.copy()
+    a = sg.data.copy()
     a[v, :] *= -1
     a[:, v] *= -1
     return SignedGraph._trusted(a)
@@ -732,7 +731,7 @@ def switching_canonical(sg: SignedGraph) -> SignedGraph:
     D A D for a +-1 diagonal D is valid as A is, so it is not checked again.
     """
     g = ground(sg)
-    a = sg.matrix.data
+    a = sg.data
     d = np.ones(g.n, dtype=np.int8)
     for u, v in _bfs_forest(g):
         d[v] = d[u] * a[u, v]
@@ -769,7 +768,7 @@ def enumerate_switching_classes(g: Graph) -> list[SignedGraph]:
     valid adjacencies, so they are not checked.
     """
     signs = switching_class_signs(g)
-    iu, iv = np.nonzero(np.triu(g.adjacency(), 1))
+    iu, iv = _upper_pairs(g.adjacency())
     a = np.zeros((len(signs), g.n, g.n), dtype=np.int8)
     a[:, iu, iv] = a[:, iv, iu] = signs
     return [SignedGraph._trusted(rep) for rep in a]
@@ -796,7 +795,7 @@ def switching_class_signs(g: Graph) -> np.ndarray:
     m = g.m
     if m > MAX_ENUM_EDGES:
         raise ValueError(f"too many edges for enumeration: {m} > {MAX_ENUM_EDGES}")
-    iu, iv = np.nonzero(np.triu(g.adjacency(), 1))
+    iu, iv = _upper_pairs(g.adjacency())
     bits = {(u, v): 1 << (m - 1 - i) for i, (u, v) in enumerate(zip(iu.tolist(), iv.tolist()))}
     switch = [0] * g.n
     for u, v in _bfs_forest(g):

@@ -42,7 +42,7 @@ import itertools
 import numpy as np
 
 from .core import (Graph, SignedGraph, SignedMatrix, _edge_array, _entries_within, _first,
-                   _int_rows, _lex_order)
+                   _int_rows, _lex_order, _upper_pairs)
 
 __all__ = [
     "parse_matrix",
@@ -359,14 +359,14 @@ def parse_signed_graph(text: str) -> SignedGraph:
 
 
 def format_signed_graph(sg: SignedGraph) -> str:
-    a = sg.matrix.data
-    iu, iv = np.nonzero(np.triu(a, 1))
+    a = sg.data
+    iu, iv = _upper_pairs(a)
     return _write_rows(f"{sg.n} {iu.size}", np.column_stack((iu + 1, iv + 1, a[iu, iv])))
 
 
 def format_graph(g: Graph) -> str:
     """An unsigned graph's edge list in the graph format, signs left out (+1)."""
-    iu, iv = np.nonzero(np.triu(g.adjacency(), 1))
+    iu, iv = _upper_pairs(g.adjacency())
     return _write_rows(f"{g.n} {iu.size}", np.column_stack((iu + 1, iv + 1)))
 
 

@@ -78,7 +78,7 @@ class LiftedGraph:
         """True iff this lift L = [[P, N], [N, P]] has P - N = A and P + N = |A|, compared
         entrywise. Then Q L Q = 2 diag(|A|, A) with Q = [[I, I], [I, -I]] = Q^t, Q^2 = 2I:
         spec(L) is exactly spec(|A|) union spec(A) (Bilu-Linial 2006, Lemma 3.1)."""
-        a, n = sg.matrix.data, sg.n
+        a, n = sg.data, sg.n
         lift = self.graph.adjacency()
         pos, neg = lift[:n, :n], lift[:n, n:]
         return bool(np.array_equal(lift[n:, n:], pos) and np.array_equal(lift[n:, :n], neg)
@@ -106,7 +106,7 @@ class RamanujanReport:
 def two_lift(sg: SignedGraph) -> LiftedGraph:
     """Double cover [[P, N], [N, P]]: positive edges (P) lift parallel, negative (N) crossed.
     P and N are 0/1, symmetric and zero-diagonal as A is, so the lift is not checked."""
-    a, n = sg.matrix.data, sg.n
+    a, n = sg.data, sg.n
     lift = np.empty((2 * n, 2 * n), dtype=np.int8)
     lift[:n, :n] = lift[n:, n:] = a > 0
     lift[:n, n:] = lift[n:, :n] = a < 0
@@ -236,7 +236,7 @@ def ground_ramanujan_from_symmetric(c) -> GroundRamanujanReport:
     of it: C^2 = alpha I proves lambda1 = sqrt(alpha), with no eigensolve.
     """
     sg = SignedGraph(c)
-    cert = is_orthogonal(sg.matrix)
+    cert = is_orthogonal(sg)
     if cert is None:
         raise ValueError("input is not an orthogonal signed matrix")
     alpha, n = cert.alpha, sg.n

@@ -158,12 +158,7 @@ class TwoEigCertificate:
 
 
 def _to_symmetric_float(m) -> np.ndarray:
-    if isinstance(m, SignedGraph):
-        a = m.matrix.data
-    elif isinstance(m, SignedMatrix):
-        a = m.data
-    else:
-        a = np.asarray(m)
+    a = m.data if isinstance(m, SignedMatrix) else np.asarray(m)
     if a.ndim == 2 and a.shape[0] == a.shape[1] > _EIGVALSH_MAX_ORDER:
         raise ValueError(f"order {a.shape[0]} is above {_EIGVALSH_MAX_ORDER}, the largest "
                          "that eigvalsh solves; at this order only the exact certificate "
@@ -221,7 +216,7 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
     are sg's, and both arrays are still the read-only ones it was found on
     (core._star_half, core.is_orthogonal).
     """
-    data = sg.matrix.data
+    data = sg.data
     row = data[0]
     degree = int(np.count_nonzero(row))
     if not degree:
@@ -297,7 +292,7 @@ def bipartite_two_eig_check(sg: SignedGraph) -> OrthogonalityCertificate | None:
             raise ValueError("ground graph is not bipartite")
         if len(parts[0]) != len(parts[1]):
             return None
-        c = _keep_half(sg, SignedMatrix._trusted(sg.matrix.data[np.ix_(*parts)]))
+        c = _keep_half(sg, SignedMatrix._trusted(sg.data[np.ix_(*parts)]))
     return is_orthogonal(c)
 
 

@@ -75,7 +75,7 @@ class TwoGraph:
 
     def sorted_triples(self) -> np.ndarray:
         """The (t, 3) intp array of triples x < y < z, in lexicographic order."""
-        slabs = _odd_slabs(self.seidel.matrix.data)
+        slabs = _odd_slabs(self.seidel.data)
         return np.concatenate([np.empty((0, 3), dtype=np.intp), *slabs])
 
 
@@ -121,7 +121,7 @@ def descendant(t: TwoGraph, x: int) -> Graph:
     a valid adjacency (unchecked) because D S D is symmetric with a zero diagonal."""
     if not (0 <= x < t.n):
         raise ValueError(f"vertex {x} out of range [0, {t.n})")
-    s = t.seidel.matrix.data
+    s = t.seidel.data
     d = s[x] + (np.arange(t.n) == x)  # row x of S + I: D S D has row x all +1
     return Graph._trusted((d[:, None] * s * d[None, :] < 0).view(np.int8))
 
@@ -134,7 +134,7 @@ def signed_complete_from_graph(g: Graph) -> SignedGraph:
 def twograph_from_signed_complete(sg: SignedGraph) -> TwoGraph:
     """The two-graph of a signing A of K_n: its triples whose sign product is -1. Its
     Seidel matrix D A D, D = diag(row 0 of A + I), is a switching of A, so it is unchecked."""
-    a = sg.matrix.data
+    a = sg.data
     if np.count_nonzero(a) != sg.n * (sg.n - 1):
         raise ValueError("ground graph is not complete")
     d = a[0] + (np.arange(sg.n) == 0)  # row 0 of A + I: D A D has row 0 all +1

@@ -67,11 +67,13 @@ def checked_trusted(request, monkeypatch):
     monkeypatch.setattr(core, "_stored_verdict", checked_verdict)
     if request.node.get_closest_marker("unchecked_trusted"):
         return
-    for cls, check in ((SignedMatrix, _as_trit_array), (SignedGraph, _check_signed),
-                       (Graph, _check_graph)):
+    checks = {SignedMatrix: _as_trit_array, SignedGraph: _check_signed, Graph: _check_graph}
+    # SignedGraph inherits SignedMatrix._trusted: each call checks once, by its own class
+    for cls in [c for c in checks if "_trusted" in c.__dict__]:
         bare = cls.__dict__["_trusted"].__func__
 
-        def trusted(klass, arr, bare=bare, check=check):
+        def trusted(klass, arr, bare=bare):
+            check = next(checks[c] for c in klass.__mro__ if c in checks)
             if not (isinstance(arr, np.ndarray) and arr.dtype == np.int8):
                 pytest.fail(f"{klass.__name__}._trusted got {type(arr).__name__} "
                             f"{getattr(arr, 'dtype', '')}, not an int8 array")

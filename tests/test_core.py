@@ -21,6 +21,7 @@ from twoeig import (
     is_orthogonal,
     is_regular,
     kronecker,
+    paley_conference,
     resign,
     shift_antisymmetric,
     star,
@@ -33,8 +34,9 @@ from twoeig.core import (MAX_ENUM_EDGES, PANEL_ROWS, _STAR_STRIP_ROWS, _bfs_fore
                          _is_symmetric)
 from twoeig.io import format_triples, parse_signed_graph
 
-from conftest import (K6_TRIPLES, edge_array_oracle, edge_signs, enumerate_switching_classes_oracle,
-                      petersen, random_signed_graph, wide)
+import conftest
+from conftest import (K6_TRIPLES, counted_grams, edge_array_oracle, edge_signs,
+                      enumerate_switching_classes_oracle, petersen, random_signed_graph, wide)
 
 
 def test_signed_matrix_validates_entries():
@@ -61,6 +63,108 @@ def test_signed_matrix_basics():
     assert SignedMatrix.identity(3) == SignedMatrix(np.eye(3))
     assert hash(m) == hash(SignedMatrix(m.data))
     assert m != SignedMatrix([[1, -1], [0, 1]])
+
+
+def test_one_matrix_type():
+    """A Graph is a SignedGraph, which is a SignedMatrix: one read-only array, and
+    sg.matrix is sg itself."""
+    g = Graph.complete(3)
+    sg = SignedGraph.from_edges(3, [(0, 1, -1), (1, 2, 1)])
+    assert isinstance(g, SignedGraph) and isinstance(g, SignedMatrix)
+    assert isinstance(sg, SignedMatrix) and not isinstance(sg, Graph)
+    assert issubclass(Graph, SignedGraph) and issubclass(SignedGraph, SignedMatrix)
+    assert sg.matrix is sg and g.matrix is g
+    assert g.adjacency() is g.data and not g.data.flags.writeable
+    assert Graph.__slots__ == () and SignedGraph.__slots__ == ("_half",)
+
+
+def test_equality_and_hash_go_by_entries_across_the_types():
+    g = Graph.complete(3)
+    sg = SignedGraph.all_positive(g)
+    m = SignedMatrix(g.data)
+    assert g == sg == m and sg == g and m == g
+    assert hash(g) == hash(sg) == hash(m)
+    assert len({g, sg, m}) == 1
+    assert resign(sg, 0) != g and hash(resign(sg, 0)) != hash(g)
+    assert Graph.path(3) != sg
+    assert Graph(2, [(0, 1)]) != g
+    row, column = SignedMatrix([[0, 1, 1]]), SignedMatrix([[0], [1], [1]])
+    assert row != column and hash(row) != hash(column)
+
+
+def test_np_asarray_reads_each_type():
+    a = np.array([[0, 1, -1], [1, 0, 0], [-1, 0, 0]], dtype=np.int8)
+    for obj, want in ((SignedMatrix(a[:2]), a[:2]), (SignedGraph(a), a),
+                      (ground(SignedGraph(a)), np.abs(a)), (Graph(0), np.zeros((0, 0)))):
+        arr = np.asarray(obj)
+        assert arr.dtype == np.int8 and np.array_equal(arr, want)
+        assert np.array_equal(np.asarray(obj, dtype=np.float64), want)
+
+
+def test_only_a_graph_may_be_empty():
+    for g in (Graph(0), Graph.from_adjacency(np.zeros((0, 0), dtype=np.int8))):
+        assert g.n == 0 and g.m == 0 and g.sorted_edges() == [] and g == Graph(0)
+    message = r"matrix must be at least 1x1, got shape \(0, 0\)"
+    with pytest.raises(ValueError, match=message):
+        SignedGraph.from_edges(0, [])
+    with pytest.raises(ValueError, match=message):
+        SignedGraph(Graph(0))
+    with pytest.raises(ValueError, match=message):
+        validate_twograph(0, [])
+
+
+def test_signed_graph_of_a_matrix_shares_its_array_and_verdict(monkeypatch):
+    c = paley_conference(13)
+    grams = counted_grams(monkeypatch)
+    sg = SignedGraph(c)
+    assert sg.data is c.data and sg._verdict is c._verdict
+    assert is_orthogonal(sg) == is_orthogonal(c) and is_orthogonal(sg).alpha == 13
+    assert grams == []
+    # a verdict proven on the graph is kept on the graph, not on the matrix it shares
+    m = SignedMatrix(c.data)
+    sm = SignedGraph(m)
+    assert sm._verdict is None and is_orthogonal(sm).alpha == 13 and grams == [14]
+    assert m._verdict is None
+
+
+def test_checked_trusted_runs_each_class_check_once(monkeypatch):
+    """The autouse fixture checks a _trusted array once, by the called class's own check:
+    trit entries, signed adjacency or 0/1 adjacency, also for the inherited
+    SignedGraph._trusted, and an empty graph is checked as Graph(0) is."""
+    calls = []
+
+    def counting(module, name, label):
+        inner = getattr(module, name)
+
+        def counted(arr, *args):
+            calls.append(label(*args))
+            return inner(arr, *args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(twoeig.core, "_entries_within", lambda lo, hi: "trits")
+    counting(conftest, "_entries_within", lambda lo, hi: "0/1")
+    counting(conftest, "_check_adjacency", lambda: "adjacency")
+    a = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=np.int8)
+    for make, want in ((SignedMatrix._trusted, ["trits"]),
+                       (SignedGraph._trusted, ["trits", "adjacency"]),
+                       (Graph._trusted, ["0/1", "adjacency"])):
+        calls.clear()
+        make(a.copy())
+        assert calls == want, make
+    calls.clear()
+    assert Graph._trusted(np.zeros((0, 0), dtype=np.int8)) == Graph(0)
+    assert calls == ["0/1", "adjacency"]
+
+
+def test_no_module_reads_a_matrix_attribute():
+    """SignedGraph.matrix is the graph itself, kept for outside callers: the package
+    reads the array as .data."""
+    readers = [f"{path.stem}:{node.lineno}"
+               for path in sorted(Path(twoeig.__file__).parent.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "matrix"]
+    assert readers == []
 
 
 def test_graph_rejects_bad_edges():

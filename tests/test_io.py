@@ -143,8 +143,6 @@ def _outcome(parse, text):
         value = parse(text)
     except ValueError as exc:
         return "error", str(exc)
-    if isinstance(value, SignedGraph):
-        value = value.matrix
     if isinstance(value, tuple):  # (n, triples): the reader's array, the oracle's list
         value = value[0], list(map(tuple, np.asarray(value[1]).tolist()))
     return "ok", value.data.tolist() if isinstance(value, SignedMatrix) else value
