@@ -164,7 +164,7 @@ def cmd_verify(args) -> RunReport:
     """One certificate decides every line: symmetric zero-diagonal M has M^2 = alpha I iff
     it certifies with a = 0, b = -alpha (zero trace rules out odd orders); star(M) certifies
     iff M is orthogonal, with a = 0, alpha = -b, so it is built only for eigvalsh, which
-    only uncertified input reaches."""
+    only uncertified input reaches, and only at an order eigvalsh solves."""
     report = RunReport("verify", {"file": args.file})
     m = io.parse_matrix(_read_text(args.file))
     if not m.is_square:
@@ -182,8 +182,8 @@ def cmd_verify(args) -> RunReport:
         report.add("ground degree", spectra.degree_from_certificate(cert))
         report.add("spectrum", cert.spectrum(args.tol))
     else:
-        shown = core.star(m) if sg is None else sg
-        report.add("spectrum", spectra.eigenvalues_symmetric(shown, args.tol))
+        report.add("spectrum", spectra.star_spectrum(m, args.tol) if sg is None
+                   else spectra.eigenvalues_symmetric(sg, args.tol))
     report.status = "pass" if cert is not None else "fail"
     return report
 

@@ -7,9 +7,13 @@ is compared entry by entry with sum_t S_t (x) B_t, small sign patterns S_t
 times input blocks B_t (_certify_blocks, O(n^2)), and the algebra of each
 construction turns the match into its alpha: the Kronecker products
 (sylvester_hadamard, kronecker_orthogonal, conference_block, the
-"nonsymmetric-all-c" Williamson preset), double, shift_antisymmetric and
-williamson each say how. Only paley_conference, built from quadratic
-residues rather than blocks, checks its output by a Gram product.
+"nonsymmetric-all-c" Williamson preset), double, shift_antisymmetric,
+williamson and the symmetric Williamson presets each say how. Only
+paley_conference, built from quadratic residues rather than blocks, checks
+its output by a Gram product, and only williamson, over an arbitrary
+quadruple, checks products of its blocks (the commute and square-sum
+tests); a preset's blocks are polynomials in one certified C, whose verdict
+implies both. Every Kronecker product is one broadcast (kronecker).
 Entries are not checked again: each output is a closed operation on
 {-1, 0, 1} (a Kronecker product, blocks of validated blocks and their
 negations, D +- I on a zero diagonal), wrapped by SignedMatrix._trusted.
@@ -44,12 +48,23 @@ __all__ = [
 MAX_HADAMARD_EXPONENT = 12
 KRON_PANEL_BYTES = 2**18
 
-WILLIAMSON_PRESETS = ("all-c", "two-shifted", "four-shifted", "nonsymmetric-all-c")
+# the symmetric presets' blocks are A_i = C + e_i I, for these shifts e
+_PRESET_SHIFTS = {"all-c": (0, 0, 0, 0), "two-shifted": (0, 0, -1, 1),
+                  "four-shifted": (1, 1, -1, -1)}
+WILLIAMSON_PRESETS = (*_PRESET_SHIFTS, "nonsymmetric-all-c")
 
 
 def kronecker(a: SignedMatrix, b: SignedMatrix) -> SignedMatrix:
-    """Kronecker product; sign entries are closed under it, so int8 is exact."""
-    return SignedMatrix._trusted(np.kron(a.data, b.data))
+    """Kronecker product; sign entries are closed under it, so int8 is exact.
+
+    Entry (i, j, k, l) of the (p, r, q, s) broadcast a[i, k] * b[j, l] is entry
+    (i r + j, k s + l) of a (x) b, so the product is one broadcast, reshaped as a view.
+    np.kron builds the same array with about 12 us more of wrapper: H_1 (x) B takes 2.4
+    against 14.5 us for B of order 14, and 1.2 ms either way at order 2048 (2-vCPU host).
+    """
+    (p, q), (r, s) = a.data.shape, b.data.shape
+    return SignedMatrix._trusted((a.data[:, None, :, None] * b.data[None, :, None, :])
+                                 .reshape(p * r, q * s))
 
 
 def _require_orthogonal(c: SignedMatrix, name: str) -> int:
@@ -105,7 +120,7 @@ def _tiled(tiles, blocks) -> np.ndarray:
 def _certified_kronecker(a: SignedMatrix, alpha_a: int, b: SignedMatrix, alpha_b: int) -> SignedMatrix:
     """a (x) b for square a, b with certified a a^t = alpha_a I and b b^t = alpha_b I.
     On a match with [(a, b)] the mixed-product identity gives m m^t =
-    (a a^t) (x) (b b^t) = alpha_a alpha_b I; np.kron builds m."""
+    (a a^t) (x) (b b^t) = alpha_a alpha_b I; kronecker builds m."""
     return _certify_blocks(kronecker(a, b), [(a.data, b.data)], alpha_a * alpha_b,
                            "the Kronecker product of its factors")
 
@@ -328,7 +343,7 @@ def williamson(quad: WilliamsonQuadruple) -> SignedMatrix | None:
 
 
 def williamson_preset(c: SignedMatrix, preset: str) -> SignedMatrix:
-    """Fill the Williamson quadruple from one matrix.
+    """The Williamson array of a quadruple filled from one orthogonal matrix C.
 
     Presets: "all-c" uses four copies of a symmetric orthogonal C;
     "two-shifted" uses (C, C, C-I, C+I) and "four-shifted" uses
@@ -336,6 +351,21 @@ def williamson_preset(c: SignedMatrix, preset: str) -> SignedMatrix:
     "nonsymmetric-all-c" accepts any orthogonal C and assembles directly:
     four equal blocks make S (x) C for the 4 x 4 sign pattern S of the
     array, certified as a Kronecker product.
+
+    The symmetric presets need no product of their own. Their blocks are
+    A_i = C + e_i I, e_i from _PRESET_SHIFTS:
+    - each A_i is symmetric, and the four commute, each being a polynomial
+      in C;
+    - sum_i e_i = 0 and C^2 = C C^t = alpha I (C's verdict), so
+      sum_i A_i^2 = 4 alpha I + 2 (sum_i e_i) C + (sum_i e_i^2) I = s I with
+      s = 4 alpha + sum_i e_i^2.
+    These are williamson's premises, so W = sum_i S_i (x) A_i has
+    W W^t = s I, and one _certify_blocks comparison of the tiled W with that
+    sum keeps s on it. The preset stays exact because every premise is: C's
+    verdict is an exact Gram proof (or kept from one), symmetry and the zero
+    diagonal are compared entry by entry, and C +- I on a zero diagonal keeps
+    the entries in {-1, 0, 1}. It forms no WilliamsonQuadruple and no
+    _product_is product; williamson takes arbitrary quadruples.
     """
     if preset not in WILLIAMSON_PRESETS:
         raise ValueError(f"unknown preset {preset!r}, expected one of {WILLIAMSON_PRESETS}")
@@ -344,21 +374,18 @@ def williamson_preset(c: SignedMatrix, preset: str) -> SignedMatrix:
         return _certified_kronecker(_WILLIAMSON_SIGNS, _WILLIAMSON_ALPHA, c, alpha)
     if not _is_symmetric(c.data):
         raise ValueError(f"preset {preset!r} requires a symmetric matrix")
-    if preset == "all-c":
-        quad = WilliamsonQuadruple(c, c, c, c)
-    else:
-        if np.any(np.diagonal(c.data) != 0):
+    shifts, d = _PRESET_SHIFTS[preset], c.data
+    if any(shifts):
+        if np.diagonal(d).any():
             raise ValueError(f"preset {preset!r} requires a zero diagonal")
         eye = np.eye(c.rows, dtype=np.int8)
-        minus, plus = SignedMatrix._trusted(c.data - eye), SignedMatrix._trusted(c.data + eye)
-        if preset == "two-shifted":
-            quad = WilliamsonQuadruple(c, c, minus, plus)
-        else:
-            quad = WilliamsonQuadruple(plus, plus, minus, minus)
-    out = williamson(quad)
-    if out is None:
-        raise AssertionError(f"preset {preset!r} failed the square-sum condition")
-    return out
+        shifted = {0: d, 1: d + eye, -1: d - eye}
+        blocks = [shifted[e] for e in shifts]
+    else:
+        blocks = [d] * 4
+    w = SignedMatrix._trusted(_tiled(_WILLIAMSON_TILES, blocks))
+    return _certify_blocks(w, list(zip(_WILLIAMSON_TERMS, blocks)),
+                           4 * alpha + sum(e * e for e in shifts), "the Williamson array")
 
 
 def conference_block(c: SignedMatrix) -> SignedMatrix:

@@ -278,9 +278,11 @@ class SignedMatrix:
         """C^t, a view of C's read-only entries: transposing keeps them in {-1, 0, 1}."""
         return SignedMatrix._trusted(self.data.T)
 
-    @classmethod
-    def identity(cls, n: int) -> "SignedMatrix":
-        return cls(np.eye(n, dtype=np.int8))
+    @staticmethod
+    def identity(n: int) -> "SignedMatrix":
+        """The n x n identity, a SignedMatrix whatever the class it is called on: its
+        diagonal of ones is no signed adjacency."""
+        return SignedMatrix._trusted(np.eye(n, dtype=np.int8))
 
     def __eq__(self, other):
         if not isinstance(other, SignedMatrix):
@@ -426,11 +428,13 @@ class SignedGraph(SignedMatrix):
 
     def __init__(self, matrix):
         # a SignedMatrix's read-only array is shared, so its kept verdict holds here too:
-        # _stored_verdict accepts one only on the very array it was proven on. An empty
-        # Graph goes to _as_trit_array, which refuses it with the public message.
+        # _stored_verdict accepts one only on the very array it was proven on. A
+        # SignedGraph's array is an adjacency by its type and is not checked again. An
+        # empty Graph goes to _as_trit_array, which refuses it with the public message.
         shared = isinstance(matrix, SignedMatrix) and matrix.data.size
         arr = matrix.data if shared else _as_trit_array(matrix)
-        _check_adjacency(arr)
+        if not (shared and isinstance(matrix, SignedGraph)):
+            _check_adjacency(arr)
         memo = _stored_verdict(matrix) if shared else None
         self._own(arr)
         self._verdict = memo
@@ -454,9 +458,10 @@ class SignedGraph(SignedMatrix):
         iterable; _edge_array validates them, so they are not checked again."""
         return cls._trusted(_edge_array(n, signed_edges, 3))
 
-    @classmethod
-    def all_positive(cls, g: Graph) -> "SignedGraph":
-        return cls(g.adjacency())
+    @staticmethod
+    def all_positive(g: Graph) -> "SignedGraph":
+        """g's all-positive signing, sharing g's array (and kept verdict) unchecked."""
+        return SignedGraph(g)
 
 
 class Graph(SignedGraph):

@@ -32,6 +32,7 @@ from .core import (
     _star_half,
     ground,
     is_orthogonal,
+    star,
 )
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "eigenvalues_symmetric",
     "certify_two_eigenvalues",
     "star_certificate",
+    "star_spectrum",
     "degree_from_certificate",
     "bipartite_two_eig_check",
     "spectrum_union",
@@ -157,12 +159,18 @@ class TwoEigCertificate:
         return Spectrum(pairs) if self.lam - self.mu > tol > 0 else Spectrum.from_pairs(pairs, tol)
 
 
-def _to_symmetric_float(m) -> np.ndarray:
-    a = m.data if isinstance(m, SignedMatrix) else np.asarray(m)
-    if a.ndim == 2 and a.shape[0] == a.shape[1] > _EIGVALSH_MAX_ORDER:
-        raise ValueError(f"order {a.shape[0]} is above {_EIGVALSH_MAX_ORDER}, the largest "
+def _refuse_past_eigvalsh(order: int) -> None:
+    """Raise ValueError if eigenvalues_symmetric would refuse a matrix of this order."""
+    if order > _EIGVALSH_MAX_ORDER:
+        raise ValueError(f"order {order} is above {_EIGVALSH_MAX_ORDER}, the largest "
                          "that eigvalsh solves; at this order only the exact certificate "
                          "route (certify_two_eigenvalues, star_certificate) decides")
+
+
+def _to_symmetric_float(m) -> np.ndarray:
+    a = m.data if isinstance(m, SignedMatrix) else np.asarray(m)
+    if a.ndim == 2 and a.shape[0] == a.shape[1]:
+        _refuse_past_eigvalsh(a.shape[0])
     out = np.array(a, dtype=np.float64)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ValueError(f"matrix must be square, got shape {out.shape}")
@@ -263,6 +271,13 @@ def star_certificate(c: SignedMatrix) -> TwoEigCertificate | None:
     without building star(C): A^2 = alpha I, so it is _solved(2n, 0, -alpha)."""
     orth = is_orthogonal(c)
     return None if orth is None else _solved(2 * c.rows, 0, -orth.alpha)
+
+
+def star_spectrum(c: SignedMatrix, tol: float = DEFAULT_GROUP_TOL) -> Spectrum:
+    """eigenvalues_symmetric of star(C), refused by order 2n, with eigenvalues_symmetric's
+    message, before the 4n^2-byte star is built."""
+    _refuse_past_eigvalsh(2 * c.rows)
+    return eigenvalues_symmetric(star(c), tol)
 
 
 def degree_from_certificate(cert: TwoEigCertificate) -> int:

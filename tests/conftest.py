@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from twoeig import Graph, SignedGraph, SignedMatrix, core, spectra, two_lift
+from twoeig import Graph, SignedGraph, SignedMatrix, constructions, core, spectra, two_lift
 from twoeig.core import PANEL_ROWS, _as_trit_array, _bfs_forest, _check_adjacency, _entries_within
 
 # The 6-vertex regular two-graph worked through in the docs: ten triples,
@@ -112,6 +112,21 @@ def counted_grams(monkeypatch) -> list[int]:
     monkeypatch.setattr(core, "_gram_is", counted)
     monkeypatch.setattr(spectra, "_gram_is", counted)
     return orders
+
+
+def counted_products(monkeypatch) -> list[int]:
+    """The row counts of the general products checked from here on, through
+    core._product_is and through the name constructions imported it by (the Williamson
+    commute and square-sum checks)."""
+    rows, product_is = [], core._product_is
+
+    def counted(left, right, shift):
+        rows.append(left.shape[0])
+        return product_is(left, right, shift)
+
+    monkeypatch.setattr(core, "_product_is", counted)
+    monkeypatch.setattr(constructions, "_product_is", counted)
+    return rows
 
 
 def edge_signs(sg: SignedGraph) -> dict[tuple[int, int], int]:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import twoeig
+from twoeig import spectra
 from twoeig import (
     Graph,
     SignedGraph,
@@ -194,15 +195,33 @@ def test_verify_rejects_nonsquare(tmp_path, capsys):
     assert code == 2 and "square" in err
 
 
-def test_verify_refuses_eigvalsh_past_order_4096(tmp_path, capsys, count_eigvalsh):
+def test_verify_refuses_eigvalsh_past_order_4096(tmp_path, capsys, count_eigvalsh, monkeypatch):
     """An uncertified order-2049 matrix would be shown by the eigvalsh of its
-    order-4098 star: exit 2 instead, with the message naming the certificate route."""
+    order-4098 star: exit 2 instead, with the message naming the certificate route,
+    before that 16 MB star is built: from the failed certificate on (past the parse
+    and the certificate's own float32 copy), the traced peak stays within 1 MB of
+    what was held then."""
     c = np.random.default_rng(2049).integers(-1, 2, size=(2049, 2049))
     f = tmp_path / "c.txt"
     f.write_text(format_matrix(SignedMatrix(c)))
-    code, out, err = run(capsys, "verify", str(f))
+    certificate, held = spectra.star_certificate, []
+
+    def then_reset_peak(m):
+        cert = certificate(m)
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return cert
+
+    monkeypatch.setattr(spectra, "star_certificate", then_reset_peak)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", str(f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 2 and out == "" and count_eigvalsh == []
     assert "order 4098 is above 4096" in err and "certificate route" in err
+    assert len(held) == 1 and peak - held[0] < 2**20, (held, peak)
 
 
 def _verify_corpus():
@@ -255,8 +274,6 @@ def test_verify_matches_orthogonality_and_eigvalsh(tmp_path, capsys):
 
 
 def test_verify_eigensolves_only_uncertified_inputs(tmp_path, capsys, monkeypatch):
-    from twoeig import spectra
-
     calls = []
 
     def counted(*args, **kwargs):
@@ -289,6 +306,7 @@ def test_verify_builds_the_star_only_for_eigvalsh(tmp_path, capsys, monkeypatch)
         return build(c)
 
     monkeypatch.setattr(core, "star", counted)
+    monkeypatch.setattr(spectra, "star", counted)  # star_spectrum's name for it
     flipped = sylvester_hadamard(3).data.copy()
     flipped[0, 5] *= -1
     f = tmp_path / "m.txt"
@@ -624,7 +642,7 @@ def test_text_and_json_reports_render_each_value_once(tmp_path, capsys, monkeypa
 
 
 def test_twograph_certifies_once(tmp_path, capsys, monkeypatch):
-    from twoeig import spectra, twographs
+    from twoeig import twographs
 
     calls = []
 

@@ -21,7 +21,7 @@ from twoeig import (
     williamson_preset,
 )
 
-from conftest import counted_grams, wide
+from conftest import counted_grams, counted_products, wide
 
 ROTATION = SignedMatrix([[0, 1], [-1, 0]])
 SWAP = SignedMatrix([[0, 1], [1, 0]])
@@ -36,6 +36,18 @@ def test_kronecker_shapes_and_identity():
     h = sylvester_hadamard(2)
     assert kronecker(SignedMatrix.identity(1), h) == h
     assert kronecker(sylvester_hadamard(1), sylvester_hadamard(1)) == h
+
+
+def test_kronecker_equals_np_kron():
+    """The broadcast product is np.kron's, for every pair of rectangular, 1 x 1 and
+    2-row factors."""
+    rng = np.random.default_rng(50)
+    shapes = [(1, 1), (1, 4), (2, 1), (2, 2), (2, 5), (3, 2), (4, 7)]
+    for sa, sb in itertools.product(shapes, repeat=2):
+        a = rng.integers(-1, 2, size=sa).astype(np.int8)
+        b = rng.integers(-1, 2, size=sb).astype(np.int8)
+        m = kronecker(SignedMatrix(a), SignedMatrix(b))
+        assert m.data.dtype == np.int8 and np.array_equal(m.data, np.kron(a, b)), (sa, sb)
 
 
 def test_kronecker_orthogonal_multiplies_alphas():
@@ -59,6 +71,13 @@ def test_sylvester_small_orders():
         assert h.rows == 2**k
         assert np.array_equal(h.data, h.data.T)
         assert is_orthogonal(h).alpha == 2**k
+
+
+def test_sylvester_equals_an_np_kron_chain():
+    h, signs = np.ones((1, 1), dtype=np.int8), np.array([[1, 1], [1, -1]], dtype=np.int8)
+    for k in range(constructions.MAX_HADAMARD_EXPONENT + 1):
+        assert np.array_equal(sylvester_hadamard(k).data, h), k
+        h = np.kron(signs, h)
 
 
 def test_sylvester_rejects_bad_exponents():
@@ -298,6 +317,60 @@ def test_williamson_preset_rejections():
         williamson_preset(sylvester_hadamard(1), "two-shifted")
     with pytest.raises(ValueError, match="not an orthogonal"):
         williamson_preset(C4_ADJACENCY, "all-c")
+
+
+SYMMETRIC_PRESETS = ("all-c", "two-shifted", "four-shifted")
+
+
+def _reference_quadruple(c, preset):
+    """The quadruple a symmetric preset names, (C, C, C, C), (C, C, C-I, C+I) or
+    (C+I, C+I, C-I, C-I), from int64 sums, for williamson's checked route."""
+    shifts = {"all-c": (0, 0, 0, 0), "two-shifted": (0, 0, -1, 1),
+              "four-shifted": (1, 1, -1, -1)}[preset]
+    eye = np.eye(c.rows, dtype=np.int64)
+    return WilliamsonQuadruple(*(SignedMatrix(wide(c) + e * eye) for e in shifts))
+
+
+def test_symmetric_presets_equal_the_quadruple_route():
+    """Each symmetric preset gives the array and alpha that williamson gives for its
+    quadruple, after the commute and square-sum products that the preset skips."""
+    cases = [(paley_conference(q), SYMMETRIC_PRESETS) for q in (5, 13, 29, 61)]
+    cases += [(sylvester_hadamard(k), ("all-c",)) for k in range(1, 5)]
+    for c, presets in cases:
+        for preset in presets:
+            m, want = williamson_preset(c, preset), williamson(_reference_quadruple(c, preset))
+            assert m == want and is_orthogonal(m) == is_orthogonal(want), (c.rows, preset)
+
+
+@pytest.mark.parametrize("preset", SYMMETRIC_PRESETS)
+def test_symmetric_presets_form_no_product(preset, monkeypatch):
+    """From C's kept verdict a preset forms no Gram and no general product; the
+    counters see the quadruple route's six commute products and its square sum."""
+    c = paley_conference(13)
+    products, grams = counted_products(monkeypatch), counted_grams(monkeypatch)
+    m = williamson_preset(c, preset)
+    assert is_orthogonal(m).alpha == 4 * 13 + {"all-c": 0, "two-shifted": 2,
+                                               "four-shifted": 4}[preset]
+    assert products == [] and grams == []
+    williamson(_reference_quadruple(c, preset))
+    assert products == [14] * 7 and grams == []
+
+
+@pytest.mark.parametrize("preset", SYMMETRIC_PRESETS)
+def test_a_preset_with_one_flipped_entry_raises(preset, monkeypatch):
+    """Every single-entry change of the tiled array is caught by the block comparison."""
+    c, tiled, where = paley_conference(5), constructions._tiled, []
+
+    def flipped(tiles, blocks):
+        out = tiled(tiles, blocks)
+        out.flat[where[-1]] = -out.flat[where[-1]] or 1
+        return out
+
+    monkeypatch.setattr(constructions, "_tiled", flipped)
+    for i in range(24 * 24):
+        where.append(i)
+        with pytest.raises(AssertionError, match="not the Williamson array"):
+            williamson_preset(c, preset)
 
 
 def test_conference_block():

@@ -127,6 +127,36 @@ def test_signed_graph_of_a_matrix_shares_its_array_and_verdict(monkeypatch):
     assert m._verdict is None
 
 
+def test_identity_is_a_signed_matrix_on_every_class():
+    """I_n's diagonal of ones is no signed adjacency: identity gives the SignedMatrix
+    I_n whichever of the three classes it is called on."""
+    for cls in (SignedMatrix, SignedGraph, Graph):
+        eye = cls.identity(3)
+        assert type(eye) is SignedMatrix and eye == SignedMatrix(np.eye(3))
+        assert eye.data.dtype == np.int8 and not eye.data.flags.writeable
+    with pytest.raises(ValueError, match=r"at least 1x1, got shape \(0, 0\)"):
+        SignedGraph.identity(0)
+
+
+def test_a_signed_graph_input_is_shared_unchecked(monkeypatch):
+    """A SignedGraph, a Graph too, is an adjacency by its type: all_positive and
+    SignedGraph share its array and run no symmetry check on it, while a SignedMatrix
+    is still checked."""
+    g = Graph.complete(512)
+    calls, is_symmetric = [], twoeig.core._is_symmetric
+
+    def counted(a, *args):
+        calls.append(a.shape[0])
+        return is_symmetric(a, *args)
+
+    monkeypatch.setattr(twoeig.core, "_is_symmetric", counted)
+    plus = SignedGraph.all_positive(g)
+    assert type(plus) is SignedGraph and plus.data is g.data and plus == g
+    assert SignedGraph(plus).data is g.data and SignedGraph(g).data is g.data
+    assert calls == []
+    assert SignedGraph(SignedMatrix(g.data)) == g and calls == [512]
+
+
 def test_checked_trusted_runs_each_class_check_once(monkeypatch):
     """The autouse fixture checks a _trusted array once, by the called class's own check:
     trit entries, signed adjacency or 0/1 adjacency, also for the inherited
