@@ -1,11 +1,11 @@
 """Signed matrices, signed graphs, graphs, and switching equivalence.
 
 Everything in this module is exact: entries live in {-1, 0, +1} (stored as
-int8), and a product identity such as C C^t = alpha I is checked on float32
-operands whose every partial sum is an integer below 2^24, two row panels
-packed into each product (_product_is says why that is the same integer
-identity, and _gram_is why half of a symmetric product decides it), so
-orthogonality is never a numerical judgement. There is one matrix type: a
+int8), and a product identity such as C C^t = alpha I is checked by one
+kernel, _product_is, on float32 operands whose every partial sum is an
+integer below 2^24, two row panels packed into each product (its docstring
+says why that is the same integer identity, and why half of a Gram product
+decides it), so orthogonality is never a numerical judgement. There is one matrix type: a
 SignedGraph is a SignedMatrix that is a signed adjacency (symmetric, zero
 diagonal), and a Graph is a SignedGraph with 0/1 entries, or none. Each level
 adds its own checks and views to the one read-only array, and equality and hash
@@ -93,21 +93,21 @@ def _packing(k: int) -> tuple[int, int]:
 
 
 def _packed_panel(x: np.ndarray, r0: int, base: int, width: int, pack):
-    """(rows, m, left) for the step of the panel loop at row r0 of x.
+    """(rows, m, left) for the step of the panel loop at row r0 of the C-ordered
+    float32 array x.
 
-    left is the float32 panel x[r0:r1] + base * x[r1:r1+m], r1 = r0 + rows:
-    the second panel's m rows are added into the first m rows of the first,
-    in pack (PANEL_ROWS x k float32). With width 1, and for a last panel
-    that no second one follows, m is 0 and left is x[r0:r1] itself, a view
-    when x is C-ordered float32, so a call of one panel makes no copy.
-    Those rows are read again only by the product of this step, so the
-    caller may overwrite left after it.
+    left is the panel x[r0:r1] + base * x[r1:r1+m], r1 = r0 + rows: the
+    second panel's m rows are added into the first m rows of the first, in
+    pack (PANEL_ROWS x k float32). With width 1, and for a last panel that
+    no second one follows, m is 0 and left is the view x[r0:r1], so a call
+    of one panel makes no copy. Those rows are read again only by the
+    product of this step, so the caller may overwrite left after it.
     """
     n = x.shape[0]
     r1 = min(r0 + PANEL_ROWS, n)
     m = min(r1 + PANEL_ROWS, n) - r1 if width == 2 else 0
     if not m:
-        return r1 - r0, 0, np.ascontiguousarray(x[r0:r1], dtype=np.float32)
+        return r1 - r0, 0, x[r0:r1]
     np.multiply(x[r1 : r1 + m], np.float32(base), out=pack[:m])
     pack[:m] += x[r0 : r0 + m]
     pack[m:] = x[r0 + m : r1]
@@ -127,14 +127,21 @@ def _add_packed_identity(a: np.ndarray, col: int, rows: int, m: int, base: int, 
         diagonal += base * value
 
 
-def _product_is(left: np.ndarray, right: np.ndarray, shift: int) -> bool:
-    """True iff left @ right == shift * I, two row panels per float32 product.
+def _product_is(left: np.ndarray, right: np.ndarray | None, shift: int, scale: int = 0) -> bool:
+    """True iff left @ right == scale * left + shift * I, two row panels per float32 product.
 
-    left (n x k) and right (k x n) hold entries in {-1, 0, 1}, so every
-    entry G of the product is an integer with |G| <= k, and |shift| <= k
-    (asserted). The rows [r0, r1) and [r1, r1 + m) of a pair are packed into
-    one panel X_a + B X_b with B = 2k + 1, and (X_a + B X_b) @ right is
-    compared with the packed target T_a + B T_b. Why this is exact:
+    left (n x k) and right (k x n) hold entries in {-1, 0, 1}; right None
+    stands for left^t, the Gram product. With scale != 0, left is square.
+    |scale|, |shift| <= k (asserted), so every entry G of the product and T
+    of the target is an integer of magnitude at most k. The callers'
+    identities are C C^t = alpha I (is_orthogonal: right None, shift alpha),
+    A^2 = -aA - bI for a signed adjacency A (the dense certificate: right
+    None, as A A = A A^t) and the Williamson commute and square-sum products.
+
+    The rows [r0, r1) and [r1, r1 + m) of a pair are packed into one panel
+    X_a + B X_b with B = 2k + 1, multiplied by right, and compared with the
+    packed target T_a + B T_b: scale times the packed panel itself, plus
+    shift at (i, r0 + i) and B shift at (i, r1 + i). Why this is exact:
     - Every operand of the packed product has magnitude at most B + 1, so
       every partial sum is an integer of magnitude at most k(2k + 2), and
       so is every packed target. _packing packs only while k(2k + 2) < 2^24,
@@ -145,11 +152,23 @@ def _product_is(left: np.ndarray, right: np.ndarray, shift: int) -> bool:
       comparison is the same integer identity, one product per pair.
     For k(2k + 2) >= 2^24 the same loop takes one panel per product, whose
     partial sums have magnitude at most k < 2^24 (asserted).
-    At most one float32 copy of right and one packed panel are alive at a
-    time, and the check stops at the first pair that differs. Every column
-    is compared, because a general product need not be symmetric; the
-    callers are the Williamson checks (constructions). A Gram product x x^t
-    goes to _gram_is, which forms half of it.
+
+    A Gram product multiplies the pair by left[r0:]^t and compares only the
+    columns r0..n-1. They include every entry with j >= i of both panels,
+    and that is the whole identity: left left^t and the target are both
+    symmetric, so a mismatch at (i, j) with i > j is also one at (j, i),
+    which the same or an earlier step compares. A pair costs one product of
+    PANEL_ROWS rows where two panels cost two, so at n = 2048 the trapezoid
+    takes 0.31 n^2 k multiplications, against 0.56 n^2 k unpacked and
+    n^2 k for the full product. Any other right is multiplied in full,
+    since a general product need not be symmetric.
+
+    The bounds are asserted before any float32 copy. An operand already
+    float32 is not copied, except left when scale != 0: the target is then
+    built in place in the packed panel, where scale 0 subtracts shift from
+    the product's two diagonals. At most the float32 operands and one packed
+    panel are alive at a time, and the check stops at the first pair that
+    differs.
     A panel matches when y.any() is False. That is the test a nonzero count
     makes: any also compares each entry with 0, so -0.0 is zero to both, and
     the entries are exact integers. On a 256 x 2048 panel any took 0.09 ms
@@ -158,62 +177,21 @@ def _product_is(left: np.ndarray, right: np.ndarray, shift: int) -> bool:
     """
     n, k = left.shape
     base, width = _packing(k)
-    assert abs(shift) <= k, f"target {shift} exceeds the inner dimension {k}"
-    right32 = right.astype(np.float32, copy=False)
-    pack = np.empty((PANEL_ROWS, k), dtype=np.float32) if n > PANEL_ROWS and width == 2 else None
-    for r0 in range(0, n, width * PANEL_ROWS):
-        rows, m, packed = _packed_panel(left, r0, base, width, pack)
-        y = packed @ right32
-        _add_packed_identity(y, r0, rows, m, base, -shift)
-        if y.any():
-            return False
-    return True
-
-
-def _gram_is(x: np.ndarray, scale: int, shift: int) -> bool:
-    """True iff x @ x^t == scale * x + shift * I, on the upper trapezoid of each pair.
-
-    x (n x k) has entries in {-1, 0, 1}; when scale != 0 it is also square
-    and symmetric with a zero diagonal. |scale|, |shift| <= k (asserted), so
-    every entry of x x^t and of the target is an integer of magnitude at
-    most k. The callers' identities are C C^t = alpha I (is_orthogonal:
-    scale 0, shift alpha) and A^2 = -aA - bI for a signed adjacency A (the
-    dense certificate, where A A = A A^t).
-
-    Two row panels X_a = x[r0:r1] and X_b = x[r1:r1+m] go into one product,
-    (X_a + B X_b) @ x[r0:]^t with B = 2k + 1, compared at the columns
-    r0..n-1 with the packed target T_a + B T_b: scale times the packed panel
-    itself, plus shift at (i, r0 + i) and B shift at (i, r1 + i). This is
-    the same integer identity, by _product_is's argument (sums below 2^24,
-    and a packed match forces both panels' match); for k(2k + 2) >= 2^24 the
-    loop takes one panel per product.
-
-    Columns j >= r0 include every entry with j >= i of both panels. That is
-    the whole identity: x x^t and the target are both symmetric, so a
-    mismatch at (i, j) with i > j is also one at (j, i), which the same or
-    an earlier step compares. A pair costs one product of PANEL_ROWS rows
-    where two panels cost two, so at n = 2048 the trapezoid takes
-    0.31 n^2 k multiplications, against 0.56 n^2 k unpacked and n^2 k for
-    the full product. Only one float32 copy of x and one packed panel are
-    alive at a time: the target is built in place in the packed panel, or,
-    when scale is 0, subtracted from the product's two diagonals. A panel
-    matches when y.any() is False, the same zero test as _product_is's.
-    """
-    n, k = x.shape
-    base, width = _packing(k)
     assert max(abs(scale), abs(shift)) <= k, f"target exceeds the inner dimension {k}"
-    x32 = x.astype(np.float32, order="C")
+    left32 = (np.array if scale else np.asarray)(left, dtype=np.float32, order="C")
+    right32 = None if right is None else np.asarray(right, dtype=np.float32)
     pack = np.empty((PANEL_ROWS, k), dtype=np.float32) if n > PANEL_ROWS and width == 2 else None
     for r0 in range(0, n, width * PANEL_ROWS):
-        rows, m, left = _packed_panel(x32, r0, base, width, pack)
-        y = left @ x32[r0:].T
+        rows, m, packed = _packed_panel(left32, r0, base, width, pack)
+        col = r0 if right is None else 0
+        y = packed @ (left32[col:].T if right is None else right32)
         if scale:
-            target = left[:, r0:]
+            target = packed[:, col:]
             target *= scale
-            _add_packed_identity(left, r0, rows, m, base, shift)
+            _add_packed_identity(packed, r0, rows, m, base, shift)
             y -= target
         else:
-            _add_packed_identity(y, 0, rows, m, base, -shift)
+            _add_packed_identity(y, r0 - col, rows, m, base, -shift)
         if y.any():
             return False
     return True
@@ -676,7 +654,8 @@ def is_orthogonal(c: SignedMatrix) -> OrthogonalityCertificate | None:
     """Certificate with CC^t = C^tC = alpha I, checked in exact integer arithmetic.
 
     alpha can only be (CC^t)_00, the support size of row 0. Only CC^t = alpha I
-    is checked (by _gram_is, on and above the diagonal): for square C with
+    is checked (by the Gram product _product_is(c, None, alpha), on and above
+    the diagonal): for square C with
     alpha >= 1 it makes C invertible with C^-1 = C^t / alpha, and a one-sided
     inverse of a square matrix is two-sided, so C^tC = alpha I follows.
 
@@ -700,7 +679,7 @@ def _orthogonality(c: np.ndarray) -> OrthogonalityCertificate | None:
     Only is_orthogonal calls it, and the tests, as the route that every kept
     verdict must agree with."""
     alpha = int(np.count_nonzero(c[0]))
-    if alpha < 1 or not _gram_is(c, 0, alpha):
+    if alpha < 1 or not _product_is(c, None, alpha):
         return None
     return OrthogonalityCertificate(alpha)
 

@@ -26,9 +26,9 @@ from .core import (
     OrthogonalityCertificate,
     SignedGraph,
     SignedMatrix,
-    _gram_is,
     _is_symmetric,
     _keep_half,
+    _product_is,
     _star_half,
     ground,
     is_orthogonal,
@@ -67,7 +67,7 @@ def json_float(v: float) -> float:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues as (value, multiplicity) pairs, descending by value."""
+    """Eigenvalues as (value, multiplicity) pairs, finite and descending by value."""
 
     pairs: tuple[tuple[float, int], ...]
 
@@ -75,6 +75,8 @@ class Spectrum:
         if not self.pairs:
             raise ValueError("spectrum must contain at least one eigenvalue")
         for v, m in self.pairs:
+            if not math.isfinite(v):
+                raise ValueError(f"eigenvalue {v} is not finite")
             if m < 1:
                 raise ValueError(f"multiplicity of {v} must be positive, got {m}")
         vals = [v for v, _ in self.pairs]
@@ -169,11 +171,10 @@ def _refuse_past_eigvalsh(order: int) -> None:
 
 def _to_symmetric_float(m) -> np.ndarray:
     a = m.data if isinstance(m, SignedMatrix) else np.asarray(m)
-    if a.ndim == 2 and a.shape[0] == a.shape[1]:
-        _refuse_past_eigvalsh(a.shape[0])
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    _refuse_past_eigvalsh(a.shape[0])
     out = np.array(a, dtype=np.float64)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {out.shape}")
     if out.shape[0] < 1:
         raise ValueError("matrix must have positive order")
     if not np.isfinite(out).all():
@@ -208,7 +209,7 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
     A^2 + aA + bI = 0 pins (a, b) down: its (0, 0) entry gives b = -deg(v0),
     and at a nonzero entry A_0j it gives a = -(A^2)_0j A_0j. The identity is
     then verified at every entry on and above the diagonal, A^2 = A A^t two
-    float32 row panels per product (see core._gram_is), which is exact
+    float32 row panels per product (see core._product_is), which is exact
     because every entry of A^2 and of -aA - bI is an integer of magnitude at
     most n, and enough because both are symmetric. Returns None when no such
     quadratic annihilates A. deg(v0) >= 1 here, so the discriminant
@@ -238,7 +239,7 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
     j = int(row.nonzero()[0][0])
     a = -int(data[j].astype(np.float32) @ row) * int(row[j])
     b = -degree
-    if not _gram_is(data, -a, -b):
+    if not _product_is(data, None, -b, -a):
         return None
     return _solved(sg.n, a, b)
 

@@ -49,16 +49,17 @@ def checked_trusted(request, monkeypatch):
     its array, so each derivation that skips them is still shown to give a valid object.
     An empty matrix goes on to _trusted itself, which rejects it with the public message.
     Every kept orthogonality verdict that is_orthogonal returns is also proven afresh by
-    core._orthogonality on the matrix's array, with the unpatched Gram kernel (a test may
-    count its calls), so a kept verdict is held to the exact route. An invalid array or a
-    differing verdict fails the test (pytest.fail is not an exception the code catches)."""
-    gram_is, stored = core._gram_is, core._stored_verdict
+    core._orthogonality on the matrix's array, with the unpatched product kernel (a test
+    may count its calls), so a kept verdict is held to the exact route. An invalid array
+    or a differing verdict fails the test (pytest.fail is not an exception the code
+    catches)."""
+    product_is, stored = core._product_is, core._stored_verdict
 
     def checked_verdict(m):
         memo = stored(m)
         if memo is not None:
             with monkeypatch.context() as patch:
-                patch.setattr(core, "_gram_is", gram_is)
+                patch.setattr(core, "_product_is", product_is)
                 fresh = core._orthogonality(m.data)
             if fresh != memo[1]:
                 pytest.fail(f"kept verdict {memo[1]} differs from the exact route's {fresh}")
@@ -100,33 +101,34 @@ def count_eigvalsh(monkeypatch) -> list[tuple[int, ...]]:
     return shapes
 
 
+def _counted_kernel(monkeypatch) -> dict[bool, list[int]]:
+    """The row counts of the exact products checked from here on, keyed by whether each
+    is a Gram product (right is None), through core._product_is and the names spectra
+    (the dense certificate) and constructions (the Williamson checks) imported it by.
+    The kernel is patched once per test, so two counters read the same calls."""
+    kernel = core._product_is
+    if hasattr(kernel, "rows"):
+        return kernel.rows
+    rows = {True: [], False: []}
+
+    def counted(left, right, shift, scale=0):
+        rows[right is None].append(left.shape[0])
+        return kernel(left, right, shift, scale)
+
+    counted.rows = rows
+    for module in (core, spectra, constructions):
+        monkeypatch.setattr(module, "_product_is", counted)
+    return rows
+
+
 def counted_grams(monkeypatch) -> list[int]:
-    """The orders of the Gram products formed from here on, through core._gram_is and
-    through the name spectra imported it by (the dense certificate's route)."""
-    orders, gram_is = [], core._gram_is
-
-    def counted(x, scale, shift):
-        orders.append(x.shape[0])
-        return gram_is(x, scale, shift)
-
-    monkeypatch.setattr(core, "_gram_is", counted)
-    monkeypatch.setattr(spectra, "_gram_is", counted)
-    return orders
+    """The orders of the Gram products x x^t formed from here on."""
+    return _counted_kernel(monkeypatch)[True]
 
 
 def counted_products(monkeypatch) -> list[int]:
-    """The row counts of the general products checked from here on, through
-    core._product_is and through the name constructions imported it by (the Williamson
-    commute and square-sum checks)."""
-    rows, product_is = [], core._product_is
-
-    def counted(left, right, shift):
-        rows.append(left.shape[0])
-        return product_is(left, right, shift)
-
-    monkeypatch.setattr(core, "_product_is", counted)
-    monkeypatch.setattr(constructions, "_product_is", counted)
-    return rows
+    """The row counts of the general products checked from here on."""
+    return _counted_kernel(monkeypatch)[False]
 
 
 def edge_signs(sg: SignedGraph) -> dict[tuple[int, int], int]:
@@ -212,9 +214,9 @@ def odd_product_triples(a) -> list[tuple[int, int, int]]:
             if int(a[x, y]) * int(a[x, z]) * int(a[y, z]) == -1]
 
 
-# The full-panel product check that core._gram_is halves: every column of every
-# float32 row panel of X X^t against the whole target, so no entry is left to
-# symmetry. The oracle for is_orthogonal and the dense two-eigenvalue route.
+# The full-panel product check that core._product_is halves for a Gram product: every
+# column of every float32 row panel of X X^t against the whole target, so no entry is
+# left to symmetry. The oracle for is_orthogonal and the dense two-eigenvalue route.
 
 
 def full_panel_gram_oracle(x: np.ndarray, target: np.ndarray) -> bool:

@@ -29,7 +29,7 @@ from twoeig import (
 from twoeig.cli import _build_parser, _render, main
 from twoeig.io import format_matrix, format_signed_graph, format_triples, parse_matrix
 
-from conftest import K6_MATRIX, K6_TRIPLES, odd_product_triples
+from conftest import K6_MATRIX, K6_TRIPLES, counted_grams, odd_product_triples
 
 ONE_NEGATIVE_C4 = "4 4\n1 2 1\n2 3 1\n3 4 1\n1 4 -1\n"
 ALL_POSITIVE_C4 = "4 4\n1 2\n2 3\n3 4\n1 4\n"
@@ -88,16 +88,7 @@ def test_gen_certify_reuses_the_construction_certificate(tmp_path, capsys, monke
     kron makes Gram products only for its two factors, double, conference-block and
     every Williamson preset for their input, and hadamard none. Only conference checks
     its output by a Gram product."""
-    from twoeig import core
-
-    calls = []
-    gram_is = core._gram_is
-
-    def counted(x, scale, shift):
-        calls.append(x)
-        return gram_is(x, scale, shift)
-
-    monkeypatch.setattr(core, "_gram_is", counted)
+    calls = counted_grams(monkeypatch)
     h, c = tmp_path / "h.txt", tmp_path / "c.txt"
     h.write_text(format_matrix(sylvester_hadamard(2)))
     c.write_text(format_matrix(paley_conference(5)))

@@ -197,6 +197,26 @@ def test_no_module_reads_a_matrix_attribute():
     assert readers == []
 
 
+def test_one_panel_loop_checks_every_exact_product():
+    """core._product_is is the one exact product kernel: it is the only function that
+    calls _packing and _packed_panel, and no module defines, imports or names a second
+    kernel such as _gram_is, so every packing or chunking route goes into its loop."""
+    callers, named = {"_packing": set(), "_packed_panel": set()}, []
+    for path in sorted(Path(twoeig.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call):
+                        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                        callers.get(name, set()).add(f"{path.stem}.{fn.name}")
+        named += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                  if "_gram_is" in (getattr(node, "name", None), getattr(node, "asname", None),
+                                    getattr(node, "id", None), getattr(node, "attr", None))]
+    assert callers == {"_packing": {"core._product_is"}, "_packed_panel": {"core._product_is"}}
+    assert named == []
+
+
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError, match="loop"):
         Graph(3, [(1, 1)])

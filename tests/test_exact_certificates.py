@@ -22,7 +22,7 @@ from twoeig import (
     williamson_preset,
 )
 from twoeig import core, spectra
-from twoeig.core import FLOAT32_EXACT_BOUND, PANEL_ROWS, _gram_is, _packing, _product_is
+from twoeig.core import FLOAT32_EXACT_BOUND, PANEL_ROWS, _packing, _product_is
 
 from conftest import (
     annihilated_oracle,
@@ -125,6 +125,16 @@ def test_random_stars_match_int64_oracle_on_both_routes():
 PANEL_ORDERS = [k * PANEL_ROWS + d for k in (1, 2, 4) for d in (-4, 0, 4)]
 
 
+def sparse_gram(x: np.ndarray) -> np.ndarray:
+    """x x^t in int64: row i is the sum of x[i, l] x[:, l] over the nonzero entries
+    x[i, l], so a row of few nonzeros costs a few vectors and no int64 matmul."""
+    w = x.astype(np.int64)
+    rows, cols = np.nonzero(w)
+    g = np.zeros((len(w), len(w)), dtype=np.int64)
+    np.add.at(g, rows, w[rows, cols, None] * w[:, cols].T)
+    return g
+
+
 def h2_blocks(rng, n: int) -> np.ndarray:
     """Block-diagonal 2x2 Hadamard blocks with random row and column signs: alpha = 2."""
     c = np.kron(np.eye(n // 2, dtype=np.int8), np.array([[1, 1], [1, -1]], dtype=np.int8))
@@ -173,7 +183,8 @@ def test_general_route_detects_a_flip_in_first_and_last_panel(n):
 
 @pytest.mark.parametrize("n", PANEL_ORDERS)
 def test_half_products_agree_with_the_full_panel_oracle(n):
-    """One flip in the first, a middle and the last panel, on both Gram routes."""
+    """One flip in the first, a middle and the last panel, on both Gram routes and on
+    both of the kernel's column ranges, against an int64 oracle."""
     rng = np.random.default_rng(n + 2)
     mid = n // 2 - n // 2 % 4
     c = h2_blocks(rng, n)
@@ -190,6 +201,12 @@ def test_half_products_agree_with_the_full_panel_oracle(n):
         assert (certify_two_eigenvalues(SignedGraph(x)) is not None) == annihilated_oracle(x)
     assert orthogonal_oracle(c) and annihilated_oracle(a)
     assert not any(map(orthogonal_oracle, flips[1:])) and not any(map(annihilated_oracle, edges[1:]))
+    # the kernel's two column ranges, the Gram trapezoid and the full product, on the
+    # targets 2I and 2A + 3I
+    for xs, shift, scale in ((flips, 2, 0), (edges, 3, 2)):
+        for x in xs:
+            want = np.array_equal(sparse_gram(x), scale * x + shift * np.eye(n, dtype=np.int64))
+            assert _product_is(x, None, shift, scale) is _product_is(x, x.T, shift, scale) is want
 
 
 @pytest.mark.parametrize("n", PANEL_ORDERS)
@@ -326,7 +343,7 @@ def test_gram_kernel_at_the_packing_bound(k):
     flipped[PANEL_ROWS + 3, 5 * (2 * PANEL_ROWS + 2)] = 1
     for arr, want in ((x, True), (antipodal, False), (flipped, False)):
         assert full_panel_gram_oracle(arr, 5 * np.eye(n)) is want
-        assert _gram_is(arr, 0, 5) is want
+        assert _product_is(arr, None, 5) is want
     g = antipodal.astype(np.int64) @ antipodal[2 * PANEL_ROWS + 1].astype(np.int64)
     assert g[PANEL_ROWS + 1] == -k and g[2 * PANEL_ROWS + 1] == k
 
@@ -343,8 +360,8 @@ def test_zero_test_rejects_one_flip_in_the_last_panel_pair():
     diff = flipped.astype(np.int64) @ flipped.T.astype(np.int64) - 4 * np.eye(1024, dtype=np.int64)
     rows, cols = np.nonzero(diff)
     assert rows.size and rows.min() >= 3 * PANEL_ROWS and cols.min() >= 3 * PANEL_ROWS
-    assert _gram_is(x, 0, 4) and _product_is(x, x.T, 4)
-    assert not _gram_is(flipped, 0, 4) and not _product_is(flipped, flipped.T, 4)
+    assert _product_is(x, None, 4) and _product_is(x, x.T, 4)
+    assert not _product_is(flipped, None, 4) and not _product_is(flipped, flipped.T, 4)
 
 
 def test_nonsymmetric_orthogonal_matrices_keep_their_alpha():

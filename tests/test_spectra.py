@@ -51,6 +51,12 @@ def test_spectrum_invariants():
         Spectrum(((1.0, 0),))
     with pytest.raises(ValueError, match="at least one"):
         Spectrum.from_values([])
+    # a NaN compares false with every value, so grouping would merge 1.0 into {nan: 2}
+    for values in ([1.0, math.nan], [math.inf, 1.0], [-math.inf]):
+        with pytest.raises(ValueError, match="is not finite"):
+            Spectrum.from_values(values)
+    with pytest.raises(ValueError, match="nan is not finite"):
+        Spectrum(((math.nan, 1),))
 
 
 def test_spectrum_close_to():
@@ -125,6 +131,21 @@ def test_eigenvalues_refuse_orders_above_4096_before_any_copy(count_eigvalsh):
     assert count_eigvalsh == []
     with pytest.raises(ValueError, match="square"):
         eigenvalues_symmetric(np.zeros((4097, 3)))
+
+
+def test_eigenvalues_refuse_a_non_square_input_before_any_copy():
+    """A 1 x 3,000,000 matrix and a 2 x 1000 x 1000 array are refused by their shape
+    before any float64 copy, which would take 24 MB and 16 MB."""
+    for m in (SignedMatrix(np.ones((1, 3_000_000), dtype=np.int8)),
+              np.zeros((2, 1000, 1000), dtype=np.int8)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^matrix must be square, got shape \("):
+                eigenvalues_symmetric(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_spectrum_text_has_no_signed_zero():
