@@ -164,7 +164,8 @@ def cmd_verify(args) -> RunReport:
     """One certificate decides every line: symmetric zero-diagonal M has M^2 = alpha I iff
     it certifies with a = 0, b = -alpha (zero trace rules out odd orders); star(M) certifies
     iff M is orthogonal, with a = 0, alpha = -b, so it is built only for eigvalsh, which
-    only uncertified input reaches, and only at an order eigvalsh solves."""
+    only uncertified input reaches, and only at an order eigvalsh solves. An all-zero M
+    has the one eigenvalue 0 and no certificate: a failed verdict, not bad input."""
     report = RunReport("verify", {"file": args.file})
     m = io.parse_matrix(_read_text(args.file))
     if not m.is_square:
@@ -173,7 +174,8 @@ def cmd_verify(args) -> RunReport:
         sg, obj = core.SignedGraph(m), "matrix"
     except ValueError:
         sg, obj = None, "star"
-    cert = spectra.star_certificate(m) if sg is None else spectra.certify_two_eigenvalues(sg)
+    cert = (spectra.star_certificate(m) if sg is None
+            else spectra.certify_two_eigenvalues(sg) if sg.data.any() else None)
     orthogonal = cert is not None and cert.a == 0
     report.add("orthogonal", core.OrthogonalityCertificate(-cert.b) if orthogonal else None)
     report.add("certified object", obj)

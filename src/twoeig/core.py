@@ -2,14 +2,14 @@
 
 Everything in this module is exact: entries live in {-1, 0, +1} (stored as
 int8), and a product identity such as C C^t = alpha I is checked by one
-kernel, _product_is, on float32 operands whose every partial sum is an
-integer below 2^24, two row panels packed into each product (its docstring
-says why that is the same integer identity, and why half of a Gram product
-decides it), so orthogonality is never a numerical judgement. There is one matrix type: a
-SignedGraph is a SignedMatrix that is a signed adjacency (symmetric, zero
-diagonal), and a Graph is a SignedGraph with 0/1 entries, or none. Each level
-adds its own checks and views to the one read-only array, and equality and hash
-go by shape and entries across the three.
+kernel, _product_is: float32 products of packed row-panel pairs, over inner
+chunks whose every partial sum is an integer below 2^24, added in float64 when
+there are several (its docstring says why that is the same integer identity,
+and why half of a Gram product decides it), so orthogonality is never a
+numerical judgement. There is one matrix type: a SignedGraph is a SignedMatrix
+that is a signed adjacency (symmetric, zero diagonal), and a Graph is a
+SignedGraph with 0/1 entries, or none. Each level adds its checks and views to
+the one read-only array; equality and hash go by shape and entries across all three.
 Arrays are validated once, by the public constructors: a derivation whose
 validity follows from its validated input (star, ground, a switching) wraps
 its fresh array with the private _trusted constructor, with no check or copy.
@@ -85,27 +85,25 @@ def _as_trit_array(data) -> np.ndarray:
 
 
 def _packing(k: int) -> tuple[int, int]:
-    """(B, width) for inner dimension k: B = 2k + 1, and two row panels per
-    product (width 2) while k(2k + 2) < 2^24, else one (width 1)."""
-    assert k < FLOAT32_EXACT_BOUND, f"inner dimension {k} is too large for exact float32 sums"
-    base = 2 * k + 1
-    return base, 2 if k * (base + 1) < FLOAT32_EXACT_BOUND else 1
+    """(B, kc) for inner dimension k: B = 2k + 1, and kc = (2^24 - 1) // (2k + 2), the
+    widest inner chunk whose packed partial sums stay below 2^24 (kc >= k to 2895)."""
+    kc = (FLOAT32_EXACT_BOUND - 1) // (2 * k + 2)
+    assert kc >= 1, f"inner dimension {k} is too large for exact float32 sums"
+    return 2 * k + 1, kc
 
 
-def _packed_panel(x: np.ndarray, r0: int, base: int, width: int, pack):
+def _packed_panel(x: np.ndarray, r0: int, base: int, pack):
     """(rows, m, left) for the step of the panel loop at row r0 of the C-ordered
     float32 array x.
 
     left is the panel x[r0:r1] + base * x[r1:r1+m], r1 = r0 + rows: the
     second panel's m rows are added into the first m rows of the first, in
-    pack (PANEL_ROWS x k float32). With width 1, and for a last panel that
-    no second one follows, m is 0 and left is the view x[r0:r1], so a call
-    of one panel makes no copy. Those rows are read again only by the
-    product of this step, so the caller may overwrite left after it.
+    pack (PANEL_ROWS x k float32). For a last panel that no second one
+    follows, m is 0 and left is the view x[r0:r1], with no copy.
     """
     n = x.shape[0]
     r1 = min(r0 + PANEL_ROWS, n)
-    m = min(r1 + PANEL_ROWS, n) - r1 if width == 2 else 0
+    m = min(r1 + PANEL_ROWS, n) - r1
     if not m:
         return r1 - r0, 0, x[r0:r1]
     np.multiply(x[r1 : r1 + m], np.float32(base), out=pack[:m])
@@ -114,44 +112,34 @@ def _packed_panel(x: np.ndarray, r0: int, base: int, width: int, pack):
     return PANEL_ROWS, m, pack
 
 
-def _add_packed_identity(a: np.ndarray, col: int, rows: int, m: int, base: int, value: int) -> None:
-    """Add value at (i, col + i) for i < rows and base * value at
-    (i, col + PANEL_ROWS + i) for i < m: value * I on a packed pair of
-    panels. a is C-contiguous, so its ravel is a view."""
-    flat = a.ravel()
-    step = a.shape[1] + 1
-    diagonal = flat[col : col + rows * step : step]
-    diagonal += value
-    if m:
-        diagonal = flat[col + PANEL_ROWS : col + PANEL_ROWS + m * step : step]
-        diagonal += base * value
-
-
 def _product_is(left: np.ndarray, right: np.ndarray | None, shift: int, scale: int = 0) -> bool:
-    """True iff left @ right == scale * left + shift * I, two row panels per float32 product.
+    """True iff left @ right == scale * left + shift * I, two row panels per product.
 
-    left (n x k) and right (k x n) hold entries in {-1, 0, 1}; right None
-    stands for left^t, the Gram product. With scale != 0, left is square.
-    |scale|, |shift| <= k (asserted), so every entry G of the product and T
-    of the target is an integer of magnitude at most k. The callers'
-    identities are C C^t = alpha I (is_orthogonal: right None, shift alpha),
-    A^2 = -aA - bI for a signed adjacency A (the dense certificate: right
-    None, as A A = A A^t) and the Williamson commute and square-sum products.
+    left (n x k) and right hold entries in {-1, 0, 1}; right None stands for
+    left^t, the Gram product. With scale != 0, left @ right has left's shape
+    and left[i, i] = 0. |scale|, |shift| <= k (asserted), so every entry G of
+    the product and T of the target is an integer of magnitude at most k. The
+    callers' identities are C C^t = alpha I (is_orthogonal: right None, shift
+    alpha), A^2 = -aA - bI for a signed adjacency A (the dense certificate:
+    right None, as A A = A A^t) and the Williamson commute and square-sum
+    products.
 
     The rows [r0, r1) and [r1, r1 + m) of a pair are packed into one panel
     X_a + B X_b with B = 2k + 1, multiplied by right, and compared with the
-    packed target T_a + B T_b: scale times the packed panel itself, plus
-    shift at (i, r0 + i) and B shift at (i, r1 + i). Why this is exact:
-    - Every operand of the packed product has magnitude at most B + 1, so
-      every partial sum is an integer of magnitude at most k(2k + 2), and
-      so is every packed target. _packing packs only while k(2k + 2) < 2^24,
-      below which float32 holds every integer and each BLAS addition is
-      exact whatever its order.
+    packed target T_a + B T_b: scale times the packed panel, plus shift at
+    (i, r0 + i) and B shift at (i, r1 + i). Only a last panel with no
+    partner goes alone. Why this is exact:
+    - A packed operand entry has magnitude at most B + 1 = 2k + 2, so the
+      partial sums of a float32 product over a chunk of kc inner columns
+      (_packing) are integers below kc(2k + 2) < 2^24: float32 holds them,
+      and each BLAS addition is exact whatever its order.
+    - One chunk covers k up to k = 2895. Past it, the chunk products are
+      added into one float64 block, exactly: all are integers below
+      k(2k + 2) < 2^53. A packed target entry is at most k(2k + 2) too, and
+      is formed and subtracted in the product's dtype.
     - Equality forces G_a - T_a = B (T_b - G_b), a multiple of B, but
       |G_a - T_a| <= 2k < B, so G_a = T_a and then G_b = T_b: the packed
       comparison is the same integer identity, one product per pair.
-    For k(2k + 2) >= 2^24 the same loop takes one panel per product, whose
-    partial sums have magnitude at most k < 2^24 (asserted).
 
     A Gram product multiplies the pair by left[r0:]^t and compares only the
     columns r0..n-1. They include every entry with j >= i of both panels,
@@ -159,39 +147,38 @@ def _product_is(left: np.ndarray, right: np.ndarray | None, shift: int, scale: i
     symmetric, so a mismatch at (i, j) with i > j is also one at (j, i),
     which the same or an earlier step compares. A pair costs one product of
     PANEL_ROWS rows where two panels cost two, so at n = 2048 the trapezoid
-    takes 0.31 n^2 k multiplications, against 0.56 n^2 k unpacked and
+    takes 0.31 n^2 k multiplications, against 0.56 n^2 k panel by panel and
     n^2 k for the full product. Any other right is multiplied in full,
     since a general product need not be symmetric.
 
-    The bounds are asserted before any float32 copy. An operand already
-    float32 is not copied, except left when scale != 0: the target is then
-    built in place in the packed panel, where scale 0 subtracts shift from
-    the product's two diagonals. At most the float32 operands and one packed
-    panel are alive at a time, and the check stops at the first pair that
-    differs.
-    A panel matches when y.any() is False. That is the test a nonzero count
-    makes: any also compares each entry with 0, so -0.0 is zero to both, and
-    the entries are exact integers. On a 256 x 2048 panel any took 0.09 ms
-    and np.count_nonzero 0.42 ms (2-vCPU host); below about 40 x 40 the count
-    is the faster, by at most 1 us.
+    The bounds are asserted before any float32 copy, and an operand already
+    float32 is not copied. At most the float32 operands, one packed panel,
+    its product (past k = 2895, a float64 block and one chunk product) and
+    the scale target are alive at a time; the check stops at the first pair
+    that differs.
+    A panel matches when y.any() is False (-0.0 is zero to it): on a 256 x 2048
+    panel any took 0.09 ms and np.count_nonzero 0.42 ms (2-vCPU host); below
+    about 40 x 40 the count is the faster, by at most 1 us.
     """
     n, k = left.shape
-    base, width = _packing(k)
+    base, kc = _packing(k)
     assert max(abs(scale), abs(shift)) <= k, f"target exceeds the inner dimension {k}"
-    left32 = (np.array if scale else np.asarray)(left, dtype=np.float32, order="C")
+    left32 = np.asarray(left, dtype=np.float32, order="C")
     right32 = None if right is None else np.asarray(right, dtype=np.float32)
-    pack = np.empty((PANEL_ROWS, k), dtype=np.float32) if n > PANEL_ROWS and width == 2 else None
-    for r0 in range(0, n, width * PANEL_ROWS):
-        rows, m, packed = _packed_panel(left32, r0, base, width, pack)
-        col = r0 if right is None else 0
-        y = packed @ (left32[col:].T if right is None else right32)
+    pack = np.empty((PANEL_ROWS, k), dtype=np.float32) if n > PANEL_ROWS else None
+    for r0 in range(0, n, 2 * PANEL_ROWS):
+        rows, m, packed = _packed_panel(left32, r0, base, pack)
+        col, other = (r0, left32[r0:].T) if right is None else (0, right32)
+        y = packed @ other if kc >= k else packed[:, :kc] @ other[:kc]
+        for c0 in range(kc, k, kc):  # float64 holds the sums of several chunks exactly
+            y = y.astype(np.float64, copy=False)
+            y += packed[:, c0 : c0 + kc] @ other[c0 : c0 + kc]
         if scale:
-            target = packed[:, col:]
-            target *= scale
-            _add_packed_identity(packed, r0, rows, m, base, shift)
-            y -= target
-        else:
-            _add_packed_identity(y, r0 - col, rows, m, base, -shift)
+            y -= np.multiply(packed[:, col:], scale, dtype=y.dtype)
+        if shift:  # y is C-contiguous, so y.ravel() is a view
+            y.ravel()[r0 - col :: y.shape[1] + 1][:rows] -= shift
+            if m:
+                y.ravel()[r0 - col + PANEL_ROWS :: y.shape[1] + 1][:m] -= base * shift
         if y.any():
             return False
     return True

@@ -22,11 +22,11 @@ the lines, counts their tokens and checks the token grammar on the text's
 bytes, then reads all data integers. It works on row blocks of about
 _BLOCK_BYTES (256 KB), each ending after a "\n": every pass over a block
 stays in cache, and a parse holds the text, its result and one block's
-working arrays (at order 2048, 1.6 times the text's bytes). When every token
-has one digit, as in every trit matrix, each is decoded from its digit byte
-and the byte before it, block by block into one int8 array; otherwise (a
-label of two or more digits, or a short text) one np.fromstring call reads
-the whole range into int64, which saturates instead of wrapping. Every check
+working arrays (at order 2048, 1.6 times the text's bytes). A long text's
+integers are read block by block into one array: a block of one-digit tokens,
+as in every trit matrix, is decoded from its digit bytes and the bytes before
+them, any other (labels, or a "01") is read by np.fromstring, which saturates
+instead of wrapping; a short text's by one np.fromstring call. Every check
 is an array expression, an edge's in the one edge validator,
 core._edge_array; triples are returned as a (t, 3) array. Python reads only
 the header, the annotations, and on bad input the one line that the error
@@ -37,6 +37,7 @@ bytes.translate pass.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -182,52 +183,54 @@ class _Lines:
             return k1
         return int(np.searchsorted(self.begin, self.bad[i], side="right")) - 1
 
-    def integers(self, k0: int, k1: int) -> np.ndarray:
+    def integers(self, k0: int, k1: int, dtype=np.int64) -> np.ndarray:
         """The tokens of lines [k0, k1), k0 >= 1 and all in the grammar, as one flat
-        array: int8 read straight from the bytes when each token has one digit and
-        the lines span at least _DECODE_MIN_BYTES bytes, else int64 from
-        np.fromstring, which saturates instead of wrapping.
-
-        Every token has at least one digit, so the tokens all have exactly one
-        when the digit bytes are as many as the tokens. Each is then its digit,
-        negated when the byte before it is "-": "+1", "-0" and "01" read as
-        Python int reads them ("01" has two digits and goes to np.fromstring).
-        The digits are decoded one block at a time into the one int8 result, so
-        beside it a decode holds a few bytes per block byte; a block with more
-        digit bytes than the tokens left sends the whole range to np.fromstring.
-        """
+        array: int64 by one np.fromstring call below _DECODE_MIN_BYTES bytes, else
+        dtype, a block at a time, holding a few bytes per block byte beside it. A
+        block of one-digit tokens is decoded (_digits), any other read by
+        np.fromstring, whose int64 values saturate, and saturated into dtype, so an
+        entry out of range stays out of range. An int8 read (entries, where "01" is
+        rare) tries every block; a wider one (labels, where a two-digit one means
+        more follow) decodes no block after its first np.fromstring block."""
         if k0 >= k1:
             return np.zeros(0, dtype=np.int64)
         lo, hi = int(self.begin[k0]), int(self.end[k1 - 1])
-        if hi - lo >= _DECODE_MIN_BYTES:
-            values = self._digits(lo, hi, int(self.count[k0:k1].sum()))
-            if values is not None:
-                return values
-        body = self.bytes[lo:hi]
-        if any(c in self.raw for c in b"\x1c\x1d\x1e\x1f"):
-            body = np.frombuffer(self.raw[lo:hi].translate(_FROMSTRING_SPACE), dtype=np.uint8)
+        if hi - lo < _DECODE_MIN_BYTES:
+            return self._fromstring(lo, hi)
+        bounds = [lo, *(c for c in self.cuts if lo < c < hi), hi]
+        ends = np.concatenate(([0], np.cumsum(self.count[k0:k1])))
+        starts = ends[np.searchsorted(self.begin[k0:k1], bounds)].tolist()
+        values, info, decode = np.empty(starts[-1], dtype=dtype), np.iinfo(dtype), True
+        for a, b, t0, t1 in zip(bounds, bounds[1:], starts, starts[1:]):
+            if not (decode and self._digits(a, b, values[t0:t1])):
+                decode = info.bits == 8
+                np.clip(self._fromstring(a, b), info.min, info.max, values[t0:t1], casting="unsafe")
+        return values
+
+    @functools.cached_property
+    def controls(self) -> bool:  # separators that np.fromstring does not skip, looked for once
+        return any(c in self.raw for c in b"\x1c\x1d\x1e\x1f")
+
+    def _fromstring(self, lo: int, hi: int) -> np.ndarray:
+        body = self.raw[lo:hi].translate(_FROMSTRING_SPACE) if self.controls else self.bytes[lo:hi]
         return np.fromstring(body, dtype=np.int64, sep=" ")
 
-    def _digits(self, lo: int, hi: int, tokens: int) -> np.ndarray | None:
-        """The tokens of bytes [lo, hi), lo >= 1, as int8 when the digit bytes are
-        as many as the tokens, else None."""
-        values = np.empty(tokens, dtype=np.int8)
-        done = 0
-        for a, b in zip(self.cuts, self.cuts[1:]):
-            a, b = max(a, lo), min(b, hi)
-            if a >= b:
-                continue
-            # each byte as a digit, negated after a "-"; the header line precedes lo
-            digits = self.bytes[a:b] - np.uint8(ord("0"))
-            at = np.flatnonzero(digits < 10)
-            if done + at.size > tokens:
-                return None
-            digits = digits.view(np.int8)
-            digits *= 1 - 2 * (self.bytes[a - 1 : b - 1] == ord("-")).view(np.int8)
-            # every position is in range, and "clip" writes out without a buffer
-            digits.take(at, out=values[done : done + at.size], mode="clip")
-            done += at.size
-        return values if done == tokens else None
+    def _digits(self, lo: int, hi: int, out: np.ndarray) -> bool:
+        """Decode the tokens of bytes [lo, hi), lo >= 1, into out if its digit bytes are as
+        many as its tokens (out.size), so that each has one: its digit, negated after a
+        "-", as Python int reads "+1" and "-0" ("01" has two and is not decoded)."""
+        # each byte as a digit, negated after a "-"; the header line precedes lo
+        digits = self.bytes[lo:hi] - np.uint8(ord("0"))
+        at = np.flatnonzero(digits < 10)
+        if at.size != out.size:
+            return False
+        digits = digits.view(np.int8)
+        digits *= 1 - 2 * (self.bytes[lo - 1 : hi - 1] == ord("-")).view(np.int8)
+        if out.dtype == np.int8:  # every position is in range, and "clip" needs no buffer
+            digits.take(at, out=out, mode="clip")
+        else:
+            out[:] = digits[at]
+        return True
 
 
 def _integer(token: str) -> int:
@@ -317,7 +320,7 @@ def parse_matrix(text: str) -> SignedMatrix:
         if count[i] != cols:
             raise ValueError(f"row {i + 1} has {count[i]} entries, expected {cols}")
         raise ValueError(f"row {i + 1} has a non-integer entry")
-    values = lines.integers(1, 1 + rows)
+    values = lines.integers(1, 1 + rows, np.int8)
     if not _entries_within(values, -1, 1):
         raise ValueError("entries must be -1, 0 or +1")
     return SignedMatrix._trusted(values.astype(np.int8, copy=False).reshape(rows, cols))

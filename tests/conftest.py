@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -129,6 +130,18 @@ def counted_grams(monkeypatch) -> list[int]:
 def counted_products(monkeypatch) -> list[int]:
     """The row counts of the general products checked from here on."""
     return _counted_kernel(monkeypatch)[False]
+
+
+def traced_peak(f, *args) -> int:
+    """The traced peak of f(*args), in bytes above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def edge_signs(sg: SignedGraph) -> dict[tuple[int, int], int]:

@@ -1,5 +1,6 @@
 """Float32 row-panel certificates against independent integer and numeric oracles."""
 
+import functools
 import itertools
 import tracemalloc
 
@@ -30,6 +31,7 @@ from conftest import (
     full_panel_gram_oracle,
     orthogonal_oracle,
     random_signed_graph,
+    traced_peak,
 )
 
 EIG_TOL = 1e-6
@@ -325,11 +327,12 @@ def test_a_defect_in_the_second_half_of_a_later_pair_is_seen():
 
 @pytest.mark.parametrize("k", [2895, 2896])
 def test_gram_kernel_at_the_packing_bound(k):
-    """k(2k + 2) < 2^24 holds up to k = 2895, so 2895 packs two panels per
-    product and 2896 takes one. Rows with disjoint supports of size 5 give
+    """k(2k + 2) < 2^24 holds up to k = 2895, so 2895 takes one float32 chunk
+    per packed product and 2896 two. Rows with disjoint supports of size 5 give
     x x^t = 5I; an antipodal pair of full rows, one in a second half, makes
     partial sums of k(2k + 1) and an inner product of -k."""
-    assert _packing(k) == (2 * k + 1, 2 if k == 2895 else 1)
+    base, kc = _packing(k)
+    assert base == 2 * k + 1 and (kc >= k) is (k == 2895)
     n = 2 * PANEL_ROWS + 4
     rng = np.random.default_rng(k)
     x = np.zeros((n, k), dtype=np.int8)
@@ -348,12 +351,83 @@ def test_gram_kernel_at_the_packing_bound(k):
     assert g[PANEL_ROWS + 1] == -k and g[2 * PANEL_ROWS + 1] == k
 
 
+def int64_product(x: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """x @ right in int64, one right row per nonzero entry of x: a row of x with few
+    nonzeros costs a few vectors, and no int64 matmul runs."""
+    out = np.zeros((x.shape[0], right.shape[1]), dtype=np.int64)
+    for i, l in zip(*np.nonzero(x)):
+        out[i] += int(x[i, l]) * right[l].astype(np.int64)
+    return out
+
+
+def zero_sum_rows(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """2 PANEL_ROWS + 4 rows of length k, each with two +1 and two -1 in its own four
+    columns, the last row's ending at column k: x x^t = 4I, and x[i, i] = 0 for k > 4n.
+    The second: row PANEL_ROWS + 1, in the first pair's second panel, replaced by a
+    dense row with zero sum and zero diagonal entry, +1 on its first k // 2 columns and
+    -1 on its last, so that its packed sums in column order reach (k // 2 - 1)(2k + 1)."""
+    n, h = 2 * PANEL_ROWS + 4, k // 2
+    rng = np.random.default_rng(k)
+    x = np.zeros((n, k), dtype=np.int8)
+    signs = rng.permuted(np.tile(np.array([1, 1, -1, -1], dtype=np.int8), (n, 1)), axis=1)
+    x[np.arange(n).repeat(4), np.arange(k - 4 * n, k)] = signs.ravel()
+    dense = x.copy()
+    row = dense[PANEL_ROWS + 1]
+    row[:h], row[h:], row[k - h :] = 1, 0, -1
+    row[PANEL_ROWS + 1] = row[k - h] = 0
+    return x, dense
+
+
+@pytest.mark.parametrize("k", [2895, 2896, 4096])
+def test_chunked_kernel_matches_an_int64_oracle(k):
+    """At k = 2895 each packed product is one float32 chunk, past it two or three chunks
+    added in float64. The verdicts of the Gram product (right None), of x @ x^t with
+    x^t given, and of x @ (J - 2I) = -2x (scale != 0, as every row sums to 0) equal the
+    int64 oracle's, on rows that hold, on a dense row whose packed sums come within
+    0.04 % of 2^24 at k = 4096, and with one entry changed in the last inner chunk of
+    the last panel pair."""
+    base, kc = _packing(k)
+    assert (kc >= k) is (k == 2895) and kc * (base + 1) < FLOAT32_EXACT_BOUND
+    x, dense = zero_sum_rows(k)
+    n = x.shape[0]
+    # (2 PANEL_ROWS - 1, k - 1) is in row n - 1's support: wrong at (511, 511) and (511, n - 1)
+    flipped, unbalanced = x.copy(), dense.copy()
+    flipped[2 * PANEL_ROWS - 1, k - 1] = 1
+    unbalanced[PANEL_ROWS + 1, k - 1] *= -1
+    for arr, want in ((x, True), (dense, False), (flipped, False)):
+        assert np.array_equal(int64_product(arr, arr.T), 4 * np.eye(n, dtype=np.int64)) is want
+        assert _product_is(arr, None, 4) is _product_is(arr, arr.T, 4) is want
+    spread = np.ones((k, k), dtype=np.int8) - 2 * np.eye(k, dtype=np.int8)
+    for arr, want in ((x, True), (dense, True), (unbalanced, False)):
+        assert np.array_equal(int64_product(arr, spread), -2 * arr.astype(np.int64)) is want
+        assert _product_is(arr, spread, 0, -2) is want
+
+
+@pytest.mark.parametrize("k", [2895, 2896, 4096])
+def test_a_packed_target_past_2_24_is_exact(k):
+    """Rows 1 - e_i sum to k - 1, so x @ (-J) = (1 - k) J = (1 - k) x + (1 - k) I: the
+    packed target (1 - k)(X_a + B X_b) reaches (k - 1)(2k + 2), past 2^24 at k = 4096,
+    where float32 would round it. A zero in the last inner chunk of the last panel pair
+    breaks the identity there."""
+    n = 2 * PANEL_ROWS + 4
+    x = np.ones((n, k), dtype=np.int8) - np.eye(n, k, dtype=np.int8)
+    flipped = x.copy()
+    flipped[2 * PANEL_ROWS - 1, k - 1] = 0
+    minus_j = np.full((k, k), -1, dtype=np.int8)
+    for arr, want in ((x, True), (flipped, False)):
+        # x @ (-J) in int64: every column is minus the row sums
+        product = -arr.sum(axis=1, dtype=np.int64)[:, None] * np.ones(k, dtype=np.int64)
+        target = (1 - k) * (arr.astype(np.int64) + np.eye(n, k, dtype=np.int64))
+        assert np.array_equal(product, target) is want
+        assert _product_is(arr, minus_j, 1 - k, 1 - k) is want
+
+
 def test_zero_test_rejects_one_flip_in_the_last_panel_pair():
     """At order 1024 the loop takes two packed pairs of panels. x = I_256 (x) H_4 has
     x x^t = 4I; one flipped entry in the last 4 x 4 block, in the last pair's second
     panel, makes nonzeros only in that pair's rows and columns, which only its
     product's zero test can see."""
-    assert _packing(1024)[1] == 2 and 1024 == 4 * PANEL_ROWS
+    assert _packing(1024)[1] >= 1024 and 1024 == 4 * PANEL_ROWS
     x = np.kron(np.eye(256, dtype=np.int8), sylvester_hadamard(2).data)
     flipped = x.copy()
     flipped[1023, 1020] *= -1
@@ -383,17 +457,6 @@ def test_product_bound_is_asserted_without_allocating():
     assert left.strides == (0, 0) and right.strides == (0, 0)
     with pytest.raises(AssertionError, match="inner dimension"):
         _product_is(left, right, k)
-
-
-def traced_peak(f, *args) -> int:
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        f(*args)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
 
 
 def test_symmetry_validation_peaks_at_a_few_tiles():
@@ -431,6 +494,30 @@ def test_certificate_memory_stays_within_a_few_bytes_per_entry():
     assert traced_peak(certify_two_eigenvalues, sg) <= 3 * sg.n**2
     sg = SignedGraph(paley_conference(1021))
     assert traced_peak(certify_two_eigenvalues, sg) <= 8 * sg.n**2
+
+
+def test_chunked_kernel_holds_one_float64_block():
+    """Past k = 2895 the kernel holds the float32 copy, one packed panel, one float64
+    block of PANEL_ROWS rows and one chunk product, never an n x n array (2.1 MB in
+    float64 here). 128 KB more covers y.any()'s 8192-entry cast buffers."""
+    x = sylvester_hadamard(12).data[: 2 * PANEL_ROWS + 1]
+    n, k = x.shape
+    assert _packing(k)[1] < k
+    bound = 4 * n * k + 4 * PANEL_ROWS * k + (8 + 4) * PANEL_ROWS * n
+    assert traced_peak(_product_is, x, None, k) <= bound + 2**17
+    assert _product_is(x, None, k)
+
+
+def test_order_4096_seidel_matrix_certifies_on_the_chunked_route():
+    """S = B^(x)6 - I, B = J - 2P the 4 x 4 matrix with B^2 = 4I (P the anti-identity),
+    has S^2 + 2S - 4095 I = 0; one flipped symmetric pair in the last panel pair and
+    the last inner chunk breaks it."""
+    b = np.ones((4, 4), dtype=np.int8) - 2 * np.fliplr(np.eye(4, dtype=np.int8))
+    s = functools.reduce(np.kron, [b] * 6) - np.eye(4096, dtype=np.int8)
+    assert certify_two_eigenvalues(SignedGraph(s)) == spectra._solved(4096, 2, -4095)
+    s[4094, 4095] *= -1
+    s[4095, 4094] *= -1
+    assert certify_two_eigenvalues(SignedGraph(s)) is None
 
 
 # Kept verdicts: is_orthogonal proves a matrix's verdict once and keeps it on the

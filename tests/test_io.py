@@ -33,6 +33,7 @@ from conftest import (
     parse_signed_graph_oracle,
     parse_triples_oracle,
     random_signed_graph,
+    traced_peak,
 )
 
 
@@ -292,7 +293,8 @@ def _relaid(text: str, sep: str, end: str) -> str:
 def test_long_texts_match_the_oracles_on_both_routes(fromstring_calls):
     """Texts past the decode threshold: a trit matrix file, and graph and triple files
     of one-digit labels, are decoded from the bytes with no np.fromstring call, in
-    every layout; one two-digit token sends the whole region to np.fromstring."""
+    every layout; one two-digit token sends its block, here the whole text, to
+    np.fromstring."""
     m = constructions.paley_conference(61)
     text = format_matrix(m) + "alpha = 61\n"
     for sep, end in BYTE_LAYOUTS:
@@ -405,10 +407,10 @@ def test_block_edges_keep_non_ascii_breaks_and_annotations(rng, small_blocks):
     assert got[1].endswith(f"got 'note 40 = {UMLAUT * 5} 40'")
 
 
-def test_a_two_digit_token_in_the_last_block_reads_the_whole_range_by_fromstring(
+def test_a_two_digit_token_in_the_last_block_reads_that_block_by_fromstring(
         rng, small_blocks, fromstring_calls):
     """The byte decode counts digits block by block; a "01" in the last block sends
-    every data line to np.fromstring, which reads it as 1."""
+    that block alone to np.fromstring, which reads it as 1."""
     text = _trit_text(rng, 4 * BLOCK)
     got, cuts = small_blocks(parse_matrix, text)
     assert got[0] == "ok" and not fromstring_calls
@@ -418,6 +420,30 @@ def test_a_two_digit_token_in_the_last_block_reads_the_whole_range_by_fromstring
     got = small_blocks(parse_matrix, changed)[0]
     assert got == _outcome(parse_matrix_oracle, changed) == ("ok", parse_matrix(text).data.tolist())
     assert len(fromstring_calls) == 2  # the blocked read and the one-block read
+
+
+def test_a_two_digit_token_costs_one_block_of_a_long_text(monkeypatch):
+    """The order-1024 Hadamard text is ten default blocks. A "01" in its first or its
+    last block sends that block alone to np.fromstring, saturated into the int8
+    result: the parse equals the oracle's, and its traced peak is within 1.2 times
+    the text's as written (an int64 array of every entry would be 8 MB more). A "10"
+    there is the out-of-range error."""
+    m = constructions.sylvester_hadamard(10)
+    text = format_matrix(m)
+    assert len(twoeig.io._Lines(text).cuts) == 11
+    clean = traced_peak(parse_matrix, text)
+    reads = []
+    fromstring = np.fromstring
+    monkeypatch.setattr(np, "fromstring", lambda body, **kw: reads.append(len(body)) or
+                        fromstring(body, **kw))
+    for at in (text.index(" 1 ") + 1, text.rindex(" 1 ") + 1):
+        changed = _changed(text, at, "01")
+        assert parse_matrix(changed) == m == parse_matrix_oracle(changed)
+        assert traced_peak(parse_matrix, changed) <= 1.2 * clean
+    wrong = _changed(text, at, "10")
+    got = _outcome(parse_matrix, wrong)
+    assert got == _outcome(parse_matrix_oracle, wrong) and got[0] == "error"
+    assert len(reads) == 5 and max(reads) < 2 * twoeig.io._BLOCK_BYTES
 
 
 def test_graph_and_triple_texts_span_blocks(small_blocks):
