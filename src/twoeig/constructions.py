@@ -238,12 +238,9 @@ def shift_antisymmetric(c: SignedMatrix) -> tuple[SignedMatrix, OrthogonalityCer
     return m, is_orthogonal(m)
 
 
-def _row_count(a: np.ndarray, name: str) -> int:
-    counts = _row_nonzeros((a != 0).view(np.int8))
-    k = int(counts[0])
-    if np.any(counts != k):
-        raise ValueError(f"{name} does not have a constant number of nonzero entries per row")
-    return k
+# the six pairs (i, j), i < j, of a quadruple's blocks, and per pair the blocks (j, i)
+_PAIRS = list(itertools.combinations(range(4), 2))
+_SWAPPED_PAIRS = np.array(_PAIRS)[:, ::-1]
 
 
 @dataclass(frozen=True)
@@ -252,7 +249,7 @@ class WilliamsonQuadruple:
 
     k1..k4 hold the per-row support size of each block; they are computed,
     never passed, and the commuting invariant is verified exactly at construction, one
-    product per pair: [A_i | -A_j] @ [A_j ; A_i] = A_i A_j - A_j A_i must be
+    product per pair: [A_i | A_j] @ [A_j ; -A_i] = A_i A_j - A_j A_i must be
     0. Both factors hold {-1, 0, 1} entries and the inner dimension is 2n,
     so every entry is an integer of magnitude at most 2n, and
     core._product_is compares it exactly (its docstring says why). _arrays
@@ -276,12 +273,19 @@ class WilliamsonQuadruple:
         for idx, a in enumerate(arrays, start=1):
             if a.shape != (n, n):
                 raise ValueError(f"block {idx} is {a.shape[0]}x{a.shape[1]}, expected {n}x{n}")
-        for name, a in zip(("k1", "k2", "k3", "k4"), arrays):
-            object.__setattr__(self, name, _row_count(a, f"block {name[1]}"))
-        f32 = [a.astype(np.float32) for a in arrays]
-        for i, j in itertools.combinations(range(4), 2):
-            left, right = np.concatenate((f32[i], -f32[j]), 1), np.concatenate((f32[j], f32[i]))
-            if not _product_is(left, right, 0):
+        f32 = np.array(arrays, dtype=np.float32)
+        counts = _row_nonzeros((f32 != 0).view(np.int8).reshape(4 * n, n)).reshape(4, n)
+        ragged = counts != counts[:, :1]
+        if np.count_nonzero(ragged):
+            raise ValueError(f"block {ragged.any(axis=1).argmax() + 1} does not have a constant "
+                             "number of nonzero entries per row")
+        for name, k in zip(("k1", "k2", "k3", "k4"), counts[:, 0].tolist()):
+            object.__setattr__(self, name, k)
+        # the six right factors [A_j; -A_i] (class docstring), taken in one copy
+        rights = f32[_SWAPPED_PAIRS]
+        rights[:, 1] *= -1
+        for (i, j), right in zip(_PAIRS, rights.reshape(len(_PAIRS), 2 * n, n)):
+            if not _product_is(np.concatenate((f32[i], f32[j]), 1), right, 0):
                 raise ValueError(f"blocks {i + 1} and {j + 1} do not commute")
 
     def blocks(self) -> tuple[SignedMatrix, SignedMatrix, SignedMatrix, SignedMatrix]:

@@ -19,20 +19,20 @@ entry out of range is rejected, never wrapped into range.
 
 No Python loop runs over entries, edges or triples. The reader (_Lines) finds
 the lines, counts their tokens and checks the token grammar on the text's
-bytes, then reads all data integers. It works on row blocks of about
-_BLOCK_BYTES (256 KB), each ending after a "\n": every pass over a block
-stays in cache, and a parse holds the text, its result and one block's
-working arrays (at order 2048, 1.6 times the text's bytes). A long text's
-integers are read block by block into one array: a block of one-digit tokens,
-as in every trit matrix, is decoded from its digit bytes and the bytes before
-them, any other (labels, or a "01") is read by np.fromstring, which saturates
-instead of wrapping; a short text's by one np.fromstring call. Every check
-is an array expression, an edge's in the one edge validator,
-core._edge_array; triples are returned as a (t, 3) array. Python reads only
-the header, the annotations, and on bad input the one line that the error
-message names. The writer (_write_rows) lays each entry into a fixed-width
-byte buffer by whole-column arithmetic and deletes the pad bytes with one
-bytes.translate pass.
+bytes in one pass per row block of about _BLOCK_BYTES (256 KB), each ending
+after a "\n": every pass stays in cache, and a parse holds the text, its
+result and one block's working arrays (at order 2048, 1.6 times the text). A
+block of one-digit tokens, as in every trit matrix, is decoded from its digit
+bytes and the bytes before them, any other (labels, or a "01") is read by
+np.fromstring, which saturates instead of wrapping. A one-block text (any
+under 256 KB) costs a fixed handful of array calls: one classification, one
+test of its line counts and grammar breaks, one integer read and a reshape;
+only when that test fails is its first fault looked for. A graph's edges are
+checked by the one edge validator, core._edge_array, alone; triples are
+returned as a (t, 3) array. Python reads only the header, the annotations,
+and on bad input the one line that the error message names. The writer
+(_write_rows) lays each entry into a fixed-width byte buffer by whole-column
+arithmetic and deletes the pad bytes with one bytes.translate pass.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ _DECODE_MIN_BYTES = 1536
 # (_block_cuts): at order 1024 (2.1 MB of text) 256 KB blocks parse in 9.6-10.5 ms
 # and 1 MB blocks in 13.0-13.6 ms (timeit, 2-vCPU AVX-512 host)
 _BLOCK_BYTES = 2**18
+_INT64_MAX = int(np.iinfo(np.int64).max)
 _UNSIGNED = {size: np.dtype(f"u{size}") for size in (1, 2, 4, 8)}
 
 
@@ -117,9 +118,10 @@ class _Lines:
     The bytes are classified one block at a time (_block_cuts), so every pass
     stays in cache and holds a few bytes per block byte. A block ends just
     after a "\n", which no multi-byte UTF-8 sequence contains, so no line spans
-    two blocks. Its kinds are padded with a space at each end, which flags as
-    the text does: a space opens a token as the "\n" before the block does, and
-    a "\n", the block's last byte, is no token byte whatever follows it. One
+    two blocks. Its kinds are padded with a break before it and a space after it
+    (a break if its last line has none), which flag as the text does: a break
+    opens a token as the "\n" before the block does, and no digit follows the
+    block's last byte. Every line starts after a break and ends at the next. One
     translation of the window codes (_WINDOW_FLAGS) gives token starts in bit 0
     and grammar breaks in bit 1; one max finds that no byte has bit 1, as in
     any valid text, and the line counts are then sums of the flags themselves.
@@ -135,34 +137,36 @@ class _Lines:
         self.bytes = np.frombuffer(self.raw, dtype=np.uint8)
         self.cuts = _block_cuts(self.raw)
         parts = [self._classify(lo, hi) for lo, hi in zip(self.cuts, self.cuts[1:])]
-        begin, count, self.bad = (np.concatenate(p) if len(p) > 1 else p[0] for p in zip(*parts))
-        end = np.append(begin[1:] - 1, self.bytes.size)[: begin.size]
+        begin, end, count, bad = (np.concatenate(p) if len(p) > 1 else p[0] for p in zip(*parts))
         count = count.astype(np.intp)
-        blank = count == 0
-        self.begin, self.end, self.count = begin[~blank], end[~blank], count[~blank]
+        if np.count_nonzero(count) < count.size:  # blank lines
+            begin, end, count = begin[count != 0], end[count != 0], count[count != 0]
+        self.begin, self.end, self.count, self.bad = begin, end, count, bad
 
-    def _classify(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Of block [lo, hi): its line starts, their token counts, and its bytes that
-        break the grammar, as text positions."""
-        # byte kinds, padded with a space at each end, and the window code of each byte
-        kind = np.frombuffer(b"".join((b"\0", self.raw[lo:hi].translate(_BYTE_KIND), b"\0")),
-                             np.uint8)
+    def _classify(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        """Of block [lo, hi): its line starts and ends, their token counts, and its bytes
+        that break the grammar, as text positions."""
+        # byte kinds (\0 a space, \1 a break), padded as the class docstring says
+        body = self.raw[lo:hi].translate(_BYTE_KIND)
+        tail = b"\0" if body[-1:] in (b"", b"\1") else b"\1"
+        kind = np.frombuffer(b"".join((b"\1", body, tail)), np.uint8)
+        starts = (kind == _BREAK).nonzero()[0]
         code = kind[:-2] * np.uint8(25)
         code += kind[1:-1] * np.uint8(5)
         code += kind[2:]
-        begin = np.concatenate(([0], np.flatnonzero(kind[1:-1] == _BREAK) + 1))
         del kind
         flags = np.frombuffer(code.tobytes().translate(_WINDOW_FLAGS), np.uint8)
         del code
-        begin = begin[begin < hi - lo]
         if flags.max(initial=0) < 2:
             bad = np.zeros(0, dtype=np.intp)
         else:
             bad = np.flatnonzero(flags >> 1) + lo
             flags = flags & 1
         # uint32 holds any line's count; a wider sum would copy the block as wider integers
-        count = np.add.reduceat(flags, begin, dtype=np.uint32)
-        return begin + lo, count, bad
+        count = np.add.reduceat(flags, starts[:-1], dtype=np.uint32)
+        if lo:
+            starts += lo
+        return starts[:-1], starts[1:] - 1, count, bad
 
     def __len__(self) -> int:
         return self.count.size
@@ -174,14 +178,9 @@ class _Lines:
             lo, hi = (len(self.raw[:at].decode("utf-8", "surrogatepass")) for at in (lo, hi))
         return self.text[lo:hi].strip()
 
-    def first_bad(self, k0: int, k1: int) -> int:
-        """The first line in [k0, k1) with a token outside the grammar, else k1."""
-        if k0 >= k1:
-            return k1
-        i = np.searchsorted(self.bad, self.begin[k0])
-        if i == self.bad.size or self.bad[i] >= self.end[k1 - 1]:
-            return k1
-        return int(np.searchsorted(self.begin, self.bad[i], side="right")) - 1
+    def first_bad(self) -> int:
+        """The first line with a token outside the grammar, else len(self)."""
+        return int(self.begin.searchsorted(self.bad[0] + 1)) - 1 if self.bad.size else len(self)
 
     def integers(self, k0: int, k1: int, dtype=np.int64) -> np.ndarray:
         """The tokens of lines [k0, k1), k0 >= 1 and all in the grammar, as one flat
@@ -233,31 +232,22 @@ class _Lines:
         return True
 
 
-def _integer(token: str) -> int:
-    digits = token[1:] if token[0] in "+-" else token
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer token: {token!r}")
-    return int(token)
-
-
 def _header(line: str, what: str) -> tuple[int, int]:
     parts = line.split()
-    if len(parts) != 2:
-        raise ValueError(f"{what} header must be two integers, got {line!r}")
     try:
-        a, b = _integer(parts[0]), _integer(parts[1])
-    except ValueError:
-        raise ValueError(f"{what} header must be two integers, got {line!r}") from None
-    return a, b
+        if len(parts) == 2 and all(p.isascii() and p[p[0] in "+-" :].isdigit() for p in parts):
+            return int(parts[0]), int(parts[1])
+    except ValueError:  # past the interpreter's limit on the digits int reads
+        pass
+    raise ValueError(f"{what} header must be two integers, got {line!r}")
 
 
 def _check_vertex_count(n: int) -> None:
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
-    # labels are read as int64, which saturates: only a count below the saturated
-    # value keeps every label past int64 out of range
-    if n >= np.iinfo(np.int64).max:
-        raise ValueError(f"vertex count must be below {np.iinfo(np.int64).max}, got {n}")
+    # labels saturate at the int64 limit, so only a count below it keeps them out of range
+    if n >= _INT64_MAX:
+        raise ValueError(f"vertex count must be below {_INT64_MAX}, got {n}")
 
 
 def _write_rows(header: str, rows: np.ndarray) -> str:
@@ -315,8 +305,9 @@ def parse_matrix(text: str) -> SignedMatrix:
             raise ValueError(f"expected {rows} data rows, then only 'key = value' "
                              f"annotations, got {line!r}")
     count = lines.count[1 : 1 + rows]
-    i = min(_first(count != cols), lines.first_bad(1, 1 + rows) - 1)
-    if i < rows:
+    # the header is in the grammar, so a bad byte before the last row's end is in a row
+    if np.count_nonzero(count != cols) or lines.bad.size and lines.bad[0] < lines.end[rows]:
+        i = min(_first(count != cols), lines.first_bad() - 1)
         if count[i] != cols:
             raise ValueError(f"row {i + 1} has {count[i]} entries, expected {cols}")
         raise ValueError(f"row {i + 1} has a non-integer entry")
@@ -331,8 +322,8 @@ def format_matrix(m: SignedMatrix) -> str:
 
 
 def parse_signed_graph(text: str) -> SignedGraph:
-    """Read a signed graph: core._edge_array validates its edges, so they are not checked
-    again. The array saturates, so a faulty edge's message reads its line's text."""
+    """Read a signed graph: core._edge_array validates its edges. A shape, integer or range
+    fault on any line is reported first; a sign, loop or duplicate one reads its line."""
     lines = _Lines(text)
     if not len(lines):
         raise ValueError("empty graph text")
@@ -343,22 +334,30 @@ def parse_signed_graph(text: str) -> SignedGraph:
     if len(lines) != 1 + m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     count = lines.count[1:]
-    shape = (count < 2) | (count > 3)
-    readable = min(_first(shape), lines.first_bad(1, 1 + m) - 1)
-    values, count = lines.integers(1, 1 + readable), count[:readable]
-    first = np.cumsum(count) - count
-    u, v, s = values[first], values[first + 1], np.ones(readable, dtype=np.int64)
-    s[count == 3] = values[first[count == 3] + 2]
-    i = min(readable, _first((u < 1) | (u > n) | (v < 1) | (v > n)))
-    if i < m:
-        if shape[i]:
-            raise ValueError(f"edge line {i + 1} must be 'u v' or 'u v sign', "
-                             f"got {lines.line(1 + i)!r}")
-        if i == readable:
-            raise ValueError(f"edge line {i + 1} has a non-integer field")
+    if lines.bad.size or np.count_nonzero(count != 3):
+        readable = min(_first((count < 2) | (count > 3)), lines.first_bad() - 1)
+        values, count = lines.integers(1, 1 + readable), count[:readable]
+        first = np.cumsum(count) - count
+        rows = np.column_stack((values[first], values[first + 1], np.ones(readable, np.int64)))
+        rows[count == 3, 2] = values[first[count == 3] + 2]
+    else:
+        rows, readable = lines.integers(1, 1 + m).reshape(m, 3), m
+    rows[:, :2] -= 1  # saturated labels stay out of range: n is below the int64 limit
+    if readable == m:
+        try:
+            return SignedGraph._trusted(_edge_array(n, rows, 3, lambda j: [
+                int(x) - (k < 2) for k, x in enumerate(lines.line(1 + j).split())]))
+        except ValueError as error:
+            fault = error
+    i = min(readable, _first(((rows[:, :2] < 0) | (rows[:, :2] >= n)).any(axis=1)))
+    if i == m:
+        raise fault
+    if i < readable:
         raise ValueError(f"edge line {i + 1}: vertex out of range 1..{n}")
-    return SignedGraph._trusted(_edge_array(n, np.column_stack((u - 1, v - 1, s)), 3, lambda j: [
-        int(x) - (k < 2) for k, x in enumerate(lines.line(1 + j).split())]))  # u - 1, v - 1, s
+    if lines.count[1 + i] not in (2, 3):
+        raise ValueError(f"edge line {i + 1} must be 'u v' or 'u v sign', "
+                         f"got {lines.line(1 + i)!r}")
+    raise ValueError(f"edge line {i + 1} has a non-integer field")
 
 
 def format_signed_graph(sg: SignedGraph) -> str:
@@ -384,14 +383,15 @@ def parse_triples(text: str) -> tuple[int, np.ndarray]:
         raise ValueError(f"triple count must be non-negative, got {t}")
     if len(lines) != 1 + t:
         raise ValueError(f"expected {t} triple lines, found {len(lines) - 1}")
-    count = lines.count[1:]
-    readable = min(_first(count != 3), lines.first_bad(1, 1 + t) - 1)
+    readable = t
+    if lines.bad.size or np.count_nonzero(lines.count[1:] != 3):
+        readable = min(_first(lines.count[1:] != 3), lines.first_bad() - 1)
     labels = np.sort(lines.integers(1, 1 + readable).reshape(readable, 3), axis=1)
     a, b, c = labels.T
     order, repeat = _lex_order(labels)
     i = min(readable, _first((a < 1) | (c > n) | (a == b) | (b == c) | repeat))
     if i < t:
-        if count[i] != 3:
+        if lines.count[1 + i] != 3:
             raise ValueError(f"triple line {i + 1} must have three labels, "
                              f"got {lines.line(1 + i)!r}")
         if i == readable:

@@ -174,14 +174,16 @@ def _to_symmetric_float(m) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     _refuse_past_eigvalsh(a.shape[0])
-    out = np.array(a, dtype=np.float64)
-    if out.shape[0] < 1:
+    if a.shape[0] < 1:
         raise ValueError("matrix must have positive order")
-    if not np.isfinite(out).all():
-        raise ValueError("matrix entries must be finite")
-    if not _is_symmetric(out):
+    # integers are finite, and are checked before their float64 copy (32 MB at order 2048)
+    if a.dtype.kind not in "biu":
+        a = np.array(a, dtype=np.float64)
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
+    if not _is_symmetric(a):
         raise ValueError("matrix is not symmetric")
-    return out
+    return np.asarray(a, dtype=np.float64)
 
 
 def eigenvalues_symmetric(m, tol: float = DEFAULT_GROUP_TOL) -> Spectrum:

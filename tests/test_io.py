@@ -1,4 +1,6 @@
+import itertools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -54,6 +56,8 @@ def test_matrix_parse_errors():
         parse_matrix("  \n ")
     with pytest.raises(ValueError, match="header"):
         parse_matrix("2\n1 1\n1 1\n")
+    with pytest.raises(ValueError, match="^matrix header must be two integers"):
+        parse_matrix("1" * 5000 + " 2\n1 1\n")  # past the digits that int reads
     with pytest.raises(ValueError, match="expected 3 data rows"):
         parse_matrix("3 2\n1 1\n1 1\n")
     with pytest.raises(ValueError, match="row 2 has 1 entries"):
@@ -475,6 +479,154 @@ def test_texts_of_several_default_blocks_match_the_oracle_and_one_block(monkeypa
         for name in ("begin", "end", "count", "bad"):
             assert np.array_equal(getattr(lines, name), getattr(one, name))
     assert parse_matrix_oracle(text) == m
+
+
+# Seeded small texts for the differential reader test: token lines laid out with
+# these separators and line ends (tabs, CRLF, non-ASCII spaces and breaks, blank lines)
+SEPARATORS = [" ", "\t", "  ", "\xa0", "\u2003", " \t"]
+LINE_ENDS = ["\n", "\r\n", "\n\n", " \n", "\u2028", "\n\t\n", "\x85"]
+MUTATIONS = ["none", "token", "grammar", "repeat", "range", "tiers"]
+
+
+def _pick(rng, options):
+    return options[int(rng.integers(len(options)))]
+
+
+def _laid_out(rng, lines: list[list[str]]) -> str:
+    return "".join(_pick(rng, SEPARATORS).join(tokens) + _pick(rng, LINE_ENDS) for tokens in lines)
+
+
+def _matrix_lines(rng):
+    """A header, rows of trits (order 1-40, a fifth of them rectangular) and 0-2 annotations."""
+    rows = int(rng.integers(1, 41))
+    cols = rows if rng.random() < 0.8 else int(rng.integers(1, 41))
+    data = [[str(x) for x in row] for row in rng.integers(-1, 2, size=(rows, cols)).tolist()]
+    notes = [["alpha", "=", str(rows)], ["note", "=", "x", "1_0"]][: int(rng.integers(3))]
+    return [str(rows), str(cols)], data, notes, rows
+
+
+def _graph_lines(rng):
+    """A header and 1-40 distinct edges on 2-40 vertices, each 'u v' or 'u v sign'."""
+    n = int(rng.integers(2, 41))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    data = []
+    for k in rng.choice(len(pairs), int(rng.integers(1, min(40, len(pairs)) + 1)), replace=False):
+        u, v = pairs[k][:: _pick(rng, [1, -1])]
+        data.append([str(u), str(v)] + [str(_pick(rng, [1, -1]))] * int(rng.random() < 0.6))
+    return [str(n), str(len(data))], data, [], n
+
+
+def _triple_lines(rng):
+    """A header and 1-40 distinct triples on 3-40 vertices, each in a random order."""
+    n = int(rng.integers(3, 41))
+    triples = {tuple(sorted(rng.choice(n, 3, replace=False) + 1))
+               for _ in range(int(rng.integers(1, 41)))}
+    data = [[str(x) for x in rng.permutation(t)] for t in sorted(triples)]
+    return [str(n), str(len(data))], data, [], n
+
+
+def _fault(rng, fmt: str, lines: list[list[str]], i: int, tier: int, n: int) -> None:
+    """Put a fault into data line i: tier 1 is a shape, integer or range fault, tier 2 an
+    entry 2 (matrix), a sign 2, loop or repeated edge (graph), a repeated label or
+    triple (triples), which the oracles find only after every line's tier-1 checks."""
+    line, k = lines[i], int(rng.integers(len(lines[i])))
+    if tier == 1:
+        kind = _pick(rng, ["drop", "letter", "range"])
+        if kind == "drop":
+            del line[k]
+        elif kind == "letter" or fmt == "matrix":
+            line[k] = _pick(rng, ["x", "+-1", "1a"])
+        else:
+            line[int(rng.integers(2 if fmt == "graph" else 3))] = str(_pick(rng, [0, n + 1]))
+        return
+    other = lines[i - 1] if i else lines[-1]
+    if fmt == "matrix":
+        line[k] = _pick(rng, ["2", "-2"])
+    elif fmt == "graph":
+        kind = _pick(rng, ["sign", "loop", "repeat"])
+        if kind == "sign":
+            line[2:] = [_pick(rng, ["2", "0", "-3"])]
+        elif kind == "loop":
+            line[1] = line[0]
+        elif len(lines) > 1:
+            line[:2] = other[1::-1]
+    elif rng.random() < 0.5 or len(lines) < 2:
+        line[1] = line[0]
+    else:
+        line[:] = other[::-1]
+
+
+def _mutated(rng, fmt: str, data: list[list[str]], n: int, kind: str) -> list[list[str]]:
+    """data with one mutation of the given kind (MUTATIONS)."""
+    lines = [list(line) for line in data]
+    i = int(rng.integers(len(lines)))
+    k = int(rng.integers(len(lines[i])))
+    if kind == "token":
+        if rng.random() < 0.5:
+            del lines[i][k]
+        else:
+            lines[i].insert(k, _pick(rng, ["1", "-1", "0"]))
+    elif kind == "grammar":
+        lines[i][k] = _pick(rng, ["01", "+1", "+-1", "x", "-"])
+    elif kind in ("repeat", "range"):
+        _fault(rng, fmt, lines, i, 2 if kind == "repeat" else 1, n)
+    elif kind == "tiers" and len(lines) > 1:
+        first, second = sorted(rng.choice(len(lines), 2, replace=False).tolist())
+        tiers = _pick(rng, [(1, 2), (2, 1)])
+        _fault(rng, fmt, lines, second, tiers[1], n)
+        _fault(rng, fmt, lines, first, tiers[0], n)
+    return lines
+
+
+# per reader: its texts, and its outcomes with numbers masked (valid, then each message:
+# shape, integer, range; sign, loop, duplicate or distinct labels)
+READERS = [("matrix", _matrix_lines, 4), ("graph", _graph_lines, 7), ("triples", _triple_lines, 6)]
+
+
+@pytest.mark.parametrize("fmt, lines_of, outcomes", READERS, ids=[r[0] for r in READERS])
+def test_seeded_texts_match_the_oracles_array_and_message(fmt, lines_of, outcomes):
+    """200 seeded small texts per reader, each valid or with one mutation: a dropped or
+    extra token, "01", "+-1" or a letter, a repeated edge, triple or label, or a loop, a
+    vertex 0 or n + 1 or a sign 2, or two faults of different tiers on different lines.
+    Each reads as its oracle does: the same array, or the same ValueError message; every
+    kind of outcome occurs."""
+    rng = np.random.default_rng(2028)
+    parse, oracle = PARSERS[fmt]
+    seen = set()
+    for case in range(200):
+        header, data, notes, n = lines_of(rng)
+        kind = MUTATIONS[case % len(MUTATIONS)]
+        text = _laid_out(rng, [header, *_mutated(rng, fmt, data, n, kind), *notes])
+        got = _outcome(parse, text)
+        assert got == _outcome(oracle, text), (kind, text)
+        seen.add(got[0] if got[0] == "ok" else re.sub(r"-?\d+", "#", got[1].split(", got")[0]))
+    assert len(seen) == outcomes, seen
+
+
+def test_a_valid_text_finds_no_first_fault(monkeypatch):
+    """A valid matrix text, annotated or not, never looks for a first fault (_first or
+    _Lines.first_bad); a valid graph text, with or without two-field lines, calls
+    core._edge_array once, whose one mask checks every edge."""
+    calls = []
+    counted = {"_first": twoeig.io._first, "_edge_array": twoeig.io._edge_array}
+    for name, f in counted.items():
+        monkeypatch.setattr(twoeig.io, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+    first_bad = twoeig.io._Lines.first_bad
+    monkeypatch.setattr(twoeig.io._Lines, "first_bad",
+                        lambda self, *a: calls.append("first_bad") or first_bad(self, *a))
+    m = constructions.paley_conference(13)
+    for text in (format_matrix(m), format_matrix(m) + "alpha = 13\nnote = x y\n"):
+        assert parse_matrix(text) == m
+    assert calls == []
+    sg = star(m)
+    text = format_signed_graph(sg)
+    assert parse_signed_graph(text) == sg and calls == ["_edge_array"]
+    calls.clear()
+    assert parse_signed_graph(text.replace(" 1\n", "\n")) == sg  # two-field lines
+    assert calls.count("_edge_array") == 1
+    with pytest.raises(ValueError, match="^row 14 has 13 entries, expected 14$"):
+        parse_matrix(format_matrix(m)[:-3] + "\n")
+    assert "first_bad" in calls
 
 
 def _constructed_matrices() -> list[SignedMatrix]:

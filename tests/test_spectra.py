@@ -27,7 +27,7 @@ from twoeig import (
 )
 from twoeig.core import _bfs_forest, _star_half
 
-from conftest import bipartite_bfs_oracle, random_signed_graph, wide
+from conftest import bipartite_bfs_oracle, random_signed_graph, traced_peak, wide
 
 SQRT2 = math.sqrt(2)
 SQRT5 = math.sqrt(5)
@@ -146,6 +146,20 @@ def test_eigenvalues_refuse_a_non_square_input_before_any_copy():
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def test_eigenvalues_refuse_a_non_symmetric_input_before_its_float64_copy():
+    """An order-2048 signed matrix whose one asymmetric pair lies in the last tile is
+    refused on its int8 array, every tile compared, before the 32 MB float64 copy."""
+    a = np.ones((2048, 2048), dtype=np.int8)
+    a[2047, 2046] = -1
+    m = SignedMatrix(a)
+
+    def refused():
+        with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+            eigenvalues_symmetric(m)
+
+    assert traced_peak(refused) < 2**20
 
 
 def test_spectrum_text_has_no_signed_zero():
