@@ -18,9 +18,10 @@ by array expressions: _edge_array finds a repeated edge by counting the
 nonzero entries of the adjacency it builds, and _lex_order finds repeated
 rows (triples, and the first faulty edge of a list that fails).
 A matrix keeps its orthogonality verdict once proven (is_orthogonal), and a
-star-shaped graph [[O, C], [C^t, O]] keeps its C (_star_half), whose verdict
-certifies it: star keeps the C it read, and the fixed-halves scan and the
-bipartite check's BFS gather keep the C they find (_keep_half).
+star-shaped graph [[O, C], [C^t, O]] keeps its C, whose verdict certifies it:
+star keeps the C it read, and _star_half, the one finder, keeps the C it finds:
+the upper right block if the diagonal half-blocks are zero, else, if row 0 has
+at most n/2 nonzeros, as in any star, the block over the BFS bipartition.
 """
 
 from __future__ import annotations
@@ -486,21 +487,19 @@ class Graph(SignedGraph):
         """A 2-coloring (X, Y) of the vertices, or None if an odd cycle exists.
 
         Components are colored independently; each component's larger color
-        class goes to whichever side is currently smaller, so equal-size
-        bipartitions are found whenever the component structure allows it.
+        class goes to whichever side is currently smaller, so the sides differ by
+        at most the largest difference within one component: they are equal
+        whenever every component's are, but not whenever some choice of sides is.
         """
-        in_y = np.zeros(self.n, dtype=bool)
-        sizes = [0, 0]
+        in_y, gap = np.zeros(self.n, dtype=bool), 0  # gap: |X| - |Y| so far
         for layers, odd in _bfs_components(self.data):
             if odd:
                 return None
-            count = [sum(layer.size for layer, _ in layers[c::2]) for c in (0, 1)]
-            big = 0 if count[0] >= count[1] else 1
-            big_to_y = sizes[0] > sizes[1]
-            for k, (layer, _) in enumerate(layers):
-                in_y[layer] = (k % 2 == big) == big_to_y
-            sizes[big_to_y] += count[big]
-            sizes[not big_to_y] += count[1 - big]
+            d = sum(layer.size for layer, _ in layers[::2]) - sum(layer.size for layer, _ in layers[1::2])
+            even_to_y = (d >= 0) == (gap > 0)  # the larger class to the smaller side
+            for layer, _ in layers[1 - even_to_y :: 2]:
+                in_y[layer] = True
+            gap += -d if even_to_y else d
         return np.flatnonzero(~in_y).tolist(), np.flatnonzero(in_y).tolist()
 
     @classmethod
@@ -607,22 +606,26 @@ def _keep_half(sg: SignedGraph, c: SignedMatrix) -> SignedMatrix:
 
 
 def _star_half(sg: SignedGraph) -> SignedMatrix | None:
-    """The C of sg = [[O, C], [C^t, O]] up to vertex order, or None.
+    """The C of sg = [[O, C], [C^t, O]] up to vertex order, or None: the one finder.
 
-    That is the C kept on sg, by star, by an earlier scan or by the bipartite
-    check's BFS gather (_keep_half), while sg holds the array it was found on
-    and C the array it held then, both still read-only: the same bytes, as for
-    a kept verdict (is_orthogonal). Else, when both diagonal h x h blocks of
-    sg's order-2h array are zero, it is the view a[:h, h:], kept; else None.
-    A kept C keeps its own verdict, so each C is proven at most once."""
+    That is the C kept on sg (_keep_half) while sg holds the array it was found on
+    and C the array it held then, both still read-only: the same bytes, as for a
+    kept verdict (is_orthogonal). Else, of sg's order-2h array a, the view a[:h, h:]
+    when both diagonal h x h blocks are zero; else, if row 0 has at most h nonzeros
+    (exact: no vertex of an order-2h star has more), a[X, Y] over the BFS bipartition
+    (X, Y) of ground(sg) when |X| = h. The C found is kept, with its own verdict, so
+    each C is proven at most once. None: odd order, no bipartition or unequal sides."""
     a = sg.data
     held, c, block = sg._half or (None, None, None)
     if held is a and block is c.data and not (a.flags.writeable or block.flags.writeable):
         return c
-    h = len(a) // 2
-    if len(a) % 2 or a[:h, :h].any() or a[h:, h:].any():
+    h, odd = divmod(len(a), 2)
+    if not (odd or a[:h, :h].any() or a[h:, h:].any()):
+        return _keep_half(sg, SignedMatrix._trusted(a[:h, h:]))
+    parts = None if odd or np.count_nonzero(a[0]) > h else ground(sg).bipartition()
+    if parts is None or len(parts[0]) != h:
         return None
-    return _keep_half(sg, SignedMatrix._trusted(a[:h, h:]))
+    return _keep_half(sg, SignedMatrix._trusted(a[np.ix_(*parts)]))
 
 
 def _stored_verdict(m: SignedMatrix) -> tuple | None:

@@ -232,13 +232,21 @@ class _Lines:
         return True
 
 
+def _integer(token: str) -> int | str:
+    """A token's integer as int reads it, or past int's digit limit its decimal text."""
+    text = "-" * token.startswith("-") + (token.lstrip("+-").lstrip("0") or "0")
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _header(line: str, what: str) -> tuple[int, int]:
     parts = line.split()
-    try:
-        if len(parts) == 2 and all(p.isascii() and p[p[0] in "+-" :].isdigit() for p in parts):
-            return int(parts[0]), int(parts[1])
-    except ValueError:  # past the interpreter's limit on the digits int reads
-        pass
+    if len(parts) == 2 and all(p.isascii() and p[p[0] in "+-" :].isdigit() for p in parts):
+        rows, cols = map(_integer, parts)
+        if isinstance(rows, int) and isinstance(cols, int):
+            return rows, cols
     raise ValueError(f"{what} header must be two integers, got {line!r}")
 
 
@@ -323,7 +331,8 @@ def format_matrix(m: SignedMatrix) -> str:
 
 def parse_signed_graph(text: str) -> SignedGraph:
     """Read a signed graph: core._edge_array validates its edges. A shape, integer or range
-    fault on any line is reported first; a sign, loop or duplicate one reads its line."""
+    fault on any line is reported first; a sign, loop or duplicate one reads its line's
+    sign token, and its labels, which are then in range and exact, from the array."""
     lines = _Lines(text)
     if not len(lines):
         raise ValueError("empty graph text")
@@ -346,7 +355,7 @@ def parse_signed_graph(text: str) -> SignedGraph:
     if readable == m:
         try:
             return SignedGraph._trusted(_edge_array(n, rows, 3, lambda j: [
-                int(x) - (k < 2) for k, x in enumerate(lines.line(1 + j).split())]))
+                *rows[j, :2].tolist(), *map(_integer, lines.line(1 + j).split()[2:])]))
         except ValueError as error:
             fault = error
     i = min(readable, _first(((rows[:, :2] < 0) | (rows[:, :2] >= n)).any(axis=1)))
@@ -406,10 +415,15 @@ def parse_triples(text: str) -> tuple[int, np.ndarray]:
 
 
 def format_triples(n: int, triples) -> str:
-    """Write a (t, 3) integer array or an iterable of triples of labels in 0..n-1."""
+    """Write a (t, 3) integer array or an iterable of triples of labels in 0..n-1, each of
+    three distinct vertices and none repeated, so that parse_triples reads the text back."""
     rows = np.sort(_int_rows(triples, 3, "each triple must be three integer vertices"), axis=1)
-    bad = (rows[:, 0] < 0) | (rows[:, 2] >= n)
-    if bad.any():
-        raise ValueError(f"triple {tuple(rows[bad.argmax()].tolist())} has a vertex out of "
-                         f"range [0, {n})")
-    return _write_rows(f"{n} {len(rows)}", rows[_lex_order(rows)[0]] + 1)
+    order, repeat = _lex_order(rows)
+    out = (rows[:, 0] < 0) | (rows[:, 2] >= n)
+    loop = (rows[:, 0] == rows[:, 1]) | (rows[:, 1] == rows[:, 2])
+    i = _first(out | loop | repeat)
+    if i < len(rows):
+        fault = (f"has a vertex out of range [0, {n})" if out[i]
+                 else "repeats a vertex" if loop[i] else "is repeated")
+        raise ValueError(f"triple {tuple(rows[i].tolist())} {fault}")
+    return _write_rows(f"{n} {len(rows)}", rows[order] + 1)

@@ -9,8 +9,9 @@ A^2 + aA + bI = 0 with integer a, b: such a certificate is verified entry by
 entry with exact integer sums, so it is a proof that the spectrum is exactly
 {lambda, mu} with the stated multiplicities, not a numerical estimate.
 A star-shaped graph [[O, C], [C^t, O]], up to the order of its vertices, is
-certified by its half C alone (star_certificate): the half that core keeps
-on the graph (core._star_half), with C's own kept verdict. Both routes end
+certified by its half C alone (star_certificate): the block that core._star_half
+finds (the fixed halves, or, if row 0 has at most n/2 nonzeros, the BFS
+bipartition) and keeps, with C's own kept verdict. Both routes end
 in one solver, _solved(n, a, b): the whole certified spectrum follows from
 the order and the proven identity, so it is derived in that one place.
 """
@@ -27,7 +28,6 @@ from .core import (
     SignedGraph,
     SignedMatrix,
     _is_symmetric,
-    _keep_half,
     _product_is,
     _star_half,
     ground,
@@ -221,11 +221,11 @@ def certify_two_eigenvalues(sg: SignedGraph) -> TwoEigCertificate | None:
     A^2 + aA + bI = [[CC^t + bI, aC], [aC^t, C^tC + bI]] in that order. C is
     nonzero, so the identity holds iff a = 0 and CC^t = C^tC = -bI, which is
     is_orthogonal(C) with alpha = -b: the same verdict from a product of half
-    the order, 1/8 of the flops (star_certificate). C is the half kept on sg
-    (core._star_half), with its own kept verdict, proven at most once per C:
-    it stays exact because it is that integer identity on C's bytes, which
-    are sg's, and both arrays are still the read-only ones it was found on
-    (core._star_half, core.is_orthogonal).
+    the order, 1/8 of the flops (star_certificate). C is the half that
+    core._star_half finds and keeps on sg, over the BFS bipartition only when
+    row 0 has at most n/2 nonzeros, as in any star: so every balanced bipartite
+    sg goes through C, and no complete signing pays a BFS. C's kept verdict is
+    that integer identity on the read-only bytes it was found on (is_orthogonal).
     """
     data = sg.data
     row = data[0]
@@ -294,24 +294,17 @@ def bipartite_two_eig_check(sg: SignedGraph) -> OrthogonalityCertificate | None:
     Over any balanced bipartition A is [[O, C], [C^t, O]] up to the order of
     the vertices, and A^2 = alpha I iff CC^t = alpha I for its square block C
     (C^tC = alpha I follows), which holds exactly when sg has two distinct
-    eigenvalues: the verdict of certify_two_eigenvalues, the same for every
-    balanced bipartition. The verdict is that of the half C kept on sg
-    (core._star_half), with no ground graph, BFS or gather. Otherwise the
-    BFS bipartition balances its components, so it comes out unbalanced only
-    when some component is, and then the verdict is None: that component has
-    eigenvalue 0, and any edge adds a pair +-lambda (a signed bipartite
-    spectrum is symmetric). A balanced one gives C, which is kept on sg for
-    the next call of either check (core._keep_half).
+    eigenvalues: the verdict of certify_two_eigenvalues, from the same C
+    (core._star_half). With no C found, a bipartite sg has a component with
+    unequal sides, and the verdict is None: that component has eigenvalue 0,
+    and any edge adds a pair +-lambda (a signed bipartite spectrum is symmetric).
     """
     c = _star_half(sg)
-    if c is None:
-        parts = ground(sg).bipartition()
-        if parts is None:
-            raise ValueError("ground graph is not bipartite")
-        if len(parts[0]) != len(parts[1]):
-            return None
-        c = _keep_half(sg, SignedMatrix._trusted(sg.data[np.ix_(*parts)]))
-    return is_orthogonal(c)
+    if c is not None:
+        return is_orthogonal(c)
+    if ground(sg).bipartition() is None:
+        raise ValueError("ground graph is not bipartite")
+    return None
 
 
 def spectrum_union(a: Spectrum, b: Spectrum, tol: float = DEFAULT_GROUP_TOL) -> Spectrum:

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -293,7 +295,24 @@ def enumerate_switching_classes_oracle(g: Graph) -> list[tuple[int, ...]]:
 
 # Per-line and per-entry reference readers and writers for the text formats: the
 # differential oracles for twoeig.io, which reads and writes on byte arrays. They
-# read integers with Python int, which also takes "1_0" and non-ASCII digits.
+# read integers with Python int, which also takes "1_0" and non-ASCII digits. An
+# integer token may have any length (io's docstring), so each reader lifts the
+# interpreter's limit on the digits int reads and str writes while it runs.
+
+
+def _any_length(reader):
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before Python 3.10.7
+        return reader
+
+    @functools.wraps(reader)
+    def read(text: str):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return reader(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+    return read
 
 
 def _data_lines(text: str) -> list[str]:
@@ -311,6 +330,7 @@ def _header(line: str, what: str) -> tuple[int, int]:
     return a, b
 
 
+@_any_length
 def parse_matrix_oracle(text: str) -> SignedMatrix:
     lines = _data_lines(text)
     if not lines:
@@ -345,6 +365,7 @@ def format_matrix_oracle(m: SignedMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_any_length
 def parse_signed_graph_oracle(text: str) -> SignedGraph:
     lines = _data_lines(text)
     if not lines:
@@ -380,6 +401,7 @@ def format_signed_graph_oracle(sg: SignedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_any_length
 def parse_triples_oracle(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     lines = _data_lines(text)
     if not lines:

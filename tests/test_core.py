@@ -197,6 +197,18 @@ def test_no_module_reads_a_matrix_attribute():
     assert readers == []
 
 
+def test_only_core_finds_and_keeps_a_star_half():
+    """core._star_half is the one finder of a star's half: no other module names
+    _keep_half or gathers a block with np.ix_."""
+    named = [f"{path.stem}:{node.lineno}"
+             for path in sorted(Path(twoeig.__file__).parent.glob("*.py")) if path.stem != "core"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if "_keep_half" in (getattr(node, "name", None), getattr(node, "id", None),
+                                 getattr(node, "attr", None))
+             or isinstance(node, ast.Attribute) and node.attr == "ix_"]
+    assert named == []
+
+
 def test_one_panel_loop_checks_every_exact_product():
     """core._product_is is the one exact product kernel: it is the only function that
     calls _packing and _packed_panel, and no module defines, imports or names a second

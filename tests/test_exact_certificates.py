@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from twoeig import (
+    Graph,
     OrthogonalityCertificate,
     SignedGraph,
     SignedMatrix,
@@ -571,22 +572,64 @@ def test_a_permuted_star_keeps_the_half_its_bfs_gathers(monkeypatch):
     assert grams == [14]
 
 
-@pytest.mark.parametrize("c", [*(sylvester_hadamard(k) for k in range(1, 6)),
-                               *(paley_conference(q) for q in (5, 13, 29)),
-                               conference_block(paley_conference(5))],
-                         ids=[*(f"H{k}" for k in range(1, 6)), "P5", "P13", "P29", "block-P5"])
+STAR_HALVES = pytest.mark.parametrize(
+    "c", [*(sylvester_hadamard(k) for k in range(1, 6)), *(paley_conference(q) for q in (5, 13, 29)),
+          conference_block(paley_conference(5))],
+    ids=[*(f"H{k}" for k in range(1, 6)), "P5", "P13", "P29", "block-P5"])
+
+
+@STAR_HALVES
 def test_the_dense_route_and_star_certificate_agree(monkeypatch, c):
-    """Interleaving the two sides of star(C) puts edges in both fixed diagonal half-blocks,
-    so the graph is certified by the dense route's Gram product of its own order; its
-    certificate equals star_certificate(C) in every field, floats included. alpha is a
-    square for H2 and H4 and not for the rest, so both branches of spectra._solved run."""
+    """With no half found (spectra._star_half patched to None), an interleaved star(C) is
+    certified by the dense route's Gram product of its own order; its certificate equals
+    star_certificate(C) in every field, floats included. alpha is a square for H2 and H4
+    and not for the rest, so both branches of spectra._solved run."""
     n = c.rows
     mixed = np.arange(2 * n).reshape(2, n).T.ravel()
     sg = SignedGraph(star(c).matrix.data[np.ix_(mixed, mixed)])
+    monkeypatch.setattr(spectra, "_star_half", lambda sg: None)
     grams = counted_grams(monkeypatch)
     cert = certify_two_eigenvalues(sg)
     assert grams == [2 * n]
     assert cert == spectra.star_certificate(c) and grams == [2 * n]
+
+
+@STAR_HALVES
+def test_a_permuted_star_is_certified_through_its_half(monkeypatch, rng, c):
+    """star(C) with its vertices in a random or interleaved order: certify_two_eigenvalues
+    gathers C over the BFS bipartition and proves it with one Gram product of C's order,
+    equal to star_certificate(C), and bipartite_two_eig_check then takes C's kept verdict.
+    One flipped symmetric pair is rejected by both, again with one product."""
+    n = c.rows
+    want = spectra.star_certificate(c)
+    grams = counted_grams(monkeypatch)
+    for order in (rng.permutation(2 * n), np.arange(2 * n).reshape(2, n).T.ravel()):
+        a = star(c).data[np.ix_(order, order)]
+        grams.clear()
+        sg = SignedGraph(a)
+        assert certify_two_eigenvalues(sg) == want and grams == [n]
+        assert bipartite_two_eig_check(sg) == is_orthogonal(c) and grams == [n]
+        flipped = a.copy()
+        i, j = np.argwhere(a)[int(rng.integers(np.count_nonzero(a)))]
+        flipped[i, j] = flipped[j, i] = -a[i, j]
+        grams.clear()
+        sg = SignedGraph(flipped)
+        assert certify_two_eigenvalues(sg) is None and bipartite_two_eig_check(sg) is None
+        assert grams == [n]
+
+
+def test_a_graph_with_no_balanced_bipartition_goes_dense(monkeypatch):
+    """Of even order with deg(v0) <= n/2 but no half: two triangles (not bipartite, with
+    A^2 - A - 2I = 0) and K_{1,3} beside an edge (bipartite, sides 4 and 2) are decided by
+    the dense Gram product of their own order."""
+    grams = counted_grams(monkeypatch)
+    triangles = SignedGraph(Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+    assert certify_two_eigenvalues(triangles) == spectra._solved(6, -1, -2) and grams == [6]
+    with pytest.raises(ValueError, match="not bipartite"):
+        bipartite_two_eig_check(triangles)
+    unbalanced = SignedGraph(Graph(6, [(0, 1), (0, 2), (0, 3), (4, 5)]))
+    assert bipartite_two_eig_check(unbalanced) is None and grams == [6]
+    assert certify_two_eigenvalues(unbalanced) is None and grams == [6, 6]
 
 
 def test_a_rejection_is_kept_on_every_route(monkeypatch):

@@ -155,10 +155,13 @@ def _outcome(parse, text):
 
 @pytest.mark.parametrize("token", [
     "300", "255", "18446744073709551617", "-18446744073709551617", "9223372036854775808",
-    "- 1", "1.5", "1e0", "abc", "+1", "-0", "01", "-1", "+-1", "1-", "0x1", "\x00"])
+    "- 1", "1.5", "1e0", "abc", "+1", "-0", "01", "-1", "+-1", "1-", "0x1", "\x00",
+    pytest.param("9" * 5000, id="5000-nines"), pytest.param("-" + "9" * 5000, id="-5000-nines"),
+    pytest.param("+" + "0" * 5000 + "1", id="+5000-zeros-1")])
 def test_adversarial_tokens_keep_the_reference_verdicts(token):
     """Same accept or reject verdict and the same message as the per-line reader. int64
-    saturates, so 300 or 2^64 + 1 can never wrap into a trit, a sign or a label."""
+    saturates, so 300 or 2^64 + 1 can never wrap into a trit, a sign or a label; a token
+    past Python's limit on the digits int reads is an integer like any other."""
     for fmt, templates in TEMPLATES.items():
         parse, oracle = PARSERS[fmt]
         for template in templates:
@@ -485,7 +488,7 @@ def test_texts_of_several_default_blocks_match_the_oracle_and_one_block(monkeypa
 # these separators and line ends (tabs, CRLF, non-ASCII spaces and breaks, blank lines)
 SEPARATORS = [" ", "\t", "  ", "\xa0", "\u2003", " \t"]
 LINE_ENDS = ["\n", "\r\n", "\n\n", " \n", "\u2028", "\n\t\n", "\x85"]
-MUTATIONS = ["none", "token", "grammar", "repeat", "range", "tiers"]
+MUTATIONS = ["none", "token", "grammar", "repeat", "range", "tiers", "long"]
 
 
 def _pick(rng, options):
@@ -570,6 +573,12 @@ def _mutated(rng, fmt: str, data: list[list[str]], n: int, kind: str) -> list[li
         lines[i][k] = _pick(rng, ["01", "+1", "+-1", "x", "-"])
     elif kind in ("repeat", "range"):
         _fault(rng, fmt, lines, i, 2 if kind == "repeat" else 1, n)
+    elif kind == "long":  # 5,000 digits, past Python's default limit on int's digits
+        token = lines[i][k]
+        lines[i][k] = _pick(rng, ["9" * 5000, "-" + "9" * 5000,
+                                  token[: token[0] in "+-"] + "0" * 5000 + token.lstrip("+-")])
+        if rng.random() < 0.5:  # a fault whose message reads the long token's line
+            _fault(rng, fmt, lines, i, 2, n)
     elif kind == "tiers" and len(lines) > 1:
         first, second = sorted(rng.choice(len(lines), 2, replace=False).tolist())
         tiers = _pick(rng, [(1, 2), (2, 1)])
@@ -587,20 +596,24 @@ READERS = [("matrix", _matrix_lines, 4), ("graph", _graph_lines, 7), ("triples",
 def test_seeded_texts_match_the_oracles_array_and_message(fmt, lines_of, outcomes):
     """200 seeded small texts per reader, each valid or with one mutation: a dropped or
     extra token, "01", "+-1" or a letter, a repeated edge, triple or label, or a loop, a
-    vertex 0 or n + 1 or a sign 2, or two faults of different tiers on different lines.
-    Each reads as its oracle does: the same array, or the same ValueError message; every
-    kind of outcome occurs."""
+    vertex 0 or n + 1 or a sign 2, two faults of different tiers on different lines, or a
+    5,000-digit token in any field (a huge value, or one padded with zeros), alone or on a
+    line with a sign, loop, duplicate or distinct-label fault. Each reads as its oracle
+    does: the same array, or the same ValueError message; every kind of outcome occurs."""
     rng = np.random.default_rng(2028)
     parse, oracle = PARSERS[fmt]
-    seen = set()
+    seen, long_fields = set(), set()
     for case in range(200):
         header, data, notes, n = lines_of(rng)
         kind = MUTATIONS[case % len(MUTATIONS)]
-        text = _laid_out(rng, [header, *_mutated(rng, fmt, data, n, kind), *notes])
+        lines = _mutated(rng, fmt, data, n, kind)
+        long_fields |= {k for line in lines for k, token in enumerate(line) if len(token) > 4300}
+        text = _laid_out(rng, [header, *lines, *notes])
         got = _outcome(parse, text)
         assert got == _outcome(oracle, text), (kind, text)
         seen.add(got[0] if got[0] == "ok" else re.sub(r"-?\d+", "#", got[1].split(", got")[0]))
     assert len(seen) == outcomes, seen
+    assert long_fields >= {0, 1, 2}
 
 
 def test_a_valid_text_finds_no_first_fault(monkeypatch):
@@ -687,9 +700,11 @@ def test_triple_writer_and_reader_match_the_per_triple_oracles():
     paley = odd_product_triples(constructions.paley_conference(61).data)
     shuffled = [(c, a, b) for a, b, c in reversed(paley)]
     for n, triples in [(62, paley), (62, shuffled), (62, frozenset(paley)), (6, K6_TRIPLES),
-                       (4, []), (5, [(3, 1, 2), (0, 4, 2), (1, 2, 3), (0, 1, 2)])]:
+                       (4, []), (5, [(3, 1, 2), (0, 4, 2), (1, 2, 4), (0, 1, 2)])]:
         text = format_triples(n, triples)
         assert text == format_triples_oracle(n, triples)
+    with pytest.raises(ValueError, match=r"^triple \(1, 2, 3\) is repeated$"):
+        format_triples(5, [(3, 1, 2), (0, 4, 2), (1, 2, 3), (0, 1, 2)])
     for n, triples in [(62, paley), (4, [])]:
         text = format_triples(n, triples)
         got = parse_triples(text)
@@ -714,6 +729,33 @@ def test_triple_writer_rejects_labels_outside_the_vertex_range():
     assert format_triples(3, [(2, 0, 1)]) == "3 1\n1 2 3\n"
 
 
+def test_every_text_the_triple_writer_returns_reads_back_to_its_rows():
+    """Seeded triple lists on 3-8 vertices with labels from -1 to n, some triples repeated
+    in another order: the writer refuses exactly the lists with a vertex out of range, a
+    repeated vertex or a repeated triple, naming the first such triple, and parse_triples
+    reads every text it returns back to the same sorted rows."""
+    rng = np.random.default_rng(2029)
+    refused = 0
+    for _ in range(300):
+        n = int(rng.integers(3, 9))
+        rows = rng.integers(0, n, size=(int(rng.integers(0, 8)), 3))
+        if len(rows) > 1 and rng.random() < 0.3:
+            rows[-1] = rng.permutation(rows[0])
+        if len(rows) and rng.random() < 0.2:
+            rows[rng.integers(len(rows)), rng.integers(3)] = _pick(rng, [-1, n])
+        keys = [tuple(sorted(t)) for t in rows.tolist()]
+        faults = [t for k, t in enumerate(keys)
+                  if not 0 <= t[0] < t[1] < t[2] < n or t in keys[:k]]
+        if faults:
+            refused += 1
+            with pytest.raises(ValueError, match=f"^triple {re.escape(str(faults[0]))} "):
+                format_triples(n, rows)
+        else:
+            got = parse_triples(format_triples(n, rows))
+            assert got[0] == n and list(map(tuple, got[1].tolist())) == sorted(keys)
+    assert 50 < refused < 250
+
+
 def _rows_oracle(header: str, rows) -> str:
     return "".join(f"{line}\n" for line in [header, *(" ".join(map(str, r)) for r in rows)])
 
@@ -735,17 +777,18 @@ def _rows_of_width(rng, width: int, shape) -> np.ndarray:
 
 def test_writers_match_the_per_entry_join_for_every_width(rng):
     """Byte-identical to " ".join(map(str, row)) for entries of 1 to 19 digits, as rows,
-    as triple labels (in range: non-negative, 0-based labels up to 2^63 - 2, written 1-based)
-    and as graph labels."""
+    as triple labels (in range: non-negative, 0-based labels up to 2^63 - 2, written 1-based,
+    in the distinct triples of distinct labels that the writer accepts) and as graph labels."""
     for width in range(1, 20):
         for shape in [(1, 1), (1, 5), (7, 3), (40, 9)]:
             rows = _rows_of_width(rng, width, shape)
             assert twoeig.io._write_rows("h 1", rows) == _rows_oracle("h 1", rows.tolist())
         labels = np.abs(_rows_of_width(rng, width, (50, 3)).clip(-np.iinfo(np.int64).max))
         labels[labels == np.iinfo(np.int64).max] -= 1
-        n = int(labels.max()) + 1
-        assert format_triples(n, labels.tolist()) == _rows_oracle(
-            f"{n} 50", sorted(sorted(x + 1 for x in t) for t in labels.tolist()))
+        triples = sorted({tuple(sorted(t)) for t in labels.tolist() if len(set(t)) == 3})
+        n = max(t[2] for t in triples) + 1
+        assert format_triples(n, triples) == _rows_oracle(
+            f"{n} {len(triples)}", [[x + 1 for x in t] for t in triples])
     for m in _random_matrices(rng) + [SignedMatrix(-np.ones((3, 4))), SignedMatrix([[0, 0]])]:
         assert format_matrix(m) == _rows_oracle(f"{m.rows} {m.cols}", m.data.tolist())
     for n in (9, 10, 99, 100, 1001):

@@ -302,17 +302,60 @@ def bipartite_grounds(n: int):
                 yield Graph(n, [pairs[k] for k in sorted(key)])
 
 
+def _side_counts(g: Graph) -> list[tuple[int, int]]:
+    """The two color class sizes of each component of g, by a walk over its edge list."""
+    nbrs = {v: [] for v in range(g.n)}
+    for u, v in g.sorted_edges():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    color, counts = {}, []
+    for root in range(g.n):
+        if root not in color:
+            color[root], todo, sizes = 0, [root], [0, 0]
+            while todo:
+                u = todo.pop()
+                sizes[color[u]] += 1
+                for v in nbrs[u]:
+                    if v not in color:
+                        color[v] = 1 - color[u]
+                        todo.append(v)
+            counts.append(tuple(sizes))
+    return counts
+
+
+def test_bipartition_sides_differ_by_at_most_one_components_difference():
+    """Every bipartite graph on up to 6 vertices: Graph.bipartition is a 2-coloring whose
+    sides differ by at most the largest difference within one component, so they are
+    equal whenever every component's are, the property both half routes rely on."""
+    for n in range(1, 7):
+        for g in bipartite_grounds(n):
+            x, y = g.bipartition()
+            assert sorted(x + y) == list(range(n))
+            assert all((u in x) != (v in x) for u, v in g.sorted_edges())
+            gap = max(abs(p - q) for p, q in _side_counts(g))
+            assert abs(len(x) - len(y)) <= gap, g
+    paths_and_star = Graph(10, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (6, 8), (6, 9)])
+    assert sorted(map(len, paths_and_star.bipartition())) == [4, 6]
+
+
 def test_bipartite_check_matches_the_bfs_route_on_every_5_and_6_vertex_graph():
     """Every bipartite ground graph on 5 and 6 vertices and every switching class on it
     (forest edges positive, any sign on the rest; both routes' verdicts are switching
-    invariant). The 2^9 grounds inside the 3 + 3 split take the half-block route, the rest
-    the BFS route; each verdict must equal the BFS-route oracle's."""
+    invariant). The 2^9 grounds inside the 3 + 3 split have both diagonal half-blocks
+    zero; _star_half finds a half exactly on those and on the grounds whose BFS
+    bipartition is balanced (the split can hold a ground whose BFS sides are 4 and 2,
+    such as the star at vertex 2 over 3, 4, 5); each verdict must equal the BFS-route
+    oracle's."""
     split_grounds = 0
     for n, count in ((5, 376), (6, 5177)):
         grounds = list(bipartite_grounds(n))
         assert len(grounds) == count
         for g in grounds:
-            split_grounds += _star_half(SignedGraph(g.adjacency())) is not None
+            a, h = g.adjacency(), n // 2
+            split = n == 2 * h and not (a[:h, :h].any() or a[h:, h:].any())
+            x, y = g.bipartition()
+            assert (_star_half(SignedGraph(a)) is not None) == (split or len(x) == len(y)), g
+            split_grounds += split
             forest = {tuple(sorted(e)) for e in _bfs_forest(g)}
             free = np.array([e for e in g.sorted_edges() if e not in forest], dtype=int)
             signings = np.repeat(g.adjacency()[None], 2 ** len(free), axis=0)
